@@ -14,41 +14,15 @@ convolution with the coefficients of Df(phi(.))/k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
 
-from . import fourier
+from . import fourier, grids
 from .errors import BranchTrackingError
 
 TWO_PI = 2.0 * np.pi
-
-
-# ---------------------------------------------------------------------------
-# frequency lattice
-
-@dataclass(frozen=True)
-class SubharmonicFrequencyGrid:
-    """The N admissible Bloch frequencies of N-periodic perturbations."""
-
-    n_period: int
-    frequencies: np.ndarray     # sorted ascending, contains 0
-
-    def __post_init__(self):
-        if self.n_period < 1:
-            raise ValueError(f"period multiple must be >= 1, got {self.n_period}")
-
-
-def omega_grid(n_period):
-    """Frequencies 2*pi*j/N with j centered (even N keeps -pi, drops +pi)."""
-    if n_period < 1:
-        raise ValueError(f"period multiple must be >= 1, got {n_period}")
-    half = n_period // 2
-    if n_period % 2 == 0:
-        j = np.arange(-half, half)
-    else:
-        j = np.arange(-half, half + 1)
-    return SubharmonicFrequencyGrid(n_period, TWO_PI * j / n_period)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +50,11 @@ def reaction_coeffs(profile, span):
 
 
 def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):
-    """Build the dense matrix of L_xi on modes ``ells`` (default -m_f..m_f)."""
+    """Build the dense matrix of L_xi on modes ``ells`` (default |l| <= m_f in
+    FFT wrap order)."""
     if ells is None:
         m = profile.m_f if m_f is None else m_f
-        ells = fourier.modes(m)
+        ells = grids.cell_modes(2 * m + 1)
     ells = np.asarray(ells)
     if that is None:
         span = int(np.abs(ells[:, None] - ells[None, :]).max())
@@ -89,20 +64,15 @@ def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):
     return BlochMatrix(float(xi), ells, mat)
 
 
-def bloch_spectrum(bm, count=None, vectors=False):
+def bloch_spectrum(bm, vectors=False):
     """Eigenvalues sorted by descending real part; optional unit eigenvectors."""
     if vectors:
         lam, vecs = sla.eig(bm.entries)
         order = np.argsort(-lam.real)
-        lam = lam[order]
         vecs = vecs[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-        if count is not None:
-            lam, vecs = lam[:count], vecs[:, :count]
-        return lam, vecs
+        return lam[order], vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     lam = sla.eigvals(bm.entries)
-    lam = lam[np.argsort(-lam.real)]
-    return lam if count is None else lam[:count]
+    return lam[np.argsort(-lam.real)]
 
 
 def phi_prime_vector(profile, ells):
@@ -135,86 +105,177 @@ class CriticalModeData:
     ells: np.ndarray
 
 
-def _tracked_eig(entries, ref, overlap_floor=0.5):
-    """Eigen-decomposition picking the branch member closest to ``ref``."""
-    lam, vl, vr = sla.eig(entries, left=True, right=True)
-    vr_n = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    overlaps = np.abs(ref.conj() @ vr_n) / np.linalg.norm(ref)
+def adjoint_vector(matrix, lam, v):
+    """Left eigenvector w of ``matrix`` at the simple eigenvalue lam, <w, v> = 1.
+
+    It solves the bordered system [[A - lam, v], [v^H, 0]]^H (w, mu) = (0, 1),
+    which is nonsingular for a simple eigenvalue with right eigenvector v.
+    """
+    dim = v.size
+    border = np.zeros((dim + 1, dim + 1), dtype=complex)
+    border[:dim, :dim] = matrix - lam * np.eye(dim)
+    border[:dim, dim] = v
+    border[dim, :dim] = v.conj()
+    rhs = np.zeros(dim + 1, dtype=complex)
+    rhs[dim] = 1.0
+    return np.linalg.solve(border.conj().T, rhs)[:dim]
+
+
+def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None,
+                  overlap_floor=0.5):
+    """Continue the critical branch of ``ref`` into the fiber (lam, vecs).
+
+    Picks the eigenvector with the largest normalized overlap with ``ref``,
+    gauges it to <phi', v> = ||phi'||^2, takes the adjoint with <adj, v> = 1
+    from the matching row of ``vecs_inv`` (or by a bordered solve without
+    it), and refines lambda_c by the two-sided Rayleigh quotient, which is
+    exact to second order in the vector errors; the dense eigensolver alone
+    is only good to eps * ||matrix||. Returns (index, lambda_c, v, adj,
+    margin), the margin being the best minus the runner-up overlap. Raises
+    BranchTrackingError when the runner-up also reaches ``overlap_floor`` or
+    when v is orthogonal to phi'.
+    """
+    overlaps = np.abs(ref.conj() @ vecs) / (np.linalg.norm(vecs, axis=0)
+                                             * np.linalg.norm(ref))
     order = np.argsort(-overlaps)
-    best = order[0]
-    if overlaps.size > 1 and overlaps[order[1]] >= overlap_floor:
+    idx = int(order[0])
+    runner_up = overlaps[order[1]] if overlaps.size > 1 else 0.0
+    if runner_up >= overlap_floor:
         raise BranchTrackingError(
-            f"ambiguous branch continuation: overlaps {overlaps[order[0]]:.3f} and "
-            f"{overlaps[order[1]]:.3f} both exceed {overlap_floor}")
-    return lam, vl, vr, best, overlaps[best]
+            f"ambiguous branch continuation: overlaps {overlaps[idx]:.3f} and "
+            f"{runner_up:.3f} both exceed {overlap_floor}")
+    v = vecs[:, idx]
+    s = np.vdot(phi_vec, v)
+    if abs(s) < 1e-8 * np.linalg.norm(v) * np.linalg.norm(phi_vec):
+        raise BranchTrackingError("critical eigenvector is orthogonal to phi'; "
+                                  "gauge undefined")
+    v = v * (np.vdot(phi_vec, phi_vec) / s)
+    if vecs_inv is None:
+        adj = adjoint_vector(matrix, lam[idx], v)
+    else:
+        adj = np.conj(vecs_inv[idx]) / np.conj(vecs_inv[idx] @ v)
+    lam_c = np.vdot(adj, matrix @ v) / np.vdot(adj, v)
+    return idx, lam_c, v, adj, float(overlaps[idx] - runner_up)
+
+
+def conjugate_index(n_modes, n):
+    """Permutation l -> -l of mode-major vectors on FFT-ordered modes.
+
+    L_{-xi} = P conj(L_xi) P for this permutation P, so conj(v)[perm] is an
+    eigenvector of L_{-xi} whenever v is one of L_xi.
+    """
+    slots = (-np.arange(n_modes)) % n_modes
+    return (slots[:, None] * n + np.arange(n)).reshape(-1)
+
+
+@dataclass
+class _Fiber:
+    """One decomposed Bloch fiber and the critical branch through it."""
+
+    lam: np.ndarray             # eigenvalues, Re-descending (lambda_c refined)
+    index: int | None           # position of lambda_c in ``lam``; None where lost
+    vec: np.ndarray             # phi'-gauged critical vector (last followed if lost)
+    adj: np.ndarray | None      # its adjoint, <adj, vec> = 1
+    margin: float               # best minus runner-up overlap; nan where lost
+
+    @property
+    def lam_c(self):
+        return complex(np.nan, np.nan) if self.index is None else complex(
+            self.lam[self.index])
 
 
 class _BranchWalker:
-    """Continues the phi'-rooted eigenbranch in xi by eigenvector overlap."""
+    """The Bloch fibers of one profile at one mode count, each decomposed once.
 
-    def __init__(self, profile, ells, that, max_step=0.15):
+    A fiber xi = base * q >= 0 is keyed on the reduced fraction q. Base 2*pi
+    gives the N-periodic lattice xi = 2*pi*j/N, so nested lattices share
+    their fibers; other bases serve critical-curve samples and single
+    frequencies. The critical branch is followed from xi = 0, where it is
+    phi', by eigenvector overlap over the lattice of q's denominator, refined
+    by powers of two until its steps are at most ``max_step``. A fiber keeps
+    its eigenvalues and critical data only, no eigenvector matrix; xi < 0
+    comes from -xi by conjugation. Modes are in FFT wrap order.
+    """
+
+    def __init__(self, profile, m, max_step=0.15):
         self.profile = profile
-        self.ells = np.asarray(ells)
-        self.that = that
+        self.ells = grids.cell_modes(2 * m + 1)
+        self.that = reaction_coeffs(profile, 2 * m)
         self.max_step = max_step
         self.phi_vec = phi_prime_vector(profile, self.ells)
-        self._cache = {}
+        self._flip = conjugate_index(self.ells.size, profile.n)
+        self._fibers = {}
 
-    def _matrix(self, xi):
-        return assemble_bloch(self.profile, xi, ells=self.ells, that=self.that).entries
+    def refined(self, n, base=TWO_PI):
+        """Smallest n * 2^p whose lattice steps base / (n 2^p) are <= max_step."""
+        while base / n > self.max_step:
+            n *= 2
+        return n
 
-    def mode_at(self, xi, keep_vectors=True):
-        """Mode data at xi, walking from 0 in steps of at most ``max_step``."""
-        key = round(float(xi), 14)
-        if key in self._cache:
-            return self._cache[key]
-        if xi < 0:
-            pos = self.mode_at(-xi)
-            flip = np.conj(pos.phi_vec.reshape(self.ells.size, -1)[::-1]).reshape(-1)
-            flip_adj = np.conj(pos.adjoint_vec.reshape(self.ells.size, -1)[::-1]).reshape(-1)
-            data = CriticalModeData(float(xi), np.conj(pos.lam), flip, flip_adj,
-                                    self.ells)
-            self._cache[key] = data
-            return data
+    def _key(self, q, base):
+        return (base if q else 0.0, q)
 
-        nsteps = max(1, int(np.ceil(xi / self.max_step)))
-        path = np.linspace(0.0, xi, nsteps + 1)
-        ref = self.phi_vec / np.linalg.norm(self.phi_vec)
-        data = None
-        for x in path:
-            xkey = round(float(x), 14)
-            if xkey in self._cache:
-                data = self._cache[xkey]
-                ref = data.phi_vec / np.linalg.norm(data.phi_vec)
-                continue
-            lam, vl, vr, idx, _ = _tracked_eig(self._matrix(x), ref)
-            v = vr[:, idx]
-            s = np.vdot(self.phi_vec, v)
-            vnorm = np.linalg.norm(v) * np.linalg.norm(self.phi_vec)
-            if abs(s) < 1e-8 * vnorm:
-                raise BranchTrackingError(
-                    f"critical eigenvector at xi={x:.4f} is orthogonal to phi'; "
-                    "gauge undefined")
-            phi_vec = v * (np.vdot(self.phi_vec, self.phi_vec) / s)
-            w = vl[:, idx]
-            z = np.vdot(w, phi_vec)
-            if abs(z) < 1e-12 * np.linalg.norm(w) * np.linalg.norm(phi_vec):
-                raise BranchTrackingError(
-                    f"left/right eigenvector pairing degenerate at xi={x:.4f}")
-            adjoint = w / np.conj(z)
-            data = CriticalModeData(float(x), lam[idx], phi_vec, adjoint, self.ells)
-            self._cache[xkey] = data
-            ref = phi_vec / np.linalg.norm(phi_vec)
-        return data
+    def fiber(self, j, n=1, base=TWO_PI):
+        """The fiber at xi = base * j / n."""
+        q = Fraction(int(j), int(n))
+        if q < 0:
+            pos = self.fiber(-q.numerator, q.denominator, base)
+            flip = self._flip
+            return _Fiber(np.conj(pos.lam), pos.index, np.conj(pos.vec)[flip],
+                          None if pos.adj is None else np.conj(pos.adj)[flip],
+                          pos.margin)
+        key = self._key(q, base)
+        if key in self._fibers:
+            return self._fibers[key]
+        # walk the refined lattice from the last fiber known on the way
+        fine = self.refined(q.denominator, base)
+        target = int(q * fine)
+        k = target
+        while k > 0 and self._key(Fraction(k, fine), base) not in self._fibers:
+            k -= 1
+        start = self._fibers.get(self._key(Fraction(k, fine), base))
+        ref = self.phi_vec if start is None else start.vec
+        for i in range(k if start is None else k + 1, target + 1):
+            step = Fraction(i, fine)
+            fib = self._decompose(base * step.numerator / step.denominator, ref)
+            self._fibers[self._key(step, base)] = fib
+            ref = fib.vec
+        return self._fibers[key]
+
+    def _decompose(self, xi, ref):
+        bm = assemble_bloch(self.profile, xi, ells=self.ells, that=self.that)
+        lam, vecs = bloch_spectrum(bm, vectors=True)
+        try:
+            idx, lam_c, vec, adj, margin = follow_branch(
+                bm.entries, lam, vecs, ref, self.phi_vec)
+        except BranchTrackingError:
+            return _Fiber(lam, None, ref, None, np.nan)
+        lam[idx] = lam_c
+        return _Fiber(lam, idx, vec, adj, margin)
+
+    def mode_at(self, xi):
+        """Gauge-fixed critical data at one frequency, adjoint included."""
+        xi = float(xi)
+        fib = self.fiber(np.sign(xi), 1, abs(xi))
+        if fib.index is None:
+            raise BranchTrackingError(
+                f"critical branch lost on the way to xi={xi:.4f}")
+        return CriticalModeData(xi, fib.lam[fib.index], fib.vec, fib.adj,
+                                self.ells)
+
+
+def fiber_store(profile, m_f=None):
+    """The fiber store of ``profile`` at mode count m_f, cached on the profile."""
+    m = profile.m_f if m_f is None else m_f
+    stores = profile._fiber_stores
+    if m not in stores:
+        stores[m] = _BranchWalker(profile, m)
+    return stores[m]
 
 
 def critical_mode_data(profile, xi, m_f=None):
     """Track the critical branch from 0 to xi and return its gauge-fixed data."""
-    m = profile.m_f if m_f is None else m_f
-    ells = fourier.modes(m)
-    span = 2 * m
-    walker = _BranchWalker(profile, ells, reaction_coeffs(profile, span))
-    return walker.mode_at(float(xi))
+    return fiber_store(profile, m_f).mode_at(xi)
 
 
 @dataclass
@@ -235,11 +296,15 @@ def critical_curve(profile, xi_max=0.25, samples=17, m_f=None):
         raise ValueError("samples must be an odd number >= 3 so the grid contains 0")
     if not 0.0 < xi_max <= np.pi:
         raise ValueError(f"xi_max must lie in (0, pi], got {xi_max}")
-    m = profile.m_f if m_f is None else m_f
-    ells = fourier.modes(m)
-    walker = _BranchWalker(profile, ells, reaction_coeffs(profile, 2 * m))
+    store = fiber_store(profile, m_f)
+    half = samples // 2
+    pos = np.array([store.fiber(i, half, xi_max).lam_c
+                    for i in range(half + 1)])
+    if np.isnan(pos.real).any():
+        raise BranchTrackingError(
+            f"critical branch lost on |xi| <= {xi_max:g}")
+    lams = np.concatenate([np.conj(pos[:0:-1]), pos])
     xis = np.linspace(-xi_max, xi_max, samples)
-    lams = np.array([walker.mode_at(x).lam for x in xis])
 
     xs = xis
     d = -float(np.sum(lams.real * xs ** 2) / np.sum(xs ** 4))
@@ -274,6 +339,8 @@ class StabilityReport:
     scan: int = 0
     m_f: int = 0
     tol_zero: float = 0.0
+    branch_lost: list = field(default_factory=list)   # scan xi where lambda_c was lost
+    min_overlap_margin: float = np.nan                  # over the followed scan fibers
 
 
 def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
@@ -283,26 +350,28 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
     (a) spectrum of every L_xi in {Re < 0} apart from the translation zero,
     (b) Re sigma(L_xi) <= -theta xi^2 for some theta > 0,
     (c) 0 a simple eigenvalue of L_0 with eigenfunction phi'.
+
+    The scan covers the xi >= 0 half of the lattice xi = 2*pi*j/scan (the
+    spectrum at -xi is the conjugate one).
     """
     if scan < 8:
         raise ValueError(f"scan must be >= 8, got {scan}")
     m = profile.m_f if m_f is None else m_f
-    ells = fourier.modes(m)
-    that = reaction_coeffs(profile, 2 * m)
-    xis = np.unique(np.concatenate([
-        np.linspace(-np.pi, np.pi, scan, endpoint=False), [0.0]]))
+    store = fiber_store(profile, m)
+    half = (scan + 1) // 2
+    xis = grids.frequency_lattice(scan)[:half]
+    fibers = [store.fiber(j, scan) for j in grids.cell_modes(scan)[:half]]
 
     failures = []
 
     # condition (c): simplicity of the zero of L_0 with eigenfunction phi'
-    zero_matrix = assemble_bloch(profile, 0.0, ells=ells, that=that)
-    lam0, vec0 = bloch_spectrum(zero_matrix, vectors=True)
+    lam0 = fibers[0].lam
     absorder = np.argsort(np.abs(lam0))
     zero_count = int(np.sum(np.abs(lam0) <= tol_zero))
     zero_simplicity = float(np.abs(lam0[absorder[1]]))
-    pvec = phi_prime_vector(profile, ells)
-    pvec = pvec / np.linalg.norm(pvec)
-    align = float(np.abs(np.vdot(pvec, vec0[:, absorder[0]])))
+    # the gauge makes <phi', vec> = ||phi'||^2, so |cos| = ||phi'|| / ||vec||
+    align = (float(np.linalg.norm(store.phi_vec) / np.linalg.norm(fibers[0].vec))
+             if fibers[0].index == absorder[0] else 0.0)
     cond_simple = (zero_count == 1) and (align >= 1.0 - angle_tol)
     if zero_count != 1:
         failures.append(
@@ -310,37 +379,25 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
     if align < 1.0 - angle_tol:
         failures.append(f"zero eigenfunction misaligned with phi' (|cos| = {align:.2e})")
 
-    # scan: pooled eigenvalues, tracked critical branch on the positive side
-    max_nonzero_real = -np.inf
+    # scan: top of each spectrum and the critical branch against the rest
+    rest0 = float(np.delete(lam0, absorder[0]).real.max())
+    max_nonzero_real = rest0
     theta = np.inf
-    sep_records = []        # (|xi|, Re lambda_c, max Re of the rest)
-    pooled = {}
-    prev_ref = pvec
-    for x in xis[xis >= 0.0]:
-        if x == 0.0:
-            lam, vr = lam0, vec0
-            rest = lam[absorder[1:]]
-            crit_re = 0.0
-            pooled[x] = lam
-            max_nonzero_real = max(max_nonzero_real, float(rest.real.max()))
-            sep_records.append((0.0, 0.0, float(rest.real.max())))
-            continue
-        try:
-            lam, _vl, vr, idx, _ov = _tracked_eig(
-                assemble_bloch(profile, x, ells=ells, that=that).entries, prev_ref)
-            prev_ref = vr[:, idx]
-            crit_re = float(lam[idx].real)
-            rest_re = np.delete(lam.real, idx)
-            sep_records.append((x, crit_re, float(rest_re.max())))
-        except BranchTrackingError:
-            lam = bloch_spectrum(assemble_bloch(profile, x, ells=ells, that=that))
-            sep_records.append((x, np.nan, float(lam.real.max())))
-        pooled[x] = lam
-        top = float(lam.real.max())
+    sep_records = [(0.0, 0.0, rest0)]       # (|xi|, Re lambda_c, max Re of the rest)
+    branch_lost = []
+    margins = [fib.margin for fib in fibers if fib.index is not None]
+    for x, fib in zip(xis[1:], fibers[1:]):
+        x = float(x)
+        top = float(fib.lam.real.max())
+        if fib.index is None:
+            branch_lost.append(x)
+            sep_records.append((x, np.nan, top))
+        else:
+            sep_records.append((x, float(fib.lam[fib.index].real),
+                                float(np.delete(fib.lam.real, fib.index).max())))
         max_nonzero_real = max(max_nonzero_real, top)
         theta = min(theta, -top / (x * x))
 
-    # negative side by conjugation symmetry of the real operator
     cond_negative = bool(max_nonzero_real < 0.0)
     if max_nonzero_real >= 0.0:
         failures.append(f"spectrum reaches Re = {max_nonzero_real:.3e} >= 0 away from the origin")
@@ -396,6 +453,8 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
         scan=scan,
         m_f=m,
         tol_zero=tol_zero,
+        branch_lost=branch_lost,
+        min_overlap_margin=float(min(margins)) if margins else np.nan,
     )
 
 
@@ -404,7 +463,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
 
 @dataclass
 class SubharmonicSpectrum:
-    """Pooled spectrum over the N admissible Bloch frequencies."""
+    """Pooled spectrum over the N admissible Bloch frequencies (FFT wrap order)."""
 
     n_period: int
     frequencies: np.ndarray
@@ -415,48 +474,44 @@ class SubharmonicSpectrum:
     zero_defect: float              # |lambda| of the translation mode at xi = 0
 
 
+def lattice_gap(eigenvalues):
+    """Gap of a lattice's spectra, listed in FFT wrap order (entry 0 at xi = 0).
+
+    Returns (delta, index of the first fiber attaining it, zero defect):
+    delta is minus the largest real part once the translation eigenvalue,
+    the one nearest 0 at xi = 0, is set aside.
+    """
+    top, where = -np.inf, 0
+    zero = int(np.argmin(np.abs(eigenvalues[0])))
+    zero_defect = float(np.abs(eigenvalues[0][zero]))
+    for j, lam in enumerate(eigenvalues):
+        if j == 0:
+            lam = np.delete(lam, zero)
+        t = float(lam.real.max())
+        if t > top:
+            top, where = t, j
+    return -top, where, zero_defect
+
+
 def subharmonic_spectrum(profile, n_period, m_f=None):
     """Eigenvalues of L_xi for all xi in the N-periodic Bloch lattice."""
-    m = profile.m_f if m_f is None else m_f
-    ells = fourier.modes(m)
-    that = reaction_coeffs(profile, 2 * m)
-    grid = omega_grid(n_period)
-    walker = _BranchWalker(profile, ells, that)
-
-    eigs = []
-    crit = []
-    delta = -np.inf
-    attaining = 0.0
-    zero_defect = np.nan
-    for x in grid.frequencies:
-        lam = bloch_spectrum(assemble_bloch(profile, x, ells=ells, that=that))
-        eigs.append(lam)
-        try:
-            crit.append(complex(walker.mode_at(x).lam))
-        except BranchTrackingError:
-            crit.append(complex(np.nan, np.nan))
-        if abs(x) < 1e-14:
-            idx = np.argmin(np.abs(lam))
-            zero_defect = float(np.abs(lam[idx]))
-            rest = np.delete(lam, idx)
-            top = float(rest.real.max())
-        else:
-            top = float(lam.real.max())
-        if top > delta:
-            delta = top
-            attaining = float(x)
+    store = fiber_store(profile, m_f)
+    freqs = grids.frequency_lattice(n_period)
+    fibers = [store.fiber(j, n_period) for j in grids.cell_modes(n_period)]
+    eigs = [fib.lam for fib in fibers]
+    delta, where, zero_defect = lattice_gap(eigs)
     return SubharmonicSpectrum(
         n_period=n_period,
-        frequencies=grid.frequencies,
+        frequencies=freqs,
         eigenvalues=eigs,
-        critical=np.array(crit),
-        delta=float(-delta),
-        attaining_xi=attaining,
+        critical=np.array([fib.lam_c for fib in fibers]),
+        delta=delta,
+        attaining_xi=float(freqs[where]),
         zero_defect=zero_defect,
     )
 
 
 def gap_sequence(profile, n_values, m_f=None):
-    """delta_N for each N in ``n_values`` (shared assembly across calls)."""
+    """delta_N for each N in ``n_values`` (nested lattices share their fibers)."""
     return {int(n): subharmonic_spectrum(profile, int(n), m_f=m_f).delta
             for n in n_values}

@@ -25,10 +25,8 @@ from . import __version__, bloch, evolve, fourier, grids, profiles, semigroup
 from .errors import (
     AdmissibilityError,
     BlowUpError,
-    BranchTrackingError,
     ExtractionDivergenceError,
     ModelParameterError,
-    PhaseWarpError,
     ProfileConvergenceError,
 )
 from .models import make_model
@@ -58,7 +56,7 @@ _SCHEMA_VERSIONS = {
 
 # model parameters consumed by the model factory; remaining --param entries
 # parameterize the analytic guess family (q for rgl, amplitude/detune knobs)
-_MODEL_PARAM_NAMES = {"rgl": (), "realgl": (), "nagumo": ("alpha",),
+_MODEL_PARAM_NAMES = {"rgl": (), "nagumo": ("alpha",),
                       "brusselator": ("A", "B")}
 
 
@@ -207,7 +205,7 @@ def cmd_profile(args, argv):
     if model_id not in _MODEL_PARAM_NAMES:
         raise _CliError(EXIT_USAGE,
                         f"unknown model {args.model!r}; known: "
-                        f"{sorted(set(_MODEL_PARAM_NAMES) - {'realgl'})}")
+                        f"{sorted(_MODEL_PARAM_NAMES)}")
     try:
         model = make_model(model_id,
                            {k: params[k] for k in _MODEL_PARAM_NAMES[model_id]
@@ -225,7 +223,7 @@ def cmd_profile(args, argv):
 
     if args.guess == "analytic":
         try:
-            if model_id in ("rgl", "realgl"):
+            if model_id == "rgl":
                 if "q" not in params:
                     raise _CliError(EXIT_VALIDATION,
                                     "analytic rgl guess needs --param q=...")
@@ -292,25 +290,16 @@ def cmd_spectrum(args, argv):
     report = bloch.verify_diffusive_stability(prof, scan=args.scan,
                                               xi_fit=args.xi_max)
 
-    ells = fourier.modes(prof.m_f)
-    that = bloch.reaction_coeffs(prof, 2 * prof.m_f)
-    walker = bloch._BranchWalker(prof, ells, that)
-    xis = np.unique(np.concatenate(
-        [np.linspace(-np.pi, np.pi, args.scan, endpoint=False), [0.0]]))
+    # the CSV lists the scan lattice in ascending xi; -xi mirrors xi
+    store = bloch.fiber_store(prof)
+    js = grids.cell_modes(args.scan)
+    xis = grids.frequency_lattice(args.scan)
     rows = []
-    for xi in xis:
-        lam = bloch.bloch_spectrum(bloch.assemble_bloch(prof, xi, ells=ells,
-                                                        that=that))
-        try:
-            crit = complex(walker.mode_at(xi).lam)
-        except BranchTrackingError:
-            crit = None
-        tagged = None
-        if crit is not None:
-            tagged = int(np.argmin(np.abs(lam - crit)))
-        for idx, l in enumerate(lam):
-            tag = "critical" if idx == tagged else "bulk"
-            rows.append((_fmt(xi), _fmt(l.real), _fmt(l.imag), tag))
+    for k in np.argsort(xis):
+        fib = store.fiber(js[k], args.scan)
+        for idx, l in enumerate(fib.lam):
+            tag = "critical" if idx == fib.index else "bulk"
+            rows.append((_fmt(xis[k]), _fmt(l.real), _fmt(l.imag), tag))
 
     csv_path = out_dir / "spectrum.csv"
     _write_csv(csv_path, ("xi", "re_lambda", "im_lambda", "branch_tag"), rows)
@@ -333,6 +322,9 @@ def cmd_spectrum(args, argv):
         "delta_0": {_fmt(k): v for k, v in report.delta_0.items()},
         "zero_simplicity": report.zero_simplicity,
         "max_nonzero_real": report.max_nonzero_real,
+        "branch_lost": report.branch_lost,
+        "min_overlap_margin": (None if np.isnan(report.min_overlap_margin)
+                               else report.min_overlap_margin),
         "failures": report.failures,
         "tolerances": {"tol_zero": report.tol_zero, "scan": report.scan,
                        "m_f": report.m_f, "xi_fit": args.xi_max},
@@ -576,7 +568,7 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         "m_x": cfg.get("m_x"),
         "dt": cfg.get("dt", 0.01),
         "t_max": cfg.get("t_max"),
-        "scheme": cfg.get("scheme", "imex-cn"),
+        "scheme": cfg.get("scheme", "imex"),
         "K": cfg.get("K", 3),
         "snapshot": {"dense_until": snap.get("dense_until", 10.0),
                      "stride": snap.get("stride", 0.25),
@@ -641,8 +633,7 @@ def cmd_simulate(args, argv):
     raw_cfg = _load_config(args.config)
     cfg = _validated_simulation_config(raw_cfg, args.profile, args.extract)
     prof = _load_profile_checked(cfg["profile"])
-    if cfg["model"] is not None and cfg["model"].lower() not in (
-            prof.model.id, "realgl" if prof.model.id == "rgl" else prof.model.id):
+    if cfg["model"] is not None and cfg["model"].lower() != prof.model.id:
         raise _CliError(EXIT_VALIDATION,
                         f"config model {cfg['model']!r} does not match the "
                         f"profile's model {prof.model.id!r}")
@@ -694,38 +685,11 @@ def cmd_simulate(args, argv):
     T = times.size
     k_sob = cfg["K"]
 
-    # per-snapshot extraction; failures are recorded, not fatal
-    frames = []
-    warp_ok = np.ones(T, dtype=bool)
-    for i in range(T):
-        try:
-            frames.append(evolve.modulation_frame(result, i))
-        except PhaseWarpError:
-            frames.append(None)
-            warp_ok[i] = False
+    # per-snapshot extraction; warp failures are recorded, not fatal
+    trace = evolve.modulation_trace(result, k_sob=k_sob)
+    warp_ok = trace.warp_ok
     n_failed = int((~warp_ok).sum())
-
-    psi_vals = np.full((T, result.m_x * n_period), np.nan)
-    norm_cols = {name: np.full(T, np.nan) for name in
-                 ("v_h", "psi_x_h", "psi_t_h", "v_l2", "psi_x_l2", "psi_t_l2")}
-    for i, frame in enumerate(frames):
-        if frame is None:
-            continue
-        psi_vals[i] = frame.psi.values[:, 0]
-        psi_x = grids.derivative(frame.psi)
-        norm_cols["v_h"][i] = grids.norm_h(frame.v, k_sob)
-        norm_cols["psi_x_h"][i] = grids.norm_h(psi_x, k_sob + 1)
-        norm_cols["v_l2"][i] = grids.norm_l2(frame.v)
-        norm_cols["psi_x_l2"][i] = grids.norm_l2(psi_x)
-    gamma = result.gamma
-    gamma_t = evolve.time_derivative(times, gamma) if T > 1 else np.zeros(T)
-    if T > 1:
-        psi_t_vals = evolve.time_derivative(times, np.nan_to_num(psi_vals))
-        for i in range(T):
-            if warp_ok[i]:
-                gf = grids.GridFunction(n_period, psi_t_vals[i][:, None])
-                norm_cols["psi_t_h"][i] = grids.norm_h(gf, k_sob)
-                norm_cols["psi_t_l2"][i] = grids.norm_l2(gf)
+    gamma, gamma_t = trace.gamma, trace.gamma_t
 
     trace_path = out_dir / "trace.csv"
     _write_csv(
@@ -733,10 +697,9 @@ def cmd_simulate(args, argv):
         ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h", "norm_psi_t_h",
          "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2", "warp_ok"),
         [(_fmt(times[i]), _fmt(gamma[i]), _fmt(gamma_t[i]),
-          _fmt(norm_cols["v_h"][i]), _fmt(norm_cols["psi_x_h"][i]),
-          _fmt(norm_cols["psi_t_h"][i]), _fmt(norm_cols["v_l2"][i]),
-          _fmt(norm_cols["psi_x_l2"][i]), _fmt(norm_cols["psi_t_l2"][i]),
-          str(int(warp_ok[i]))) for i in range(T)])
+          _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]), _fmt(trace.psi_t_h[i]),
+          _fmt(trace.v_l2[i]), _fmt(trace.psi_x_l2[i]),
+          _fmt(trace.psi_t_l2[i]), str(int(warp_ok[i]))) for i in range(T)])
     manifest.add_output(out_dir, trace_path)
 
     snap_dir = _ensure_dir(out_dir / "snapshots")
@@ -754,7 +717,7 @@ def cmd_simulate(args, argv):
         "E0": pert["amplitude"],
     }
     usable = warp_ok.all()
-    delta_n = bloch.subharmonic_spectrum(prof, n_period).delta
+    delta_n = engine.spectral_gap()
     report["delta_N"] = delta_n
 
     phase = evolve.phase_convergence(result) if T > 3 else None
@@ -779,15 +742,7 @@ def cmd_simulate(args, argv):
         }
 
     if usable and T > 3:
-        trace_data = evolve.ModulationTraceData(
-            k_sob=k_sob, times=times, gamma=gamma, gamma_t=gamma_t,
-            psi_vals=psi_vals,
-            psi_t_vals=psi_t_vals if T > 1 else np.zeros_like(psi_vals),
-            v_vals=np.stack([f.v.values for f in frames]),
-            v_h=norm_cols["v_h"], psi_x_h=norm_cols["psi_x_h"],
-            psi_t_h=norm_cols["psi_t_h"], v_l2=norm_cols["v_l2"],
-            psi_x_l2=norm_cols["psi_x_l2"], psi_t_l2=norm_cols["psi_t_l2"])
-        zeta = evolve.zeta_diagnostic(result, k_sob=k_sob, trace=trace_data)
+        zeta = evolve.zeta_diagnostic(result, k_sob=k_sob, trace=trace)
         i10 = int(np.searchsorted(times, 10.0))
         zeta10 = float(zeta.zeta[min(i10, T - 1)])
         zeta_end = float(zeta.zeta[-1])
@@ -797,7 +752,7 @@ def cmd_simulate(args, argv):
             "pass": bool(zeta_end <= 4.0 * zeta10 + 1e-300),
         }
         damping = evolve.damping_check(result, k_sob=k_sob, delta_n=delta_n,
-                                       trace=trace_data)
+                                       trace=trace)
         report["damping"] = {
             "best_theta": damping.best_theta,
             "best_constant": damping.best_constant,
@@ -826,7 +781,7 @@ def cmd_simulate(args, argv):
                 "pass": bool(lo <= knee.rate <= hi),
             }
         t_knee = knee.t_knee if knee is not None else None
-        slope_v = _slope_or_none(times, norm_cols["v_h"], t_hi=t_knee)
+        slope_v = _slope_or_none(times, trace.v_h, t_hi=t_knee)
         slope_g = _slope_or_none(times, np.abs(gamma_t))
         report["fits"] = {
             "v_h_slope_pre_knee": slope_v,
@@ -863,7 +818,7 @@ def cmd_simulate(args, argv):
                 "v2_defect": du.v2_defect,
             }
             if cfg["extraction"]["mode"] == "both" and usable:
-                proj_psi = np.nan_to_num(psi_vals)
+                proj_psi = np.nan_to_num(trace.psi_vals)
                 dg = float(np.max(np.abs(du.gamma - gamma)))
                 dpsi = float(np.max(np.sqrt(np.sum(
                     (du.psi_vals - proj_psi) ** 2, axis=1) / result.m_x)))

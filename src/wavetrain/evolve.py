@@ -116,7 +116,7 @@ class Etdrk4Stepper(_Stepper):
                 + self.f3 * Nc)
 
 
-_SCHEMES = {"imex": ImexStepper, "imex-cn": ImexStepper, "etdrk4": Etdrk4Stepper}
+_SCHEMES = {"imex": ImexStepper, "etdrk4": Etdrk4Stepper}
 
 
 def stable_dt_limit(profile, samples=256):
@@ -276,10 +276,6 @@ class ExperimentResult:
     def psi_field(self, i):
         """The local phase psi at snapshot i (chi-ramped projection)."""
         return self.engine.synthesize_phase(self.chi[i] * self.inner[i])
-
-    def psi_norms(self):
-        return np.array([grids.norm_l2(self.psi_field(i))
-                         for i in range(len(self.times))])
 
 
 def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
@@ -729,6 +725,7 @@ class ModulationTraceData:
     All Sobolev norms use the global periodic frequencies of [0, N); the
     ``k_sob`` order applies to v and psi_t, with psi_x measured one order
     higher, matching the weighted quantity the decay diagnostics track.
+    Snapshots whose phase warp failed have ``warp_ok`` False and NaN rows.
     """
 
     k_sob: int
@@ -744,35 +741,53 @@ class ModulationTraceData:
     v_l2: np.ndarray
     psi_x_l2: np.ndarray
     psi_t_l2: np.ndarray
+    warp_ok: np.ndarray         # (T,) bool
 
 
 def modulation_trace(result, k_sob=3):
-    """Extract phases along the trajectory and collect the diagnostic norms."""
-    frames = extract_modulation_projection(result)
+    """Extract phases along the trajectory and collect the diagnostic norms.
+
+    A snapshot whose phase warp fails (PhaseWarpError from
+    :func:`modulation_frame`) is recorded, not fatal: its rows are NaN and
+    its ``warp_ok`` entry False; psi_t takes its phase as zero.
+    """
     times = result.times
     T = times.size
     N = result.n_period
-    psi_vals = np.stack([f.psi.values[:, 0] for f in frames])
-    v_vals = np.stack([f.v.values for f in frames])
-    psi_t_vals = time_derivative(times, psi_vals)
-    gamma_t = time_derivative(times, result.gamma)
-
-    psi_x = [grids.derivative(f.psi) for f in frames]
-    psi_t = [grids.GridFunction(N, psi_t_vals[i][:, None]) for i in range(T)]
+    P = result.m_x * N
+    psi_vals = np.full((T, P), np.nan)
+    v_vals = np.full((T, P, result.profile.n), np.nan)
+    norms = {name: np.full(T, np.nan) for name in
+             ("v_h", "psi_x_h", "psi_t_h", "v_l2", "psi_x_l2", "psi_t_l2")}
+    warp_ok = np.ones(T, dtype=bool)
+    for i in range(T):
+        try:
+            frame = modulation_frame(result, i)
+        except PhaseWarpError:
+            warp_ok[i] = False
+            continue
+        psi_vals[i] = frame.psi.values[:, 0]
+        v_vals[i] = frame.v.values
+        psi_x = grids.derivative(frame.psi)
+        norms["v_h"][i] = grids.norm_h(frame.v, k_sob)
+        norms["psi_x_h"][i] = grids.norm_h(psi_x, k_sob + 1)
+        norms["v_l2"][i] = grids.norm_l2(frame.v)
+        norms["psi_x_l2"][i] = grids.norm_l2(psi_x)
+    psi_t_vals = time_derivative(times, np.nan_to_num(psi_vals))
+    for i in np.nonzero(warp_ok)[0]:
+        psi_t = grids.GridFunction(N, psi_t_vals[i][:, None])
+        norms["psi_t_h"][i] = grids.norm_h(psi_t, k_sob)
+        norms["psi_t_l2"][i] = grids.norm_l2(psi_t)
     return ModulationTraceData(
         k_sob=int(k_sob),
         times=times,
         gamma=result.gamma.copy(),
-        gamma_t=gamma_t,
+        gamma_t=time_derivative(times, result.gamma),
         psi_vals=psi_vals,
         psi_t_vals=psi_t_vals,
         v_vals=v_vals,
-        v_h=np.array([grids.norm_h(f.v, k_sob) for f in frames]),
-        psi_x_h=np.array([grids.norm_h(g, k_sob + 1) for g in psi_x]),
-        psi_t_h=np.array([grids.norm_h(g, k_sob) for g in psi_t]),
-        v_l2=np.array([grids.norm_l2(f.v) for f in frames]),
-        psi_x_l2=np.array([grids.norm_l2(g) for g in psi_x]),
-        psi_t_l2=np.array([grids.norm_l2(g) for g in psi_t]),
+        warp_ok=warp_ok,
+        **norms,
     )
 
 

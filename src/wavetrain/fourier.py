@@ -96,24 +96,11 @@ def operator_matrix(ells, xi, a2, a1, that, react_scale=1.0):
     return a
 
 
-def hermitian_pack(coeffs):
-    """Flatten Hermitian coefficients (2M+1, n) to the real unknown vector.
+def hermitian_unpack(vec, m, n):
+    """Hermitian coefficients (2M+1, n) from the real unknown vector.
 
     Layout: [Re c_0 (n); Re c_1, Im c_1 (2n); ...; Re c_M, Im c_M (2n)].
     """
-    m = trunc_order(coeffs)
-    n = coeffs.shape[1]
-    out = np.empty((2 * m + 1) * n)
-    out[:n] = coeffs[m].real
-    for l in range(1, m + 1):
-        base = n + (l - 1) * 2 * n
-        out[base:base + n] = coeffs[m + l].real
-        out[base + n:base + 2 * n] = coeffs[m + l].imag
-    return out
-
-
-def hermitian_unpack(vec, m, n):
-    """Inverse of :func:`hermitian_pack`."""
     coeffs = np.empty((2 * m + 1, n), dtype=complex)
     coeffs[m] = vec[:n]
     for l in range(1, m + 1):

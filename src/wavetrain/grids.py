@@ -126,20 +126,30 @@ class BlochCoefficients:
     @property
     def frequencies(self):
         """Signed Bloch frequencies 2*pi*j/N in FFT wrap order."""
-        j = np.fft.fftfreq(self.n_period, d=1.0 / self.n_period)
-        return TWO_PI * j / self.n_period
-
-    @property
-    def zero_index(self):
-        return 0
+        return frequency_lattice(self.n_period)
 
     def copy(self):
         return BlochCoefficients(self.n_period, self.coeffs.copy(), self.was_real)
 
 
 def cell_modes(m_x):
-    """Signed 1-periodic mode numbers in FFT wrap order (m_x odd recommended)."""
+    """Signed integers 0, 1, ..., -1 in FFT wrap order.
+
+    These index the 1-periodic cell modes l of an m_x-point cell (m_x odd
+    recommended) and, for m_x = N, the Bloch lattice j of N-periodic functions.
+    Every frequency and mode list of the package comes in this one order.
+    """
     return np.fft.fftfreq(m_x, d=1.0 / m_x).astype(int)
+
+
+def frequency_lattice(n_period):
+    """The N admissible Bloch frequencies 2*pi*j/N, j in FFT wrap order.
+
+    Even N keeps -pi and drops +pi; index 0 is always xi = 0.
+    """
+    if n_period < 1:
+        raise ValueError(f"period multiple must be >= 1, got {n_period}")
+    return TWO_PI * cell_modes(n_period) / n_period
 
 
 def _mode_slots(n_period, m_x):
@@ -149,9 +159,8 @@ def _mode_slots(n_period, m_x):
     to slots mod P is a bijection and the transform below is exact.
     """
     P = n_period * m_x
-    jj = np.fft.fftfreq(n_period, d=1.0 / n_period).astype(int)
-    ll = np.fft.fftfreq(m_x, d=1.0 / m_x).astype(int)
-    return np.mod(jj[:, None] + ll[None, :] * n_period, P)
+    return np.mod(cell_modes(n_period)[:, None]
+                  + cell_modes(m_x)[None, :] * n_period, P)
 
 
 def bloch_transform(gf):

@@ -93,7 +93,6 @@ def nagumo(alpha):
 
 _FACTORIES = {
     "rgl": (real_ginzburg_landau, ()),
-    "realgl": (real_ginzburg_landau, ()),
     "brusselator": (brusselator, ("A", "B")),
     "nagumo": (nagumo, ("alpha",)),
 }
@@ -103,8 +102,8 @@ def make_model(model_id, params=None):
     """Instantiate a built-in model by id string with keyword parameters."""
     key = model_id.lower()
     if key not in _FACTORIES:
-        known = sorted(set(_FACTORIES) - {"realgl"})
-        raise ModelParameterError(f"unknown model id {model_id!r}; known: {known}")
+        raise ModelParameterError(
+            f"unknown model id {model_id!r}; known: {sorted(_FACTORIES)}")
     factory, names = _FACTORIES[key]
     params = dict(params or {})
     missing = [p for p in names if p not in params]
@@ -115,13 +114,3 @@ def make_model(model_id, params=None):
         raise ModelParameterError(f"model {model_id!r} does not take parameters {sorted(extra)}")
     return factory(*[params[p] for p in names])
 
-
-def fd_jacobian(model, u, step=1e-5):
-    """Centered finite-difference Jacobian, for consistency tests."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape + (model.n,))
-    for j in range(model.n):
-        e = np.zeros_like(u)
-        e[..., j] = step
-        out[..., :, j] = (model.f(u + e) - model.f(u - e)) / (2.0 * step)
-    return out

@@ -43,6 +43,9 @@ class WaveProfile:
     coeffs: np.ndarray            # (2*m_f+1, n) complex, Hermitian
     residual_norm: float
     info: dict = field(default_factory=dict)
+    # Bloch-fiber stores per mode count (see bloch.fiber_store)
+    _fiber_stores: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def n(self):

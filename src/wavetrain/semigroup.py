@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import bloch, grids
-from .errors import AdmissibilityError, BranchTrackingError
+from .errors import AdmissibilityError
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,11 +66,6 @@ def default_cutoff(profile, stability=None, scan=128):
     return CutoffSpec(min(xi_1, np.pi * (1.0 - 1e-9)))
 
 
-def _slot_reverse(arr):
-    """The l -> -l permutation on FFT-ordered slots (first axis)."""
-    return np.roll(arr[::-1], 1, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # engine
 
@@ -89,10 +84,12 @@ class SemigroupParts:
 class SemigroupEngine:
     """Fiberwise-diagonalized semigroup for one profile and period multiple N.
 
-    The engine fixes an odd per-cell mode count m_x, assembles the dense Bloch
-    block at every lattice frequency, eigendecomposes each once, and tracks the
-    critical branch (with left eigenvectors, in the phi'-anchored gauge) at the
-    lattice frequencies inside the cutoff support.
+    The engine fixes an odd per-cell mode count m_x, eigendecomposes the dense
+    Bloch block once at every lattice frequency xi >= 0 and fills each -xi
+    by conjugation. On the fibers inside the cutoff support it follows the
+    critical branch in the phi'-anchored gauge, with adjoints from the rows
+    of the inverse eigenvector matrix. All per-fiber arrays are in FFT wrap
+    order, frequencies and modes alike.
     """
 
     def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None,
@@ -111,89 +108,67 @@ class SemigroupEngine:
         self.dim = self.m_x * self.n
         self.ells = grids.cell_modes(self.m_x)
         self.that = bloch.reaction_coeffs(profile, self.m_x - 1)
-        jj = np.fft.fftfreq(self.n_period, d=1.0 / self.n_period)
-        self.frequencies = TWO_PI * jj / self.n_period
+        self.frequencies = grids.frequency_lattice(self.n_period)
 
         if cutoff is None:
             cutoff = default_cutoff(profile, stability=stability)
         self.cutoff = cutoff
         self.rho = np.asarray(cutoff.weight(self.frequencies), dtype=float).reshape(-1)
 
-        # per-fiber matrices and eigendecompositions
-        mats = np.empty((self.n_period, self.dim, self.dim), dtype=complex)
-        for j, xi in enumerate(self.frequencies):
-            mats[j] = bloch.assemble_bloch(profile, xi, ells=self.ells,
-                                           that=self.that).entries
-        self.matrices = mats
-        self.eigvals = np.empty((self.n_period, self.dim), dtype=complex)
-        self.right = np.empty_like(mats)
-        self.right_inv = np.empty_like(mats)
-        self.diagonalizable = np.ones(self.n_period, dtype=bool)
-        for j in range(self.n_period):
-            lam, V = sla.eig(mats[j])
-            cond = np.linalg.cond(V)
-            self.eigvals[j] = lam
-            self.right[j] = V
-            if cond > cond_limit:
-                self.diagonalizable[j] = False
-                self.right_inv[j] = np.nan
-            else:
-                self.right_inv[j] = np.linalg.inv(V)
-
         # phi' in slot layout (flattened mode-major)
         self.phi_slots = bloch.phi_prime_vector(profile, self.ells)
 
-        # critical branch data at lattice frequencies inside supp rho
-        self.crit_lam = np.full(self.n_period, np.nan + 0j)
-        self.crit_phi = np.zeros((self.n_period, self.dim), dtype=complex)
-        self.crit_adj = np.zeros((self.n_period, self.dim), dtype=complex)
-        self._track_critical()
+        N = self.n_period
+        self.matrices = np.empty((N, self.dim, self.dim), dtype=complex)
+        self.eigvals = np.empty((N, self.dim), dtype=complex)
+        self.right = np.empty_like(self.matrices)
+        self.right_inv = np.empty_like(self.matrices)
+        self.diagonalizable = np.ones(N, dtype=bool)
+        self.crit_lam = np.full(N, np.nan + 0j)
+        self.crit_phi = np.zeros((N, self.dim), dtype=complex)
+        self.crit_adj = np.zeros((N, self.dim), dtype=complex)
 
-    # -- critical branch ----------------------------------------------------
+        # lattices coarser than the branch step take their references from
+        # the profile's fiber store, on its refinement of this lattice
+        store = bloch.fiber_store(profile, (self.m_x - 1) // 2)
+        fine = store.refined(N)
+        ref = self.phi_slots
+        flip = bloch.conjugate_index(self.m_x, self.n)
+        for j in range(N // 2 + 1):
+            # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
+            mat = bloch.assemble_bloch(profile, abs(self.frequencies[j]),
+                                       ells=self.ells, that=self.that).entries
+            lam, V = sla.eig(mat)
+            ok = np.linalg.cond(V) <= cond_limit
+            V_inv = np.linalg.inv(V) if ok else np.full_like(V, np.nan)
+            crit = (np.nan + 0j, np.zeros(self.dim), np.zeros(self.dim))
+            if self.rho[j] > 0.0:
+                if j > 0 and fine > N:
+                    ref = store.fiber(j * (fine // N) - 1, fine).vec
+                idx, lam_c, ref, adj, _ = bloch.follow_branch(
+                    mat, lam, V, ref, self.phi_slots, V_inv if ok else None)
+                lam[idx] = lam_c
+                crit = (lam_c, ref, adj)
+            if j < N - j:
+                self._set_fiber(j, mat, lam, V, V_inv, ok, crit)
+            if j > 0:
+                self._set_fiber(
+                    N - j, np.conj(mat)[flip][:, flip], np.conj(lam),
+                    np.conj(V)[flip], np.conj(V_inv)[:, flip], ok,
+                    (np.conj(crit[0]), np.conj(crit[1])[flip],
+                     np.conj(crit[2])[flip]))
 
-    def _track_critical(self):
-        inside = np.nonzero(self.rho > 0.0)[0]
-        pos = sorted([j for j in inside if self.frequencies[j] >= 0.0],
-                     key=lambda j: self.frequencies[j])
-        walker = bloch._BranchWalker(self.profile, self.ells, self.that)
-        prev_xi = 0.0
-        prev_ref = self.phi_slots / np.linalg.norm(self.phi_slots)
-        for j in pos:
-            xi = self.frequencies[j]
-            gap = xi - prev_xi
-            nsub = max(1, int(np.ceil(gap / walker.max_step)))
-            for step in range(1, nsub + 1):
-                x = prev_xi + gap * step / nsub
-                if step < nsub:
-                    entries = bloch.assemble_bloch(self.profile, x, ells=self.ells,
-                                                   that=self.that).entries
-                    _lam, _vl, vr, idx, _ov = bloch._tracked_eig(entries, prev_ref)
-                    prev_ref = vr[:, idx]
-                    continue
-                lam, vl, vr, idx, _ov = bloch._tracked_eig(self.matrices[j], prev_ref)
-                v = vr[:, idx]
-                s = np.vdot(self.phi_slots, v)
-                if abs(s) < 1e-10 * np.linalg.norm(v) * np.linalg.norm(self.phi_slots):
-                    raise BranchTrackingError(
-                        f"critical eigenvector at xi={x:.4f} lost its phi' component")
-                phi_vec = v * (np.vdot(self.phi_slots, self.phi_slots) / s)
-                w = vl[:, idx]
-                adj = w / np.conj(np.vdot(w, phi_vec))
-                self.crit_lam[j] = lam[idx]
-                self.crit_phi[j] = phi_vec
-                self.crit_adj[j] = adj
-                prev_ref = vr[:, idx]
-            prev_xi = xi
-        # negative frequencies by conjugation symmetry (slot flip l -> -l)
-        for j in inside:
-            if self.frequencies[j] < 0.0:
-                src = np.argmin(np.abs(self.frequencies + self.frequencies[j]))
-                shape = (self.m_x, self.n)
-                self.crit_lam[j] = np.conj(self.crit_lam[src])
-                self.crit_phi[j] = _slot_reverse(
-                    np.conj(self.crit_phi[src]).reshape(shape)).reshape(-1)
-                self.crit_adj[j] = _slot_reverse(
-                    np.conj(self.crit_adj[src]).reshape(shape)).reshape(-1)
+    def _set_fiber(self, j, mat, lam, V, V_inv, ok, crit):
+        self.matrices[j] = mat
+        self.eigvals[j] = lam
+        self.right[j] = V
+        self.right_inv[j] = V_inv
+        self.diagonalizable[j] = ok
+        self.crit_lam[j], self.crit_phi[j], self.crit_adj[j] = crit
+
+    def spectral_gap(self):
+        """delta_N of the engine's lattice, from its own eigenvalues."""
+        return bloch.lattice_gap(list(self.eigvals))[0]
 
     # -- basic plumbing ------------------------------------------------------
 
@@ -409,8 +384,7 @@ def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
 
 def lattice_sum(n_period, r, times, d=1.0):
     """(1/N) sum over nonzero lattice frequencies of |xi|^{2r} e^{-2 d xi^2 t}."""
-    grid = bloch.omega_grid(n_period)
-    xi = grid.frequencies[np.abs(grid.frequencies) > 1e-14]
+    xi = grids.frequency_lattice(n_period)[1:]
     t = np.asarray(times, dtype=float)[..., None]
     return np.sum(np.abs(xi) ** (2 * r) * np.exp(-2.0 * d * xi ** 2 * t),
                   axis=-1) / n_period

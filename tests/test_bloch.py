@@ -9,10 +9,10 @@ from wavetrain.bloch import (
     critical_curve,
     critical_mode_data,
     gap_sequence,
-    omega_grid,
     subharmonic_spectrum,
     verify_diffusive_stability,
 )
+from wavetrain.grids import frequency_lattice
 from wavetrain.models import real_ginzburg_landau
 from wavetrain.profiles import rgl_analytic, solve_profile
 
@@ -34,13 +34,13 @@ def rgl_q07():
         real_ginzburg_landau(), *rgl_analytic(0.7, m_f=32), solve_for="c")
 
 
-def test_omega_grid_frequencies():
-    grid = omega_grid(4)
-    assert len(grid.frequencies) == 4
-    assert 0.0 in grid.frequencies
-    assert np.all(np.abs(grid.frequencies) <= np.pi + 1e-12)
+def test_frequency_lattice_frequencies():
+    freqs = frequency_lattice(4)
+    assert len(freqs) == 4
+    assert 0.0 in freqs
+    assert np.all(np.abs(freqs) <= np.pi + 1e-12)
     # spacing 2 pi / N
-    spacing = np.diff(np.sort(grid.frequencies))
+    spacing = np.diff(np.sort(freqs))
     np.testing.assert_allclose(spacing, np.pi / 2, atol=1e-12)
 
 
@@ -152,3 +152,58 @@ def test_eigenvalues_are_sorted_by_descending_real_part(rgl_profile):
     spec = subharmonic_spectrum(rgl_profile, 2)
     for lam in spec.eigenvalues:
         assert np.all(np.diff(lam.real) <= 1e-12)
+
+
+def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
+    import scipy.linalg as sla
+
+    from wavetrain import semigroup
+
+    calls = {"eig": 0, "eigvals": 0, "inv": 0, "cond": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((sla, "eig"), (sla, "eigvals"), (np.linalg, "inv"),
+                        (np.linalg, "cond")):
+        counted(owner, name)
+
+    def fresh():
+        return solve_profile(real_ginzburg_landau(), *rgl_analytic(0.3, m_f=32),
+                             solve_for="c")
+
+    # nested lattices N = 2..64 share the 33 fibers 2 pi j / 64, 0 <= j <= 32
+    gap_sequence(fresh(), [2, 4, 8, 16, 32, 64])
+    assert calls["eig"] + calls["eigvals"] <= 33
+
+    # the engine decomposes its xi >= 0 fibers once and conjugates the rest
+    prof = fresh()
+    stability = verify_diffusive_stability(prof, scan=128)
+    calls.update(eig=0, eigvals=0, inv=0, cond=0)
+    semigroup.SemigroupEngine(prof, 64, stability=stability)
+    assert calls["eig"] + calls["eigvals"] <= 33
+    assert calls["inv"] <= 33
+    assert calls["cond"] <= 33
+
+
+def test_engine_critical_data_matches_the_branch(engine16, rgl_profile):
+    n = engine16.n_period
+    inside = [j for j in range(1, n // 2) if engine16.rho[j] > 0.0]
+    assert inside
+    for j in inside:
+        data = critical_mode_data(rgl_profile, engine16.frequencies[j])
+        np.testing.assert_allclose(engine16.crit_lam[j], data.lam,
+                                   rtol=1e-10, atol=0.0)
+        scale = np.max(np.abs(data.adjoint_vec))
+        np.testing.assert_allclose(engine16.crit_adj[j], data.adjoint_vec,
+                                   rtol=0.0, atol=1e-10 * scale)
+    # the spectrum at -xi is the exact conjugate of the one at xi
+    for j in range(1, n // 2):
+        np.testing.assert_array_equal(engine16.eigvals[n - j],
+                                      np.conj(engine16.eigvals[j]))

@@ -1,5 +1,7 @@
 """Time stepping, modulation extraction, and trajectory diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,13 @@ def test_modulation_frame_rejects_steep_phases(rgl_profile, engine4, small_run):
     inner[3] = np.conj(inner[1])
     with pytest.raises(PhaseWarpError, match="psi_x"):
         modulation_frame(small_run, 10, inner=inner)
+    # the trace records such a snapshot as a NaN row instead of raising
+    steep = small_run.inner.copy()
+    steep[10] = inner / small_run.chi[10]
+    tr = modulation_trace(dataclasses.replace(small_run, inner=steep))
+    assert np.flatnonzero(~tr.warp_ok).tolist() == [10]
+    assert np.isnan(tr.v_h[10]) and np.isnan(tr.psi_vals[10]).all()
+    assert np.isfinite(np.delete(tr.v_h, 10)).all()
 
 
 def test_nonlinear_residual_scales_quadratically(rgl_profile, engine4):
