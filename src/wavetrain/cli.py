@@ -7,7 +7,7 @@ same inputs and seeds reproduce all CSV/JSON payloads bit-for-bit (manifest
 timing fields excepted).
 
 Exit codes: 0 success, 2 solver failure, 64 usage error, 65 validation
-error, 66 unreadable input, 70 blow-up, 71 extraction divergence.
+error, 66 unreadable input, 70 blow-up, 71 Duhamel extraction failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     BlowUpError,
     ExtractionDivergenceError,
     ModelParameterError,
+    PhaseWarpError,
     ProfileConvergenceError,
 )
 from .models import make_model
@@ -382,6 +383,13 @@ def cmd_gap(args, argv):
 # ---------------------------------------------------------------------------
 # linear decay
 
+def _engine_health(engine):
+    """The engine's worst eigenvector condition bound and its expm fibers."""
+    return {"max_eigvec_cond": float(np.max(engine.eigvec_cond)),
+            "expm_fibers": [float(engine.frequencies[j]) for j in
+                            np.flatnonzero(~engine.diagonalizable)]}
+
+
 def cmd_linear_decay(args, argv):
     n_values = _parse_int_list(args.N, "--N")
     if args.l < 0 or args.m < 0:
@@ -421,7 +429,7 @@ def cmd_linear_decay(args, argv):
                          _fmt(measures["sp"].norms[i]),
                          _fmt(measures["stilde"].norms[i]),
                          str(args.l), str(args.m)))
-        fits.append({"N": n, "parts": {
+        fits.append({"N": n, **_engine_health(engine), "parts": {
             part: {
                 "claimed_exponent": meas.claimed_exponent,
                 "fitted_exponent": meas.fitted_exponent,
@@ -719,6 +727,7 @@ def cmd_simulate(args, argv):
     usable = warp_ok.all()
     delta_n = engine.spectral_gap()
     report["delta_N"] = delta_n
+    report.update(_engine_health(engine))
 
     phase = evolve.phase_convergence(result) if T > 3 else None
     if phase is not None:
@@ -796,10 +805,11 @@ def cmd_simulate(args, argv):
     if cfg["extraction"]["mode"] in ("duhamel", "both"):
         try:
             du = evolve.extract_modulation_duhamel(
-                result, tol=cfg["extraction"]["tol"])
-        except ExtractionDivergenceError as exc:
-            print(f"extraction divergence: {exc}", file=sys.stderr)
-            manifest.counts["duhamel_sweeps"] = exc.iterations
+                result, tol=cfg["extraction"]["tol"], trace=trace)
+        except (ExtractionDivergenceError, PhaseWarpError) as exc:
+            # a diverging iteration or a phase warp that stops being invertible
+            print(f"Duhamel extraction failed: {exc}", file=sys.stderr)
+            manifest.counts["duhamel_sweeps"] = getattr(exc, "iterations", None)
             duhamel_exit = EXIT_DIVERGENCE
             du = None
         if du is not None:

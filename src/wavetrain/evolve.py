@@ -315,7 +315,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
 
     wall0 = _time.perf_counter()
     u_hat = stepper.to_hat(u)
-    times, snaps, gammas, inners = [], [], [], []
+    times, snaps, inners = [], [], []
     v_l2, v_linf = [], []
 
     def record(step_index):
@@ -329,7 +329,6 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         w = grids.GridFunction(n_period, vals - base.values)
         times.append(t)
         snaps.append(gf)
-        gammas.append(engine.mean_phase_coefficient(w))
         inners.append(engine.critical_inner(w))
         v_l2.append(grids.norm_l2(w))
         v_linf.append(grids.norm_linf(w))
@@ -346,6 +345,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
                 u_hat = stepper.step(u_hat)
 
     times = np.array(times)
+    inner = np.array(inners)
     return ExperimentResult(
         profile=profile,
         engine=engine,
@@ -357,8 +357,8 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         amplitude=float(amplitude),
         times=times,
         snapshots=snaps,
-        gamma_raw=np.array(gammas),
-        inner=np.array(inners),
+        gamma_raw=inner[:, 0].real.copy(),
+        inner=inner,
         chi=quintic_smoothstep(times, *chi_interval),
         v_l2=np.array(v_l2),
         v_linf=np.array(v_linf),
@@ -558,9 +558,6 @@ class DuhamelTrace:
     update_norms: list
     v2_defect: float            # relative misfit when the trace is resubstituted
 
-    def psi_field(self, engine, i):
-        return engine.synthesize_phase(self.inner[i])
-
 
 def _trapezoid_weights(times):
     """Per-node trapezoid weights for every prefix integral of the grid."""
@@ -571,10 +568,12 @@ def _trapezoid_weights(times):
     return w
 
 
-def extract_modulation_duhamel(result, tol=1e-8, max_iter=25):
+def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     """Fixed-point solve of the integral equations for gamma, psi, and v.
 
-    The iteration starts from the per-snapshot projection extraction.  Each
+    The iteration starts from the projection extraction in ``trace`` (a
+    :class:`ModulationTraceData` of ``result``, built when not given); a
+    snapshot whose phase warp failed there raises PhaseWarpError.  Each
     sweep evaluates the quadratic source (Q + k R_x)/k from the current
     variables, updates gamma and psi through their Duhamel formulas
     (trapezoid quadrature on the snapshot grid), and updates v through the
@@ -590,6 +589,12 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25):
     eng = result.engine
     prof = result.profile
     times = result.times
+    if trace is None:
+        trace = modulation_trace(result)
+    if not trace.warp_ok.all():
+        raise PhaseWarpError(
+            f"projection phase warp failed at t = {times[~trace.warp_ok][0]:.3f}; "
+            "the Duhamel iteration has no starting point")
     trel = times - times[0]
     T = times.size
     N = result.n_period
@@ -601,8 +606,8 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25):
 
     base = grids.from_profile(prof, N, m_x)
     v0 = grids.GridFunction(N, result.snapshots[0].values - base.values)
-    gamma0_raw = eng.mean_phase_coefficient(v0)
     inner0 = eng.critical_inner(v0)
+    gamma0_raw = inner0[0].real
 
     # time-independent pieces: the linear-data terms of each update
     lin_gamma = np.real(np.exp(lam0 * trel) * gamma0_raw)
@@ -617,9 +622,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25):
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
     inner = chi[:, None] * result.inner
-    frames = extract_modulation_projection(result)
-    v_vals = np.stack([f.v.values for f in frames])
-    psi_vals = np.stack([f.psi.values[:, 0] for f in frames])
+    v_vals, psi_vals = trace.v_vals, trace.psi_vals
 
     def sweep_sources(gamma, psi_vals, v_vals):
         gamma_t = time_derivative(times, gamma)
@@ -635,8 +638,8 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25):
                 prof, N, frame, grids.GridFunction(N, psi_t_vals[s][:, None]),
                 gamma_t[s])
             sources.append(res.source)
-            s_gamma[s] = eng.mean_phase_coefficient(res.source)
             s_inner[s] = eng.critical_inner(res.source)
+            s_gamma[s] = s_inner[s, 0].real
         return sources, s_gamma, s_inner
 
     def phase_update(s_gamma, s_inner):

@@ -78,18 +78,22 @@ class SemigroupParts:
     mean_phase: grids.GridFunction
     sp_field: grids.GridFunction        # phi' times the scalar s_p
     stilde: grids.GridFunction
-    mean_coefficient: float
 
 
 class SemigroupEngine:
     """Fiberwise-diagonalized semigroup for one profile and period multiple N.
 
-    The engine fixes an odd per-cell mode count m_x, eigendecomposes the dense
-    Bloch block once at every lattice frequency xi >= 0 and fills each -xi
-    by conjugation. On the fibers inside the cutoff support it follows the
-    critical branch in the phi'-anchored gauge, with adjoints from the rows
-    of the inverse eigenvector matrix. All per-fiber arrays are in FFT wrap
-    order, frequencies and modes alike.
+    The engine takes real fields only, so the fiber at -xi is the conjugate
+    of the one at xi under the l -> -l flip. It eigendecomposes the dense
+    Bloch block (odd per-cell mode count m_x) at the floor(N/2)+1 lattice
+    slots j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps (for even
+    N slot N/2 is -pi, built from the +pi decomposition), and fills the
+    xi < 0 half by conjugation when it assembles a result. On the fibers
+    inside the cutoff support it follows the critical branch in the
+    phi'-anchored gauge, with adjoints from the rows of V^-1. Per-fiber
+    arrays have leading size N//2+1; ``frequencies``, ``rho``, ``crit_lam``
+    and ``critical`` cover all N frequencies. Fibers whose eigenvector
+    matrix fails ||V||_F ||V^-1||_F <= ``cond_limit`` propagate by expm.
     """
 
     def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None,
@@ -102,13 +106,13 @@ class SemigroupEngine:
             raise ValueError(
                 f"m_x = {m_x} cannot hold the profile band (need >= {2 * profile.m_f + 1})")
         self.profile = profile
-        self.n_period = int(n_period)
+        self.n_period = N = int(n_period)
         self.m_x = int(m_x)
         self.n = profile.n
         self.dim = self.m_x * self.n
         self.ells = grids.cell_modes(self.m_x)
         self.that = bloch.reaction_coeffs(profile, self.m_x - 1)
-        self.frequencies = grids.frequency_lattice(self.n_period)
+        self.frequencies = grids.frequency_lattice(N)
 
         if cutoff is None:
             cutoff = default_cutoff(profile, stability=stability)
@@ -118,29 +122,36 @@ class SemigroupEngine:
         # phi' in slot layout (flattened mode-major)
         self.phi_slots = bloch.phi_prime_vector(profile, self.ells)
 
-        N = self.n_period
-        self.matrices = np.empty((N, self.dim, self.dim), dtype=complex)
-        self.eigvals = np.empty((N, self.dim), dtype=complex)
-        self.right = np.empty_like(self.matrices)
-        self.right_inv = np.empty_like(self.matrices)
-        self.diagonalizable = np.ones(N, dtype=bool)
+        H = self.n_half = N // 2 + 1
+        self._mirror = np.arange(1, (N + 1) // 2)   # j with a distinct -xi slot N - j
+        self._flip = flip = bloch.conjugate_index(self.m_x, self.n)
+        self.eigvals = np.empty((H, self.dim), dtype=complex)
+        self.right = np.empty((H, self.dim, self.dim), dtype=complex)
+        self.right_inv = np.empty_like(self.right)
+        self.eigvec_cond = np.empty(H)
         self.crit_lam = np.full(N, np.nan + 0j)
-        self.crit_phi = np.zeros((N, self.dim), dtype=complex)
-        self.crit_adj = np.zeros((N, self.dim), dtype=complex)
+        self.crit_phi = np.zeros((H, self.dim), dtype=complex)
+        self.crit_adj = np.zeros((H, self.dim), dtype=complex)
+        self._expm = {}             # j -> Bloch matrix of a fiber failing cond_limit
 
         # lattices coarser than the branch step take their references from
         # the profile's fiber store, on its refinement of this lattice
         store = bloch.fiber_store(profile, (self.m_x - 1) // 2)
         fine = store.refined(N)
         ref = self.phi_slots
-        flip = bloch.conjugate_index(self.m_x, self.n)
-        for j in range(N // 2 + 1):
+        for j in range(H):
             # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
             mat = bloch.assemble_bloch(profile, abs(self.frequencies[j]),
                                        ells=self.ells, that=self.that).entries
             lam, V = sla.eig(mat)
-            ok = np.linalg.cond(V) <= cond_limit
-            V_inv = np.linalg.inv(V) if ok else np.full_like(V, np.nan)
+            try:
+                V_inv = np.linalg.inv(V)
+                cond = np.linalg.norm(V) * np.linalg.norm(V_inv)
+            except np.linalg.LinAlgError:
+                V_inv, cond = None, np.inf
+            ok = cond <= cond_limit
+            if not ok:
+                V_inv = np.full_like(V, np.nan)
             crit = (np.nan + 0j, np.zeros(self.dim), np.zeros(self.dim))
             if self.rho[j] > 0.0:
                 if j > 0 and fine > N:
@@ -149,22 +160,20 @@ class SemigroupEngine:
                     mat, lam, V, ref, self.phi_slots, V_inv if ok else None)
                 lam[idx] = lam_c
                 crit = (lam_c, ref, adj)
-            if j < N - j:
-                self._set_fiber(j, mat, lam, V, V_inv, ok, crit)
-            if j > 0:
-                self._set_fiber(
-                    N - j, np.conj(mat)[flip][:, flip], np.conj(lam),
-                    np.conj(V)[flip], np.conj(V_inv)[:, flip], ok,
-                    (np.conj(crit[0]), np.conj(crit[1])[flip],
-                     np.conj(crit[2])[flip]))
-
-    def _set_fiber(self, j, mat, lam, V, V_inv, ok, crit):
-        self.matrices[j] = mat
-        self.eigvals[j] = lam
-        self.right[j] = V
-        self.right_inv[j] = V_inv
-        self.diagonalizable[j] = ok
-        self.crit_lam[j], self.crit_phi[j], self.crit_adj[j] = crit
+            if 2 * j == N:      # even N keeps -pi: conjugate the +pi fiber
+                mat, lam, V, V_inv = (np.conj(mat)[flip][:, flip], np.conj(lam),
+                                      np.conj(V)[flip], np.conj(V_inv)[:, flip])
+                crit = (np.conj(crit[0]), np.conj(crit[1])[flip],
+                        np.conj(crit[2])[flip])
+            self.eigvals[j], self.right[j], self.right_inv[j] = lam, V, V_inv
+            self.eigvec_cond[j] = cond
+            self.crit_lam[j], self.crit_phi[j], self.crit_adj[j] = crit
+            if not ok:
+                self._expm[j] = mat
+        self.diagonalizable = self.eigvec_cond <= cond_limit
+        self.crit_lam[N - self._mirror] = np.conj(self.crit_lam[self._mirror])
+        # the frequencies that carry a critical projection
+        self.critical = (self.rho > 0.0) & np.isfinite(self.crit_lam.real)
 
     def spectral_gap(self):
         """delta_N of the engine's lattice, from its own eigenvalues."""
@@ -172,32 +181,43 @@ class SemigroupEngine:
 
     # -- basic plumbing ------------------------------------------------------
 
-    def _check(self, v):
+    def _fibers(self, v):
+        """The stored (xi >= 0) half of the Bloch transform of the real v."""
         if v.n_period != self.n_period or v.m_x != self.m_x:
             raise ValueError(
                 f"grid mismatch: engine is (N={self.n_period}, m_x={self.m_x}), "
                 f"function is (N={v.n_period}, m_x={v.m_x})")
+        if np.iscomplexobj(v.values):
+            raise ValueError("the semigroup engine takes real fields only")
+        coeffs = grids.bloch_transform(v).coeffs[:self.n_half]
+        return coeffs.reshape(self.n_half, self.dim)
 
-    def _fibers(self, v):
-        self._check(v)
-        return grids.bloch_transform(v).coeffs.reshape(self.n_period, self.dim)
+    def _assemble(self, half):
+        """The real field with stored fibers ``half``, conjugated onto xi < 0."""
+        N = self.n_period
+        full = np.empty((N, self.dim), dtype=complex)
+        full[:self.n_half] = half
+        full[N - self._mirror] = np.conj(half[self._mirror][:, self._flip])
+        return grids.bloch_inverse(grids.BlochCoefficients(
+            N, full.reshape(N, self.m_x, self.n), was_real=True))
 
-    def _assemble(self, fibers, was_real=True):
-        bc = grids.BlochCoefficients(
-            self.n_period,
-            fibers.reshape(self.n_period, self.m_x, self.n),
-            was_real=was_real)
-        return grids.bloch_inverse(bc)
-
-    def _propagate(self, fibers, t):
-        out = np.empty_like(fibers)
-        for j in range(self.n_period):
-            if self.diagonalizable[j]:
-                out[j] = self.right[j] @ (np.exp(self.eigvals[j] * t)
-                                          * (self.right_inv[j] @ fibers[j]))
-            else:
-                out[j] = sla.expm(self.matrices[j] * t) @ fibers[j]
+    def _propagate(self, half, t):
+        """e^{L_xi t} on every stored fiber."""
+        out = (self.right @ (np.exp(self.eigvals * t)[:, :, None]
+                             * (self.right_inv @ half[:, :, None])))[:, :, 0]
+        for j, mat in self._expm.items():
+            out[j] = sla.expm(mat * t) @ half[j]
         return out
+
+    def _inner(self, half):
+        """<adj_xi, fiber> on the stored fibers (0 where no adjoint is kept)."""
+        return (np.conj(self.crit_adj)[:, None, :] @ half[:, :, None])[:, 0, 0]
+
+    def _phase_factors(self, inner, t):
+        """rho e^{lambda_c t} <adj_xi, fiber> on the critical stored fibers."""
+        H = self.n_half
+        return np.where(self.critical[:H],
+                        self.rho[:H] * np.exp(self.crit_lam[:H] * t) * inner, 0.0)
 
     # -- public operations ---------------------------------------------------
 
@@ -205,36 +225,27 @@ class SemigroupEngine:
         """e^{Lt} v on the grid."""
         return self._assemble(self._propagate(self._fibers(v), t))
 
-    def mean_phase_coefficient(self, v):
-        """<adj_0, v> over [0, N): the translation content of v."""
-        fibers = self._fibers(v)
-        return float(np.real(np.vdot(self.crit_adj[0], fibers[0])))
-
     def critical_inner(self, v):
-        """Per-frequency critical projections <adj_xi, (B v)(xi, .)>."""
-        fibers = self._fibers(v)
+        """Per-frequency critical projections <adj_xi, (B v)(xi, .)>, NaN off
+        the critical frequencies; entry 0 is the translation content of v."""
+        H = self.n_half
         out = np.full(self.n_period, np.nan + 0j)
-        for j in range(self.n_period):
-            if self.rho[j] > 0.0 and np.isfinite(self.crit_lam[j].real):
-                out[j] = np.vdot(self.crit_adj[j], fibers[j])
+        out[:H] = np.where(self.critical[:H], self._inner(self._fibers(v)), np.nan)
+        out[self.n_period - self._mirror] = np.conj(out[self._mirror])
         return out
 
     def synthesize_phase(self, inner, t=0.0, l=0, m=0):
         """Plane-wave synthesis of the scalar phase field from critical
         amplitudes: (1/N) sum_{xi != 0} rho (i xi)^l lambda^m e^{lambda t}
-        inner_xi e^{i xi x}.  Non-finite entries of ``inner`` and fibers
-        outside the cutoff support are skipped."""
+        inner_xi e^{i xi x}.  Non-finite entries of ``inner`` and
+        non-critical frequencies are skipped."""
+        inner = np.asarray(inner)
+        sel = np.flatnonzero(self.critical & np.isfinite(inner.real))
+        sel = sel[sel != 0]
+        lam = self.crit_lam[sel]
         fibers = np.zeros((self.n_period, self.m_x, 1), dtype=complex)
-        for j in range(self.n_period):
-            if j == 0 or not np.isfinite(inner[j].real):
-                continue
-            if self.rho[j] <= 0.0 or not np.isfinite(self.crit_lam[j].real):
-                continue
-            xi = self.frequencies[j]
-            lam = self.crit_lam[j]
-            amp = (self.rho[j] * (1j * xi) ** l * lam ** m
-                   * np.exp(lam * t) * inner[j])
-            fibers[j, 0, 0] = amp
+        fibers[sel, 0, 0] = (self.rho[sel] * (1j * self.frequencies[sel]) ** l
+                             * lam ** m * np.exp(lam * t) * inner[sel])
         bc = grids.BlochCoefficients(self.n_period, fibers, was_real=True)
         return grids.bloch_inverse(bc)
 
@@ -248,55 +259,29 @@ class SemigroupEngine:
         The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
         the discretization (same eigendecompositions throughout).
         """
-        fibers = self._fibers(v)
-        full = self._propagate(fibers, t)
-
-        mean_f = np.zeros_like(fibers)
-        sp_f = np.zeros_like(fibers)
-        for j in range(self.n_period):
-            if self.rho[j] <= 0.0 or not np.isfinite(self.crit_lam[j].real):
-                continue
-            inner = np.vdot(self.crit_adj[j], fibers[j])
-            factor = self.rho[j] * np.exp(self.crit_lam[j] * t) * inner
-            if j == 0:
-                mean_f[0] = factor * self.crit_phi[0]
-            else:
-                sp_f[j] = factor * self.phi_slots
-        stilde_f = full - mean_f - sp_f
-
-        mean_gf = self._assemble(mean_f)
-        sp_gf = self._assemble(sp_f)
-        st_gf = self._assemble(stilde_f)
-        gamma = float(np.real(np.vdot(self.crit_adj[0], fibers[0])))
-        return SemigroupParts(float(t), self._assemble(full), mean_gf, sp_gf,
-                              st_gf, gamma)
+        half = self._fibers(v)
+        full = self._propagate(half, t)
+        factors = self._phase_factors(self._inner(half), t)
+        mean_f = np.zeros_like(half)
+        mean_f[0] = factors[0] * self.crit_phi[0]
+        sp_f = factors[:, None] * self.phi_slots
+        sp_f[0] = 0.0
+        return SemigroupParts(float(t), self._assemble(full),
+                              self._assemble(mean_f), self._assemble(sp_f),
+                              self._assemble(full - mean_f - sp_f))
 
     def stilde_parts(self, v, t):
         """Split S~ further: high-frequency, low-frequency complement, critical
         correction (eigenfunction minus phi')."""
-        fibers = self._fibers(v)
-        full = self._propagate(fibers, t)
-        hf = np.zeros_like(fibers)
-        lf = np.zeros_like(fibers)
-        corr = np.zeros_like(fibers)
-        for j in range(self.n_period):
-            hf[j] = (1.0 - self.rho[j]) * full[j]
-            if self.rho[j] <= 0.0 or not np.isfinite(self.crit_lam[j].real):
-                lf[j] = self.rho[j] * full[j]
-                continue
-            inner = np.vdot(self.crit_adj[j], fibers[j])
-            proj = inner * self.crit_phi[j]
-            lf[j] = self.rho[j] * self._propagate_single(j, fibers[j] - proj, t)
-            if j != 0:
-                corr[j] = (self.rho[j] * np.exp(self.crit_lam[j] * t) * inner
-                           * (self.crit_phi[j] - self.phi_slots))
+        half = self._fibers(v)
+        inner = self._inner(half)
+        rho = self.rho[:self.n_half, None]
+        hf = (1.0 - rho) * self._propagate(half, t)
+        lf = rho * self._propagate(half - inner[:, None] * self.crit_phi, t)
+        corr = (self._phase_factors(inner, t)[:, None]
+                * (self.crit_phi - self.phi_slots))
+        corr[0] = 0.0
         return (self._assemble(hf), self._assemble(lf), self._assemble(corr))
-
-    def _propagate_single(self, j, fiber, t):
-        if self.diagonalizable[j]:
-            return self.right[j] @ (np.exp(self.eigvals[j] * t)
-                                    * (self.right_inv[j] @ fiber))
-        return sla.expm(self.matrices[j] * t) @ fiber
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,9 @@ def test_linear_decay_run(profile_file, tmp_path):
         assert col in header
     fit = read_json(out / "decay_fit.json")
     assert [rec["N"] for rec in fit["fits"]] == [8]
+    # engine health: every fiber diagonalizes, none falls back to expm
+    assert 1.0 <= fit["fits"][0]["max_eigvec_cond"] < 1e10
+    assert fit["fits"][0]["expm_fibers"] == []
 
 
 def test_linear_decay_short_horizon_is_a_validation_error(profile_file,
@@ -239,6 +242,24 @@ def test_simulate_divergent_extraction_exit_code(profile_file, tmp_path):
     assert code == 71
     # the projection artifacts are still on disk
     assert (out / "trace.csv").exists()
+
+
+def test_simulate_phase_warp_failure_exit_code(profile_file, tmp_path, capsys):
+    # the Duhamel sweep drives psi_x past 1 for this large perturbation
+    out = tmp_path / "warp"
+    cfg = write_config(tmp_path / "cfg.json", profile_file, out, N=8,
+                       t_max=11.0)
+    config = json.loads(cfg.read_text())
+    config["perturbation"] = {"shape": "fourier", "amplitude": 2.0, "band": 2,
+                              "normalize": "sup", "seed": 3}
+    config["extraction"] = {"mode": "both"}
+    cfg.write_text(json.dumps(config))
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 71
+    assert "psi_x" in capsys.readouterr().err
+    assert (out / "trace.csv").exists()
+    report = read_json(out / "report.json")
+    assert "duhamel" not in report and "delta_N" in report
 
 
 def test_simulate_zero_amplitude_run(profile_file, tmp_path):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from wavetrain import grids
+from wavetrain import bloch, grids
 from wavetrain.errors import AdmissibilityError
 from wavetrain.semigroup import (
     CutoffSpec,
@@ -66,6 +67,36 @@ def test_all_fibers_diagonalize_cleanly(engine8):
     assert np.all(engine8.diagonalizable)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
+                                             n, rng):
+    engine = SemigroupEngine(rgl_profile, n, cutoff=cutoff,
+                             stability=stability)
+    half = n // 2 + 1
+    for name in ("eigvals", "right", "right_inv", "crit_phi", "crit_adj",
+                 "diagonalizable", "eigvec_cond"):
+        assert getattr(engine, name).shape[0] == half, name
+    assert not hasattr(engine, "matrices")
+    assert engine.frequencies.shape == engine.rho.shape == (n,)
+    v = random_field(engine, rng)
+    with pytest.raises(ValueError, match="real"):
+        engine.apply(grids.GridFunction(n, v.values + 0j), 1.0)
+
+    # reference: expm of the Bloch matrix at every one of the N frequencies,
+    # the xi < 0 ones included, which the engine never assembles
+    coeffs = grids.bloch_transform(v).coeffs.reshape(n, engine.dim)
+    for t in (0.7, 3.0):
+        ref_fibers = np.stack([
+            sla.expm(t * bloch.assemble_bloch(
+                rgl_profile, xi, ells=engine.ells, that=engine.that).entries)
+            @ coeffs[j] for j, xi in enumerate(engine.frequencies)])
+        ref = grids.bloch_inverse(grids.BlochCoefficients(
+            n, ref_fibers.reshape(n, engine.m_x, engine.n))).values
+        scale = np.max(np.abs(ref))
+        for out in (engine.apply(v, t), engine.decompose(v, t).total):
+            assert np.max(np.abs(out.values - ref)) <= 1e-11 * scale, t
+
+
 def test_apply_at_time_zero_is_the_identity(engine4, rng):
     v = random_field(engine4, rng)
     out = engine4.apply(v, 0.0)
@@ -106,7 +137,8 @@ def test_mean_phase_coefficient_of_the_derivative_is_the_period(
         engine4, engine16, rgl_profile):
     for engine, n in ((engine4, 4), (engine16, 16)):
         dphi = phi_prime_field(rgl_profile, n, engine.m_x)
-        assert engine.mean_phase_coefficient(dphi) == pytest.approx(n, rel=1e-8)
+        coeff = engine.critical_inner(dphi)[0].real
+        assert coeff == pytest.approx(n, rel=1e-8)
 
 
 def test_translated_profile_projects_onto_the_phase(engine4, rgl_profile):
@@ -114,7 +146,7 @@ def test_translated_profile_projects_onto_the_phase(engine4, rgl_profile):
     s = 1e-6
     x = grids.grid_points(4, engine4.m_x)
     diff = rgl_profile(x - s) - rgl_profile(x)
-    coeff = engine4.mean_phase_coefficient(grids.GridFunction(4, diff))
+    coeff = engine4.critical_inner(grids.GridFunction(4, diff))[0].real
     assert coeff == pytest.approx(-s * 4, rel=1e-4)
 
 
