@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import fourier, grids
 from .errors import BranchTrackingError
@@ -67,11 +66,11 @@ def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):
 def bloch_spectrum(bm, vectors=False):
     """Eigenvalues sorted by descending real part; optional unit eigenvectors."""
     if vectors:
-        lam, vecs = sla.eig(bm.entries)
+        lam, vecs = np.linalg.eig(bm.entries)
         order = np.argsort(-lam.real)
         vecs = vecs[:, order]
         return lam[order], vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    lam = sla.eigvals(bm.entries)
+    lam = np.linalg.eigvals(bm.entries)
     return lam[np.argsort(-lam.real)]
 
 

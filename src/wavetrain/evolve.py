@@ -617,7 +617,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     need_full = np.nonzero(chi < 1.0)[0]
     need_mod = np.nonzero(chi > 0.0)[0]
     full_v0 = {i: eng.apply(v0, trel[i]).values for i in need_full}
-    st_v0 = {i: eng.decompose(v0, trel[i]).stilde.values for i in need_mod}
+    st_v0 = {i: eng.stilde(v0, trel[i]).values for i in need_mod}
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
@@ -673,7 +673,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
                 mod = st_v0[i] + psix * v_vals_ref[i]
                 for s in range(i + 1):
                     if w[s] != 0.0:
-                        mod += w[s] * eng.decompose(sources[s], lag[s]).stilde.values
+                        mod += w[s] * eng.stilde(sources[s], lag[s]).values
                 acc += chi[i] * mod
             new_v[i] = acc
         return new_v

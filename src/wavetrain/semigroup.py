@@ -143,7 +143,7 @@ class SemigroupEngine:
             # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
             mat = bloch.assemble_bloch(profile, abs(self.frequencies[j]),
                                        ells=self.ells, that=self.that).entries
-            lam, V = sla.eig(mat)
+            lam, V = np.linalg.eig(mat)
             try:
                 V_inv = np.linalg.inv(V)
                 cond = np.linalg.norm(V) * np.linalg.norm(V_inv)
@@ -253,12 +253,9 @@ class SemigroupEngine:
         """The scalar field d_x^l d_t^m s_p(t) v (plane-wave synthesis)."""
         return self.synthesize_phase(self.critical_inner(v), t=t, l=l, m=m)
 
-    def decompose(self, v, t):
-        """Split e^{Lt} v into mean-phase, critical phase field, and remainder.
-
-        The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
-        the discretization (same eigendecompositions throughout).
-        """
+    def _split(self, v, t):
+        """Stored fibers of e^{Lt} v, its mean-phase and phase-field parts,
+        and the remainder S~(t) v = total - mean - phase field."""
         half = self._fibers(v)
         full = self._propagate(half, t)
         factors = self._phase_factors(self._inner(half), t)
@@ -266,9 +263,19 @@ class SemigroupEngine:
         mean_f[0] = factors[0] * self.crit_phi[0]
         sp_f = factors[:, None] * self.phi_slots
         sp_f[0] = 0.0
-        return SemigroupParts(float(t), self._assemble(full),
-                              self._assemble(mean_f), self._assemble(sp_f),
-                              self._assemble(full - mean_f - sp_f))
+        return full, mean_f, sp_f, full - mean_f - sp_f
+
+    def decompose(self, v, t):
+        """Split e^{Lt} v into mean-phase, critical phase field, and remainder.
+
+        The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
+        the discretization (same eigendecompositions throughout).
+        """
+        return SemigroupParts(float(t), *map(self._assemble, self._split(v, t)))
+
+    def stilde(self, v, t):
+        """The remainder S~(t) v alone, as ``decompose(v, t).stilde``."""
+        return self._assemble(self._split(v, t)[3])
 
     def stilde_parts(self, v, t):
         """Split S~ further: high-frequency, low-frequency complement, critical
@@ -315,15 +322,11 @@ def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
     An explicitly empty window raises ValueError.
     """
     times = np.asarray(times, dtype=float)
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        if part == "sp":
-            gf = engine.sp_scalar(v, t, l=l, m=m)
-        else:
-            parts = engine.decompose(v, t)
-            gf = {"stilde": parts.stilde, "mean": parts.mean_phase,
-                  "total": parts.total}[part]
-        norms[i] = grids.norm_l2(gf)
+    field = {"sp": lambda t: engine.sp_scalar(v, t, l=l, m=m),
+             "stilde": lambda t: engine.stilde(v, t),
+             "mean": lambda t: engine.decompose(v, t).mean_phase,
+             "total": lambda t: engine.apply(v, t)}[part]
+    norms = np.array([grids.norm_l2(field(t)) for t in times], dtype=float)
 
     if claimed_exponent is None:
         claimed_exponent = {"sp": -0.25 - 0.5 * (l + m), "stilde": -0.75,

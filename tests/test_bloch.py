@@ -154,42 +154,58 @@ def test_eigenvalues_are_sorted_by_descending_real_part(rgl_profile):
         assert np.all(np.diff(lam.real) <= 1e-12)
 
 
-def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
-    import scipy.linalg as sla
+def _fresh_profile(m_f=32):
+    return solve_profile(real_ginzburg_landau(), *rgl_analytic(0.3, m_f=m_f),
+                         solve_for="c")
 
+
+def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
     from wavetrain import semigroup
 
     calls = {"eig": 0, "eigvals": 0, "inv": 0, "cond": 0}
 
-    def counted(owner, name):
-        fn = getattr(owner, name)
+    def counted(name):
+        fn = getattr(np.linalg, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(np.linalg, name, wrapper)
 
-    for owner, name in ((sla, "eig"), (sla, "eigvals"), (np.linalg, "inv"),
-                        (np.linalg, "cond")):
-        counted(owner, name)
-
-    def fresh():
-        return solve_profile(real_ginzburg_landau(), *rgl_analytic(0.3, m_f=32),
-                             solve_for="c")
+    for name in calls:
+        counted(name)
 
     # nested lattices N = 2..64 share the 33 fibers 2 pi j / 64, 0 <= j <= 32
-    gap_sequence(fresh(), [2, 4, 8, 16, 32, 64])
-    assert calls["eig"] + calls["eigvals"] <= 33
+    gap_sequence(_fresh_profile(), [2, 4, 8, 16, 32, 64])
+    assert 0 < calls["eig"] + calls["eigvals"] <= 33
 
     # the engine decomposes its xi >= 0 fibers once and conjugates the rest
-    prof = fresh()
+    prof = _fresh_profile()
     stability = verify_diffusive_stability(prof, scan=128)
     calls.update(eig=0, eigvals=0, inv=0, cond=0)
     semigroup.SemigroupEngine(prof, 64, stability=stability)
-    assert calls["eig"] + calls["eigvals"] <= 33
+    assert 0 < calls["eig"] + calls["eigvals"] <= 33
     assert calls["inv"] <= 33
     assert calls["cond"] <= 33
+
+
+def test_fiber_eigensolves_use_one_blas(monkeypatch):
+    """Fiber eigensolves go through numpy.linalg, never scipy.linalg, so the
+    dense work runs on numpy's BLAS alone."""
+    import scipy.linalg as sla
+
+    from wavetrain import semigroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg eigensolver called")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(sla, name, refuse)
+    prof = _fresh_profile(m_f=16)
+    stability = verify_diffusive_stability(prof, scan=16)
+    gap_sequence(prof, [2, 4, 8])
+    semigroup.SemigroupEngine(prof, 4, stability=stability)
 
 
 def test_engine_critical_data_matches_the_branch(engine16, rgl_profile):

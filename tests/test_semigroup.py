@@ -131,6 +131,8 @@ def test_decomposition_sums_back_to_the_full_action(engine8, rng):
         assert np.max(np.abs(recon - parts.total.values)) <= 1e-11
         direct = engine8.apply(v, t)
         assert np.max(np.abs(parts.total.values - direct.values)) <= 1e-11
+        np.testing.assert_array_equal(engine8.stilde(v, t).values,
+                                      parts.stilde.values)
 
 
 def test_mean_phase_coefficient_of_the_derivative_is_the_period(
