@@ -559,13 +559,27 @@ class DuhamelTrace:
     v2_defect: float            # relative misfit when the trace is resubstituted
 
 
-def _trapezoid_weights(times):
-    """Per-node trapezoid weights for every prefix integral of the grid."""
-    dt = np.diff(times)
-    w = np.zeros_like(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
+def _trapezoid_prefixes(times, init, f, step):
+    """Every prefix I_i = E(t_i - t_0) init + int_{t_0}^{t_i} E(t_i - s) f(s) ds
+    of the trapezoid rule on ``times``, by the exact recurrence
+
+        I_0 = init,   I_i = E(h_i) (I_{i-1} + (h_i/2) f_{i-1}) + (h_i/2) f_i,
+
+    with h_i = t_i - t_{i-1}: the weighted sum sum_s w_s E(t_i - t_s) f_s over
+    the trapezoid weights w of [t_0, t_i], at one propagation per step.
+    ``step`` gives E: a rate lambda (a scalar or one per trailing entry of
+    ``init``, E(h) x = e^{lambda h} x) or a callable (x, h) -> E(h) x.
+    """
+    if not callable(step):
+        rate = np.asarray(step)
+
+        def step(x, h):
+            return np.exp(rate * h) * x
+    out = [np.asarray(init)]
+    for i in range(1, len(times)):
+        h = times[i] - times[i - 1]
+        out.append(step(out[-1] + 0.5 * h * f[i - 1], h) + 0.5 * h * f[i])
+    return np.stack(out)
 
 
 def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
@@ -575,12 +589,21 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     :class:`ModulationTraceData` of ``result``, built when not given); a
     snapshot whose phase warp failed there raises PhaseWarpError.  Each
     sweep evaluates the quadratic source (Q + k R_x)/k from the current
-    variables, updates gamma and psi through their Duhamel formulas
-    (trapezoid quadrature on the snapshot grid), and updates v through the
-    split residual equation: the unmodulated linear evolution on the ramp-in
-    interval plus the cutoff remainder afterwards.  Iteration stops when the
-    sup over snapshots of |d gamma| + ||d psi||_{L2} drops below ``tol``;
-    two consecutive growing updates raise ExtractionDivergenceError.
+    variables, updates gamma and psi through their Duhamel formulas, and
+    updates v through the split residual equation: the unmodulated linear
+    evolution on the ramp-in interval plus the cutoff remainder afterwards.
+    Iteration stops when the sup over snapshots of |d gamma| + ||d psi||_{L2}
+    drops below ``tol``; two consecutive growing updates raise
+    ExtractionDivergenceError.
+
+    The Duhamel integrals e^{L(t_i - t_0)} v_0 + int_{t_0}^{t_i} e^{L(t_i - s)}
+    f(s) ds use the trapezoid rule on the snapshot grid, accumulated by the
+    exact recurrence of :func:`_trapezoid_prefixes`: once on the critical
+    amplitudes <adj_xi, .> (which give gamma and psi) and once on the stored
+    Bloch fibers, where ``SemigroupEngine._split`` reads the remainder S~ off
+    the accumulated fibers and amplitudes.  A sweep thus costs T Bloch
+    transforms, T - 1 fiber propagations and at most 3T Bloch syntheses for
+    T snapshots, not the O(T^2) of summing every prefix from scratch.
 
     The returned trace carries ``v2_defect``: the relative sup-misfit when
     the converged variables are substituted back into the residual equation
@@ -595,40 +618,27 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
         raise PhaseWarpError(
             f"projection phase warp failed at t = {times[~trace.warp_ok][0]:.3f}; "
             "the Duhamel iteration has no starting point")
-    trel = times - times[0]
     T = times.size
     N = result.n_period
     m_x = result.m_x
     chi = result.chi
-    lam0 = eng.crit_lam[0]
-    lams = eng.crit_lam
-    finite = np.isfinite(lams.real)
 
     base = grids.from_profile(prof, N, m_x)
     v0 = grids.GridFunction(N, result.snapshots[0].values - base.values)
-    inner0 = eng.critical_inner(v0)
-    gamma0_raw = inner0[0].real
-
-    # time-independent pieces: the linear-data terms of each update
-    lin_gamma = np.real(np.exp(lam0 * trel) * gamma0_raw)
-    lin_inner = np.full((T, N), np.nan + 0j)
-    lin_inner[:, finite] = (np.exp(np.outer(trel, lams[finite]))
-                            * inner0[None, finite])
-    need_full = np.nonzero(chi < 1.0)[0]
-    need_mod = np.nonzero(chi > 0.0)[0]
-    full_v0 = {i: eng.apply(v0, trel[i]).values for i in need_full}
-    st_v0 = {i: eng.stilde(v0, trel[i]).values for i in need_mod}
+    fibers0 = eng._fibers(v0)
+    inner0 = eng._critical_inner(fibers0)
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
     inner = chi[:, None] * result.inner
     v_vals, psi_vals = trace.v_vals, trace.psi_vals
 
-    def sweep_sources(gamma, psi_vals, v_vals):
+    def integrals(gamma, psi_vals, v_vals):
+        """Duhamel integrals of the current sources: the critical amplitudes
+        (T, N) and the propagated stored fibers (T, N//2+1, dim)."""
         gamma_t = time_derivative(times, gamma)
         psi_t_vals = time_derivative(times, psi_vals)
-        sources, s_gamma = [], np.empty(T)
-        s_inner = np.zeros((T, N), dtype=complex)
+        fibers = np.empty((T,) + fibers0.shape, dtype=complex)
         for s in range(T):
             frame = ModulationFrame(
                 float(times[s]), float(gamma[s]),
@@ -637,45 +647,22 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
             res = nonlinear_residual(
                 prof, N, frame, grids.GridFunction(N, psi_t_vals[s][:, None]),
                 gamma_t[s])
-            sources.append(res.source)
-            s_inner[s] = eng.critical_inner(res.source)
-            s_gamma[s] = s_inner[s, 0].real
-        return sources, s_gamma, s_inner
+            fibers[s] = eng._fibers(res.source)
+        s_inner = np.stack([eng._critical_inner(f) for f in fibers])
+        return (_trapezoid_prefixes(times, inner0, s_inner, eng.crit_lam),
+                _trapezoid_prefixes(times, fibers0, fibers, eng._propagate))
 
-    def phase_update(s_gamma, s_inner):
-        new_gamma = np.empty(T)
-        new_inner = np.full((T, N), np.nan + 0j)
+    def v_update(amps, full, psi_vals_ref, v_vals_ref):
+        new_v = np.zeros_like(v_vals)
         for i in range(T):
-            w = _trapezoid_weights(times[:i + 1])
-            lag = times[i] - times[:i + 1]
-            conv_g = np.sum(w * np.real(np.exp(lam0 * lag)) * s_gamma[:i + 1])
-            new_gamma[i] = chi[i] * (lin_gamma[i] + conv_g)
-            conv = np.sum(w[None, :] * np.exp(np.outer(lams[finite], lag))
-                          * s_inner[:i + 1, finite].T, axis=1)
-            new_inner[i, finite] = chi[i] * (lin_inner[i, finite] + conv)
-        return new_gamma, new_inner
-
-    def v_update(sources, psi_vals_ref, v_vals_ref):
-        new_v = np.empty_like(v_vals)
-        for i in range(T):
-            w = _trapezoid_weights(times[:i + 1])
-            lag = times[i] - times[:i + 1]
-            acc = np.zeros_like(new_v[0])
+            total, _, _, rem = eng._split(full[i], amps[i, :eng.n_half])
             if chi[i] < 1.0:
-                lin = full_v0[i].copy()
-                for s in range(i + 1):
-                    if w[s] != 0.0:
-                        lin += w[s] * eng.apply(sources[s], lag[s]).values
-                acc += (1.0 - chi[i]) * lin
+                new_v[i] += (1.0 - chi[i]) * eng._assemble(total).values
             if chi[i] > 0.0:
                 psix = grids.derivative(
                     grids.GridFunction(N, psi_vals_ref[i][:, None])).values
-                mod = st_v0[i] + psix * v_vals_ref[i]
-                for s in range(i + 1):
-                    if w[s] != 0.0:
-                        mod += w[s] * eng.stilde(sources[s], lag[s]).values
-                acc += chi[i] * mod
-            new_v[i] = acc
+                new_v[i] += chi[i] * (eng._assemble(rem).values
+                                      + psix * v_vals_ref[i])
         return new_v
 
     update_norms = []
@@ -683,11 +670,12 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     iterations = 0
     for sweep in range(1, max_iter + 1):
         iterations = sweep
-        sources, s_gamma, s_inner = sweep_sources(gamma, psi_vals, v_vals)
-        new_gamma, new_inner = phase_update(s_gamma, s_inner)
+        amps, full = integrals(gamma, psi_vals, v_vals)
+        new_inner = chi[:, None] * amps
+        new_gamma = chi * amps[:, 0].real
         new_psi = np.stack([eng.synthesize_phase(new_inner[i]).values[:, 0]
                             for i in range(T)])
-        new_v = v_update(sources, new_psi, v_vals)
+        new_v = v_update(amps, full, new_psi, v_vals)
 
         dpsi = np.sqrt(np.sum((new_psi - psi_vals) ** 2, axis=1) / m_x)
         delta = float(np.max(np.abs(new_gamma - gamma) + dpsi))
@@ -709,8 +697,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
             update_norms=update_norms)
 
     # consistency: substitute the converged trace back into the equations
-    sources, _, _ = sweep_sources(gamma, psi_vals, v_vals)
-    rhs_v = v_update(sources, psi_vals, v_vals)
+    rhs_v = v_update(*integrals(gamma, psi_vals, v_vals), psi_vals, v_vals)
     vnorms = np.sqrt(np.sum(v_vals ** 2, axis=(1, 2)) / m_x)
     dnorms = np.sqrt(np.sum((rhs_v - v_vals) ** 2, axis=(1, 2)) / m_x)
     v2_defect = float(np.max(dnorms) / max(np.max(vnorms), 1e-300))
@@ -830,11 +817,12 @@ class DampingReport:
 def damping_check(result, k_sob=3, thetas=None, delta_n=None, trace=None):
     """Smallest constants in the nonlinear damping inequality
 
-        ||v(t)||_{H^K}^2 <= C [ e^{-theta t} ||v(0)||_{H^K}^2
-                                + int_0^t e^{-theta (t-s)} S(s) ds ],
+        ||v(t)||_{H^K}^2 <= C [ e^{-theta (t-t_0)} ||v(t_0)||_{H^K}^2
+                                + int_{t_0}^t e^{-theta (t-s)} S(s) ds ],
 
-    with the lower-order source S = ||v||_{L2}^2 + ||psi_x||_{L2}^2
-    + ||psi_t||_{L2}^2 + gamma_t^2, over a grid of decay rates theta.  The
+    with t_0 the first snapshot time and the lower-order source
+    S = ||v||_{L2}^2 + ||psi_x||_{L2}^2 + ||psi_t||_{L2}^2 + gamma_t^2, over
+    a grid of decay rates theta (trapezoid rule on the snapshots).  The
     reported optimum minimizes C(theta) (1 + theta); a snapshot where the
     right side vanishes while the energy does not makes theta infeasible
     (C = inf) and counts as a violation.
@@ -853,20 +841,14 @@ def damping_check(result, k_sob=3, thetas=None, delta_n=None, trace=None):
             [base, [delta_n / 2.0]] if delta_n else [base])))
     thetas = np.asarray(thetas, dtype=float)
 
-    constants = np.empty_like(thetas)
-    bad_counts = np.zeros(thetas.size, dtype=int)
-    for a, theta in enumerate(thetas):
-        bound = np.empty(T)
-        for i in range(T):
-            w = _trapezoid_weights(times[:i + 1])
-            kern = np.exp(-theta * (times[i] - times[:i + 1]))
-            bound[i] = (np.exp(-theta * times[i]) * energy[0]
-                        + np.sum(w * kern * source[:i + 1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(bound > 0, energy / bound,
-                              np.where(energy > 0, np.inf, 0.0))
-        constants[a] = np.max(ratios[1:]) if T > 1 else ratios[0]
-        bad_counts[a] = int(np.sum((bound <= 0) & (energy > 0)))
+    bound = _trapezoid_prefixes(times, np.full(thetas.shape, energy[0]),
+                                source, -thetas)
+    energy = energy[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, energy / bound,
+                          np.where(energy > 0, np.inf, 0.0))
+    constants = np.max(ratios[1:], axis=0) if T > 1 else ratios[0]
+    bad_counts = np.sum((bound <= 0) & (energy > 0), axis=0)
     score = constants * (1.0 + thetas)
     best = int(np.argmin(score))
     return DampingReport(thetas, constants, float(thetas[best]),

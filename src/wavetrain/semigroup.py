@@ -213,11 +213,18 @@ class SemigroupEngine:
         """<adj_xi, fiber> on the stored fibers (0 where no adjoint is kept)."""
         return (np.conj(self.crit_adj)[:, None, :] @ half[:, :, None])[:, 0, 0]
 
-    def _phase_factors(self, inner, t):
-        """rho e^{lambda_c t} <adj_xi, fiber> on the critical stored fibers."""
+    def _critical_inner(self, half):
+        """``critical_inner`` of the field with stored fibers ``half``."""
         H = self.n_half
-        return np.where(self.critical[:H],
-                        self.rho[:H] * np.exp(self.crit_lam[:H] * t) * inner, 0.0)
+        out = np.full(self.n_period, np.nan + 0j)
+        out[:H] = np.where(self.critical[:H], self._inner(half), np.nan)
+        out[self.n_period - self._mirror] = np.conj(out[self._mirror])
+        return out
+
+    def _phase_factors(self, amp):
+        """rho times the critical amplitudes ``amp``, 0 off the critical fibers."""
+        H = self.n_half
+        return np.where(self.critical[:H], self.rho[:H] * amp, 0.0)
 
     # -- public operations ---------------------------------------------------
 
@@ -228,11 +235,7 @@ class SemigroupEngine:
     def critical_inner(self, v):
         """Per-frequency critical projections <adj_xi, (B v)(xi, .)>, NaN off
         the critical frequencies; entry 0 is the translation content of v."""
-        H = self.n_half
-        out = np.full(self.n_period, np.nan + 0j)
-        out[:H] = np.where(self.critical[:H], self._inner(self._fibers(v)), np.nan)
-        out[self.n_period - self._mirror] = np.conj(out[self._mirror])
-        return out
+        return self._critical_inner(self._fibers(v))
 
     def synthesize_phase(self, inner, t=0.0, l=0, m=0):
         """Plane-wave synthesis of the scalar phase field from critical
@@ -253,17 +256,23 @@ class SemigroupEngine:
         """The scalar field d_x^l d_t^m s_p(t) v (plane-wave synthesis)."""
         return self.synthesize_phase(self.critical_inner(v), t=t, l=l, m=m)
 
-    def _split(self, v, t):
-        """Stored fibers of e^{Lt} v, its mean-phase and phase-field parts,
-        and the remainder S~(t) v = total - mean - phase field."""
-        half = self._fibers(v)
-        full = self._propagate(half, t)
-        factors = self._phase_factors(self._inner(half), t)
-        mean_f = np.zeros_like(half)
+    def _split(self, full, amp):
+        """Propagated stored fibers ``full``, their mean-phase and phase-field
+        parts from their critical amplitudes ``amp`` (e^{lambda_c t} <adj_xi,
+        fiber> for a fiber propagated over t), and the remainder
+        S~ = total - mean - phase field."""
+        factors = self._phase_factors(amp)
+        mean_f = np.zeros_like(full)
         mean_f[0] = factors[0] * self.crit_phi[0]
         sp_f = factors[:, None] * self.phi_slots
         sp_f[0] = 0.0
         return full, mean_f, sp_f, full - mean_f - sp_f
+
+    def _evolve(self, v, t):
+        """``_split`` of e^{Lt} v."""
+        half = self._fibers(v)
+        amp = np.exp(self.crit_lam[:self.n_half] * t) * self._inner(half)
+        return self._split(self._propagate(half, t), amp)
 
     def decompose(self, v, t):
         """Split e^{Lt} v into mean-phase, critical phase field, and remainder.
@@ -271,11 +280,11 @@ class SemigroupEngine:
         The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
         the discretization (same eigendecompositions throughout).
         """
-        return SemigroupParts(float(t), *map(self._assemble, self._split(v, t)))
+        return SemigroupParts(float(t), *map(self._assemble, self._evolve(v, t)))
 
     def stilde(self, v, t):
         """The remainder S~(t) v alone, as ``decompose(v, t).stilde``."""
-        return self._assemble(self._split(v, t)[3])
+        return self._assemble(self._evolve(v, t)[3])
 
     def stilde_parts(self, v, t):
         """Split S~ further: high-frequency, low-frequency complement, critical
@@ -285,7 +294,8 @@ class SemigroupEngine:
         rho = self.rho[:self.n_half, None]
         hf = (1.0 - rho) * self._propagate(half, t)
         lf = rho * self._propagate(half - inner[:, None] * self.crit_phi, t)
-        corr = (self._phase_factors(inner, t)[:, None]
+        amp = np.exp(self.crit_lam[:self.n_half] * t) * inner
+        corr = (self._phase_factors(amp)[:, None]
                 * (self.crit_phi - self.phi_slots))
         corr[0] = 0.0
         return (self._assemble(hf), self._assemble(lf), self._assemble(corr))
@@ -324,7 +334,7 @@ def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
     times = np.asarray(times, dtype=float)
     field = {"sp": lambda t: engine.sp_scalar(v, t, l=l, m=m),
              "stilde": lambda t: engine.stilde(v, t),
-             "mean": lambda t: engine.decompose(v, t).mean_phase,
+             "mean": lambda t: engine._assemble(engine._evolve(v, t)[1]),
              "total": lambda t: engine.apply(v, t)}[part]
     norms = np.array([grids.norm_l2(field(t)) for t in times], dtype=float)
 

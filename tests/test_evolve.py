@@ -337,6 +337,63 @@ def test_zero_run_extracts_zero(rgl_profile, engine4):
     assert np.max(np.abs(trace.psi_vals)) <= 1e-12
 
 
+def test_duhamel_makes_linearly_many_syntheses(rgl_profile, engine4,
+                                               monkeypatch):
+    # every prefix integral comes out of one recurrence, so a sweep
+    # synthesizes each snapshot a bounded number of times, not once per
+    # earlier snapshot
+    res = run_experiment(rgl_profile, 4, engine4, t_max=8.0, dt=0.01,
+                         seed=21, amplitude=1e-5,
+                         snapshot_times=np.arange(0.0, 8.01, 0.1))
+    trace = modulation_trace(res)
+    calls = []
+    inverse = grids.bloch_inverse
+
+    def counting(bc):
+        calls.append(1)
+        return inverse(bc)
+
+    monkeypatch.setattr(grids, "bloch_inverse", counting)
+    tr = extract_modulation_duhamel(res, tol=1e-8, trace=trace)
+    T = res.times.size
+    assert 0 < len(calls) <= 3 * T * (tr.iterations + 1)
+
+
+def test_trapezoid_prefixes_match_the_explicit_sum():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    times = 1.5 + np.cumsum(rng.uniform(0.05, 0.6, 30))     # nonuniform
+    cases = (-0.7, -0.3 + 2.1j, np.array([-1.2, 0.0, -0.05 + 0.4j]))
+    for lam in cases:
+        shape = np.shape(lam)
+        f = rng.standard_normal((times.size,) + shape)
+        init = rng.standard_normal(shape)
+        if np.iscomplexobj(lam):
+            f = f + 1j * rng.standard_normal(f.shape)
+        got = evolve._trapezoid_prefixes(times, init, f, lam)
+        for i in range(times.size):
+            # the trapezoid rule on [t_0, t_i], every term written out
+            ref = np.exp(lam * (times[i] - times[0])) * init
+            for s in range(i + 1):
+                w = 0.0
+                if s > 0:
+                    w += 0.5 * (times[s] - times[s - 1])
+                if s < i:
+                    w += 0.5 * (times[s + 1] - times[s])
+                ref = ref + w * np.exp(lam * (times[i] - times[s])) * f[s]
+            np.testing.assert_allclose(got[i], ref, rtol=1e-12, atol=1e-13)
+
+
+def test_damping_constants_do_not_depend_on_the_time_origin(small_run):
+    # the homogeneous term decays from the first snapshot, so moving every
+    # time of the trace by a constant leaves the constants where they are
+    trace = modulation_trace(small_run)
+    base = evolve.damping_check(small_run, trace=trace)
+    moved = evolve.damping_check(
+        small_run, trace=dataclasses.replace(trace, times=trace.times + 5.0))
+    np.testing.assert_allclose(moved.constants, base.constants, rtol=1e-12)
+    assert moved.best_theta == base.best_theta
+
+
 def test_envelope_slope_recovers_a_power_law():
     times = np.geomspace(0.5, 200.0, 60)
     vals = 3.0 * (1.0 + times) ** -0.75
