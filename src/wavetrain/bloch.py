@@ -9,6 +9,9 @@ operator L_xi = e^{-i xi x} L e^{i xi x} acts on 1-periodic functions and is
 discretized here as a dense matrix on Fourier modes (Hill's method): diagonal
 symbol blocks k (i(xi+2*pi*l))^2 + c i(xi+2*pi*l) plus the block-Toeplitz
 convolution with the coefficients of Df(phi(.))/k.
+
+The spectral quantities use the Hill truncation derived from the tail of
+those coefficients (see ``fiber_store``), not the profile's storage size.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import fourier, grids
-from .errors import BranchTrackingError
+from .errors import BranchTrackingError, ResolutionError
 
 TWO_PI = 2.0 * np.pi
+
+# Hill truncation: the smallest M whose Df(phi) coefficients beyond |l| = M
+# are at most HILL_TAIL_TOL of the largest, raised to HILL_MIN_MODES and
+# capped at the profile's m_f; the rightmost eigenvalues at M and 2M must
+# then agree to HILL_CHECK_TOL relative.
+HILL_TAIL_TOL = 1e-13
+HILL_MIN_MODES = 4
+HILL_CHECK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +83,38 @@ def bloch_spectrum(bm, vectors=False):
         return lam[order], vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     lam = np.linalg.eigvals(bm.entries)
     return lam[np.argsort(-lam.real)]
+
+
+def pad_modes(vec, n, m_x):
+    """A mode-major vector on the 2m+1 modes |l| <= m (FFT wrap order),
+    zero-padded onto the m_x >= 2m+1 cell modes of ``grids.cell_modes``."""
+    vec = np.asarray(vec).reshape(-1, n)
+    out = np.zeros((m_x, n), dtype=vec.dtype)
+    out[grids.cell_modes(vec.shape[0]) % m_x] = vec
+    return out.reshape(-1)
+
+
+def _nearest_eigenvalue(matrix, shift, iters=3):
+    """The eigenvalue of ``matrix`` nearest ``shift``, by inverse iteration.
+
+    Each step solves (matrix - shift) y = x for the unit vector x, so
+    shift + 1 / <x, y> converges to the nearest eigenvalue at the ratio of
+    the nearest to the next-nearest distance from ``shift``. The start
+    vector is a fixed pseudo-random one.
+    """
+    dim = matrix.shape[0]
+    shifted = matrix - shift * np.eye(dim)
+    x = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    mu = complex(shift)
+    for _ in range(iters):
+        x /= np.linalg.norm(x)
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:       # shift is an eigenvalue
+            return complex(shift)
+        mu = shift + 1.0 / np.vdot(x, y)
+        x = y
+    return complex(mu)
 
 
 def phi_prime_vector(profile, ells):
@@ -198,12 +241,15 @@ class _BranchWalker:
 
     def __init__(self, profile, m, max_step=0.15):
         self.profile = profile
+        self.m = m
         self.ells = grids.cell_modes(2 * m + 1)
         self.that = reaction_coeffs(profile, 2 * m)
         self.max_step = max_step
         self.phi_vec = phi_prime_vector(profile, self.ells)
         self._flip = conjugate_index(self.ells.size, profile.n)
         self._fibers = {}
+        self.decomposed = 0         # fibers eigendecomposed so far
+        self.hill = None            # HillTruncation when m is the derived one
 
     def refined(self, n, base=TWO_PI):
         """Smallest n * 2^p whose lattice steps base / (n 2^p) are <= max_step."""
@@ -244,6 +290,7 @@ class _BranchWalker:
     def _decompose(self, xi, ref):
         bm = assemble_bloch(self.profile, xi, ells=self.ells, that=self.that)
         lam, vecs = bloch_spectrum(bm, vectors=True)
+        self.decomposed += 1
         try:
             idx, lam_c, vec, adj, margin = follow_branch(
                 bm.entries, lam, vecs, ref, self.phi_vec)
@@ -263,13 +310,83 @@ class _BranchWalker:
                                 self.ells)
 
 
+@dataclass(frozen=True)
+class HillTruncation:
+    """The spectral truncation of a profile and the evidence for it."""
+
+    modes: int          # M: the fibers carry the modes |l| <= M
+    tail: float         # largest Df(phi) coefficient beyond M, over the largest
+    check: float        # rightmost eigenvalues at M against 2M, relative
+
+
+def _coefficient_tails(profile):
+    """tails[M]: the largest coefficient of Df(phi) with M < |l| <= 2 m_f,
+    relative to the largest one."""
+    span = 2 * profile.m_f
+    mags = np.abs(reaction_coeffs(profile, span)).max(axis=(1, 2))
+    per_abs = np.maximum(mags[span:], mags[span::-1])        # |l| = 0..span
+    beyond = np.append(np.maximum.accumulate(per_abs[::-1])[::-1][1:], 0.0)
+    return beyond / per_abs.max()
+
+
+def _two_truncation_deviation(store):
+    """Distance of the 2n rightmost eigenvalues of L_0 and L_pi at the
+    store's m from those at 2m, over the largest modulus among them.
+
+    The eigenvalues at m are the store's (its fibers at 0 and pi); each one
+    is followed into the 2m operator by ``_nearest_eigenvalue``, so the check
+    costs solves, not eigendecompositions.
+    """
+    profile = store.profile
+    ells = grids.cell_modes(4 * store.m + 1)
+    that = reaction_coeffs(profile, 4 * store.m)
+    dev = scale = 0.0
+    for xi, fib in ((0.0, store.fiber(0)), (np.pi, store.fiber(1, 2))):
+        coarse = fib.lam[:2 * profile.n]
+        mat = assemble_bloch(profile, xi, ells=ells, that=that).entries
+        fine = np.array([_nearest_eigenvalue(mat, lam) for lam in coarse])
+        dev = max(dev, float(np.abs(fine - coarse).max()))
+        scale = max(scale, float(np.abs(coarse).max()),
+                    float(np.abs(fine).max()))
+    return dev / scale if scale > 0.0 else dev
+
+
 def fiber_store(profile, m_f=None):
-    """The fiber store of ``profile`` at mode count m_f, cached on the profile."""
-    m = profile.m_f if m_f is None else m_f
+    """The fiber store of ``profile`` at mode count m_f, cached on the profile.
+
+    Without m_f the store uses the profile's Hill truncation, derived once:
+    the smallest M whose Df(phi) coefficients beyond |l| = M are at most
+    HILL_TAIL_TOL of the largest, raised to HILL_MIN_MODES and capped at
+    ``profile.m_f``. Its ``hill`` holds the evidence. Raises
+    ResolutionError when the rightmost eigenvalues of L_0 and L_pi at M and
+    2M differ by more than HILL_CHECK_TOL relative.
+    """
     stores = profile._fiber_stores
-    if m not in stores:
-        stores[m] = _BranchWalker(profile, m)
-    return stores[m]
+    if m_f is None:
+        if None not in stores:
+            tails = _coefficient_tails(profile)
+            m = min(max(int(np.argmax(tails <= HILL_TAIL_TOL)),
+                        HILL_MIN_MODES), profile.m_f)
+            store = fiber_store(profile, m)
+            check = _two_truncation_deviation(store)
+            if not check <= HILL_CHECK_TOL:
+                raise ResolutionError(
+                    f"Hill truncation m = {m} (profile m_f = {profile.m_f}) "
+                    f"is under-resolved: the rightmost eigenvalues at m and "
+                    f"2m differ by {check:.2e} relative (limit "
+                    f"{HILL_CHECK_TOL:g}); solve the profile with more modes")
+            store.hill = HillTruncation(m, float(tails[m]), check)
+            stores[None] = store
+        return stores[None]
+    if m_f not in stores:
+        stores[m_f] = _BranchWalker(profile, m_f)
+    return stores[m_f]
+
+
+def decomposed_fibers(profile):
+    """Fibers eigendecomposed so far by the fiber stores of ``profile``."""
+    stores = {id(store): store for store in profile._fiber_stores.values()}
+    return sum(store.decomposed for store in stores.values())
 
 
 def critical_mode_data(profile, xi, m_f=None):
@@ -337,6 +454,7 @@ class StabilityReport:
     failures: list = field(default_factory=list)
     scan: int = 0
     m_f: int = 0
+    hill: HillTruncation | None = None   # set when m_f is the derived truncation
     tol_zero: float = 0.0
     branch_lost: list = field(default_factory=list)   # scan xi where lambda_c was lost
     min_overlap_margin: float = np.nan                  # over the followed scan fibers
@@ -355,8 +473,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
     """
     if scan < 8:
         raise ValueError(f"scan must be >= 8, got {scan}")
-    m = profile.m_f if m_f is None else m_f
-    store = fiber_store(profile, m)
+    store = fiber_store(profile, m_f)
     half = (scan + 1) // 2
     xis = grids.frequency_lattice(scan)[:half]
     fibers = [store.fiber(j, scan) for j in grids.cell_modes(scan)[:half]]
@@ -433,7 +550,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
         if mask.any():
             delta_0[float(xi0)] = float(-scan_top[mask].max())
 
-    curve = critical_curve(profile, xi_max=xi_fit, m_f=m)
+    curve = critical_curve(profile, xi_max=xi_fit, m_f=m_f)
 
     verdict = cond_negative and cond_quadratic and cond_simple
     return StabilityReport(
@@ -450,7 +567,8 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
         max_nonzero_real=float(max_nonzero_real),
         failures=failures,
         scan=scan,
-        m_f=m,
+        m_f=store.m,
+        hill=store.hill,
         tol_zero=tol_zero,
         branch_lost=branch_lost,
         min_overlap_margin=float(min(margins)) if margins else np.nan,

@@ -2,9 +2,10 @@
 
 Every command writes its artifacts into an output directory together with a
 single ``manifest.json`` recording the resolved configuration, tool version,
-input digests, output paths, and wall-clock/step counts.  Reruns with the
-same inputs and seeds reproduce all CSV/JSON payloads bit-for-bit (manifest
-timing fields excepted).
+input digests, output paths, step counts, wall-clock time and per-stage
+timings and fiber counts (``stages``).  Reruns with the same inputs and seeds
+reproduce all CSV/JSON payloads bit-for-bit (manifest timing fields
+excepted).
 
 Exit codes: 0 success, 2 solver failure, 64 usage error, 65 validation
 error, 66 unreadable input, 70 blow-up, 71 Duhamel extraction failure.
@@ -13,6 +14,7 @@ error, 66 unreadable input, 70 blow-up, 71 Duhamel extraction failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -29,6 +31,7 @@ from .errors import (
     ModelParameterError,
     PhaseWarpError,
     ProfileConvergenceError,
+    ResolutionError,
 )
 from .models import make_model
 
@@ -123,7 +126,25 @@ class _Manifest:
         self.inputs = {}
         self.outputs = []
         self.counts = {}
+        self.seconds = {}
+        self.fibers = {}
         self.t0 = time.perf_counter()
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Add the wall time of the block to stage ``name``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = (self.seconds.get(name, 0.0)
+                                  + time.perf_counter() - t0)
+
+    def count_fibers(self, profile, engines=()):
+        """Record the fibers decomposed by the profile's stores and by the
+        engines."""
+        self.fibers = {"store": bloch.decomposed_fibers(profile),
+                       "engine": sum(e.n_half for e in engines)}
 
     def add_input(self, path):
         self.inputs[str(path)] = _sha256(path)
@@ -142,6 +163,7 @@ class _Manifest:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "step_counts": self.counts,
+            "stages": {"seconds": self.seconds, "fibers": self.fibers},
             "wall_time_s": time.perf_counter() - self.t0,
         }
         _write_json(Path(out_dir) / "manifest.json", payload)
@@ -254,15 +276,18 @@ def cmd_profile(args, argv):
                         f"got {args.guess!r}")
 
     try:
-        prof = profiles.solve_profile(model, coeffs, k0, c0,
-                                      solve_for=args.solve_for, tol=args.tol)
+        with manifest.stage("solve"):
+            prof = profiles.solve_profile(model, coeffs, k0, c0,
+                                          solve_for=args.solve_for,
+                                          tol=args.tol)
     except ProfileConvergenceError as exc:
         hist = ", ".join(f"{r:.3e}" for r in exc.history)
         print(f"solver failed: {exc}\nresidual history: [{hist}]",
               file=sys.stderr)
         return EXIT_SOLVER
 
-    profiles.save_profile(prof, out_path)
+    with manifest.stage("outputs"):
+        profiles.save_profile(prof, out_path)
     manifest.counts["newton_iterations"] = len(
         prof.info.get("newton_residuals", []))
     manifest.add_output(out_dir, out_path)
@@ -276,36 +301,15 @@ def cmd_profile(args, argv):
 # ---------------------------------------------------------------------------
 # spectrum
 
-def cmd_spectrum(args, argv):
-    if args.scan < 8:
-        raise _CliError(EXIT_USAGE, f"--scan must be >= 8, got {args.scan}")
-    if not 0.0 < args.xi_max <= np.pi:
-        raise _CliError(EXIT_USAGE, "--xi-max must lie in (0, pi]")
-    prof = _load_profile_checked(args.profile)
-    out_dir = _ensure_dir(args.out_dir)
-    manifest = _Manifest("spectrum", argv, {
-        "profile": str(args.profile), "scan": args.scan,
-        "xi_max": args.xi_max, "out_dir": str(out_dir)})
-    manifest.add_input(args.profile)
+def _hill_evidence(report):
+    """The Hill truncation of a stability scan and its evidence."""
+    return {"hill_modes": report.hill.modes, "hill_tail": report.hill.tail,
+            "hill_check": report.hill.check}
 
-    report = bloch.verify_diffusive_stability(prof, scan=args.scan,
-                                              xi_fit=args.xi_max)
 
-    # the CSV lists the scan lattice in ascending xi; -xi mirrors xi
-    store = bloch.fiber_store(prof)
-    js = grids.cell_modes(args.scan)
-    xis = grids.frequency_lattice(args.scan)
-    rows = []
-    for k in np.argsort(xis):
-        fib = store.fiber(js[k], args.scan)
-        for idx, l in enumerate(fib.lam):
-            tag = "critical" if idx == fib.index else "bulk"
-            rows.append((_fmt(xis[k]), _fmt(l.real), _fmt(l.imag), tag))
-
-    csv_path = out_dir / "spectrum.csv"
-    _write_csv(csv_path, ("xi", "re_lambda", "im_lambda", "branch_tag"), rows)
-    report_path = out_dir / "stability_report.json"
-    _write_json(report_path, {
+def _stability_payload(report, xi_fit):
+    """The contents of ``stability_report.json``."""
+    return {
         "schema_version": _SCHEMA_VERSIONS["stability_report"],
         "verdict": report.verdict,
         "conditions": {
@@ -328,8 +332,44 @@ def cmd_spectrum(args, argv):
                                else report.min_overlap_margin),
         "failures": report.failures,
         "tolerances": {"tol_zero": report.tol_zero, "scan": report.scan,
-                       "m_f": report.m_f, "xi_fit": args.xi_max},
-    })
+                       "m_f": report.m_f, "xi_fit": xi_fit},
+        **_hill_evidence(report),
+    }
+
+
+def cmd_spectrum(args, argv):
+    if args.scan < 8:
+        raise _CliError(EXIT_USAGE, f"--scan must be >= 8, got {args.scan}")
+    if not 0.0 < args.xi_max <= np.pi:
+        raise _CliError(EXIT_USAGE, "--xi-max must lie in (0, pi]")
+    prof = _load_profile_checked(args.profile)
+    out_dir = _ensure_dir(args.out_dir)
+    manifest = _Manifest("spectrum", argv, {
+        "profile": str(args.profile), "scan": args.scan,
+        "xi_max": args.xi_max, "out_dir": str(out_dir)})
+    manifest.add_input(args.profile)
+
+    with manifest.stage("stability_scan"):
+        report = bloch.verify_diffusive_stability(prof, scan=args.scan,
+                                                  xi_fit=args.xi_max)
+    manifest.count_fibers(prof)
+
+    # the CSV lists the scan lattice in ascending xi; -xi mirrors xi
+    with manifest.stage("outputs"):
+        store = bloch.fiber_store(prof)
+        js = grids.cell_modes(args.scan)
+        xis = grids.frequency_lattice(args.scan)
+        rows = []
+        for k in np.argsort(xis):
+            fib = store.fiber(js[k], args.scan)
+            for idx, l in enumerate(fib.lam):
+                tag = "critical" if idx == fib.index else "bulk"
+                rows.append((_fmt(xis[k]), _fmt(l.real), _fmt(l.imag), tag))
+        csv_path = out_dir / "spectrum.csv"
+        _write_csv(csv_path, ("xi", "re_lambda", "im_lambda", "branch_tag"),
+                   rows)
+        report_path = out_dir / "stability_report.json"
+        _write_json(report_path, _stability_payload(report, args.xi_max))
     manifest.counts["scan_points"] = int(xis.size)
     manifest.add_output(out_dir, csv_path)
     manifest.add_output(out_dir, report_path)
@@ -350,30 +390,33 @@ def cmd_spectrum(args, argv):
 def cmd_gap(args, argv):
     n_values = _parse_int_list(args.N, "--N")
     prof = _load_profile_checked(args.profile)
+    manifest = _Manifest("gap", argv, {"profile": str(args.profile),
+                                       "N": n_values})
     records = []
-    for n in n_values:
-        sub = bloch.subharmonic_spectrum(prof, n)
-        records.append({"N": n, "delta_N": sub.delta,
-                        "attaining_xi": sub.attaining_xi,
-                        "zero_defect": sub.zero_defect})
+    with manifest.stage("spectra"):
+        for n in n_values:
+            sub = bloch.subharmonic_spectrum(prof, n)
+            records.append({"N": n, "delta_N": sub.delta,
+                            "attaining_xi": sub.attaining_xi,
+                            "zero_defect": sub.zero_defect})
+    manifest.count_fibers(prof)
     print("N,delta_N,attaining_xi")
     for rec in records:
         print(f"{rec['N']},{_fmt(rec['delta_N'])},{_fmt(rec['attaining_xi'])}")
 
     if args.out_dir is not None:
         out_dir = _ensure_dir(args.out_dir)
-        manifest = _Manifest("gap", argv, {
-            "profile": str(args.profile), "N": n_values,
-            "out_dir": str(out_dir)})
+        manifest.config["out_dir"] = str(out_dir)
         manifest.add_input(args.profile)
         csv_path = out_dir / "gaps.csv"
-        _write_csv(csv_path, ("N", "delta_N", "attaining_xi"),
-                   [(str(r["N"]), _fmt(r["delta_N"]), _fmt(r["attaining_xi"]))
-                    for r in records])
         json_path = out_dir / "gap_report.json"
-        _write_json(json_path, {
-            "schema_version": _SCHEMA_VERSIONS["gap_report"],
-            "records": records})
+        with manifest.stage("outputs"):
+            _write_csv(csv_path, ("N", "delta_N", "attaining_xi"),
+                       [(str(r["N"]), _fmt(r["delta_N"]),
+                         _fmt(r["attaining_xi"])) for r in records])
+            _write_json(json_path, {
+                "schema_version": _SCHEMA_VERSIONS["gap_report"],
+                "records": records})
         manifest.add_output(out_dir, csv_path)
         manifest.add_output(out_dir, json_path)
         manifest.write(out_dir)
@@ -411,17 +454,23 @@ def cmd_linear_decay(args, argv):
     manifest.add_input(args.profile)
 
     times = np.geomspace(0.1, args.tmax, args.samples)
+    with manifest.stage("stability_scan"):
+        stability = bloch.verify_diffusive_stability(prof, scan=128)
     rows = []
     fits = []
+    engines = []
     for n in n_values:
-        engine = semigroup.SemigroupEngine(prof, n)
+        with manifest.stage("engine_build"):
+            engine = semigroup.SemigroupEngine(prof, n, stability=stability)
+        engines.append(engine)
         v = evolve.random_perturbation(n, engine.m_x, prof.n, args.seed, 1.0,
                                        normalize="l1")
-        measures = {
-            part: semigroup.measure_decay(engine, v, times, part=part,
-                                          l=args.l, m=args.m)
-            for part in ("total", "mean", "sp", "stilde")
-        }
+        with manifest.stage("evolution"):
+            measures = {
+                part: semigroup.measure_decay(engine, v, times, part=part,
+                                              l=args.l, m=args.m)
+                for part in ("total", "mean", "sp", "stilde")
+            }
         for i, t in enumerate(times):
             rows.append((str(n), _fmt(t),
                          _fmt(measures["total"].norms[i]),
@@ -438,9 +487,12 @@ def cmd_linear_decay(args, argv):
                 "super_polynomial": meas.super_polynomial,
             } for part, meas in measures.items()}})
 
+    manifest.count_fibers(prof, engines)
+
     csv_path = out_dir / "decay.csv"
-    _write_csv(csv_path, ("N", "t", "norm_total", "norm_mean_phase",
-                          "norm_sp", "norm_stilde", "l", "m"), rows)
+    with manifest.stage("outputs"):
+        _write_csv(csv_path, ("N", "t", "norm_total", "norm_mean_phase",
+                              "norm_sp", "norm_stilde", "l", "m"), rows)
 
     uniformity = {}
     for part in ("sp", "stilde"):
@@ -448,13 +500,14 @@ def cmd_linear_decay(args, argv):
         finite = [c for c in consts if np.isfinite(c) and c > 0]
         uniformity[part] = (max(finite) / min(finite)) if finite else None
     fit_path = out_dir / "decay_fit.json"
-    _write_json(fit_path, {
-        "schema_version": _SCHEMA_VERSIONS["decay_fit"],
-        "l": args.l, "m": args.m, "seed": args.seed,
-        "fit_window": "[10, N^2/10] (whole series when underpopulated)",
-        "fits": fits,
-        "constant_spread": uniformity,
-    })
+    with manifest.stage("outputs"):
+        _write_json(fit_path, {
+            "schema_version": _SCHEMA_VERSIONS["decay_fit"],
+            "l": args.l, "m": args.m, "seed": args.seed,
+            "fit_window": "[10, N^2/10] (whole series when underpopulated)",
+            "fits": fits,
+            "constant_spread": uniformity,
+        })
     manifest.counts["time_samples"] = int(times.size)
     manifest.add_output(out_dir, csv_path)
     manifest.add_output(out_dir, fit_path)
@@ -658,7 +711,8 @@ def cmd_simulate(args, argv):
     manifest.add_input(args.config)
 
     n_period = cfg["N"]
-    stability = bloch.verify_diffusive_stability(prof)
+    with manifest.stage("stability_scan"):
+        stability = bloch.verify_diffusive_stability(prof)
     if not stability.verdict:
         raise _CliError(EXIT_VALIDATION,
                         "profile fails the spectral stability check; "
@@ -667,8 +721,10 @@ def cmd_simulate(args, argv):
         cutoff = semigroup.CutoffSpec(float(cfg["extraction"]["cutoff"]))
     else:
         cutoff = semigroup.default_cutoff(prof, stability=stability)
-    engine = semigroup.SemigroupEngine(prof, n_period, m_x=cfg["m_x"],
-                                       cutoff=cutoff, stability=stability)
+    with manifest.stage("engine_build"):
+        engine = semigroup.SemigroupEngine(prof, n_period, m_x=cfg["m_x"],
+                                           cutoff=cutoff, stability=stability)
+    manifest.count_fibers(prof, [engine])
 
     snap = cfg["snapshot"]
     snapshot_times = evolve.default_snapshot_times(
@@ -676,13 +732,14 @@ def cmd_simulate(args, argv):
         dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
     pert = cfg["perturbation"]
     try:
-        result = evolve.run_experiment(
-            prof, n_period, engine, t_max=cfg["t_max"], dt=cfg["dt"],
-            scheme=cfg["scheme"], seed=pert["seed"],
-            amplitude=pert["amplitude"], band=pert["band"],
-            kind=pert["shape"], normalize=pert["normalize"], k_sob=cfg["K"],
-            snapshot_times=snapshot_times,
-            chi_interval=tuple(cfg["extraction"]["chi"]))
+        with manifest.stage("evolution"):
+            result = evolve.run_experiment(
+                prof, n_period, engine, t_max=cfg["t_max"], dt=cfg["dt"],
+                scheme=cfg["scheme"], seed=pert["seed"],
+                amplitude=pert["amplitude"], band=pert["band"],
+                kind=pert["shape"], normalize=pert["normalize"],
+                k_sob=cfg["K"], snapshot_times=snapshot_times,
+                chi_interval=tuple(cfg["extraction"]["chi"]))
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         manifest.counts["blow_up_time"] = exc.t
@@ -694,27 +751,31 @@ def cmd_simulate(args, argv):
     k_sob = cfg["K"]
 
     # per-snapshot extraction; warp failures are recorded, not fatal
-    trace = evolve.modulation_trace(result, k_sob=k_sob)
+    with manifest.stage("extraction"):
+        trace = evolve.modulation_trace(result, k_sob=k_sob)
     warp_ok = trace.warp_ok
     n_failed = int((~warp_ok).sum())
     gamma, gamma_t = trace.gamma, trace.gamma_t
 
     trace_path = out_dir / "trace.csv"
-    _write_csv(
-        trace_path,
-        ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h", "norm_psi_t_h",
-         "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2", "warp_ok"),
-        [(_fmt(times[i]), _fmt(gamma[i]), _fmt(gamma_t[i]),
-          _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]), _fmt(trace.psi_t_h[i]),
-          _fmt(trace.v_l2[i]), _fmt(trace.psi_x_l2[i]),
-          _fmt(trace.psi_t_l2[i]), str(int(warp_ok[i]))) for i in range(T)])
-    manifest.add_output(out_dir, trace_path)
+    with manifest.stage("outputs"):
+        _write_csv(
+            trace_path,
+            ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h",
+             "norm_psi_t_h", "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2",
+             "warp_ok"),
+            [(_fmt(times[i]), _fmt(gamma[i]), _fmt(gamma_t[i]),
+              _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]),
+              _fmt(trace.psi_t_h[i]), _fmt(trace.v_l2[i]),
+              _fmt(trace.psi_x_l2[i]), _fmt(trace.psi_t_l2[i]),
+              str(int(warp_ok[i]))) for i in range(T)])
+        manifest.add_output(out_dir, trace_path)
 
-    snap_dir = _ensure_dir(out_dir / "snapshots")
-    for i in range(T):
-        path = snap_dir / f"snap_{i:04d}.bin"
-        evolve.write_snapshot(path, result.snapshots[i], times[i])
-        manifest.add_output(out_dir, path)
+        snap_dir = _ensure_dir(out_dir / "snapshots")
+        for i in range(T):
+            path = snap_dir / f"snap_{i:04d}.bin"
+            evolve.write_snapshot(path, result.snapshots[i], times[i])
+            manifest.add_output(out_dir, path)
 
     # diagnostics on the clean prefix of the trace
     report = {
@@ -728,6 +789,7 @@ def cmd_simulate(args, argv):
     delta_n = engine.spectral_gap()
     report["delta_N"] = delta_n
     report.update(_engine_health(engine))
+    report.update(_hill_evidence(stability))
 
     phase = evolve.phase_convergence(result) if T > 3 else None
     if phase is not None:
@@ -804,8 +866,9 @@ def cmd_simulate(args, argv):
     duhamel_exit = None
     if cfg["extraction"]["mode"] in ("duhamel", "both"):
         try:
-            du = evolve.extract_modulation_duhamel(
-                result, tol=cfg["extraction"]["tol"], trace=trace)
+            with manifest.stage("extraction"):
+                du = evolve.extract_modulation_duhamel(
+                    result, tol=cfg["extraction"]["tol"], trace=trace)
         except (ExtractionDivergenceError, PhaseWarpError) as exc:
             # a diverging iteration or a phase warp that stops being invertible
             print(f"Duhamel extraction failed: {exc}", file=sys.stderr)
@@ -816,9 +879,10 @@ def cmd_simulate(args, argv):
             du_path = out_dir / "trace_duhamel.csv"
             psi_l2 = np.sqrt(np.sum(du.psi_vals ** 2, axis=1) / result.m_x)
             v_l2 = np.sqrt(np.sum(du.v_vals ** 2, axis=(1, 2)) / result.m_x)
-            _write_csv(du_path, ("t", "gamma", "norm_psi_l2", "norm_v_l2"),
-                       [(_fmt(times[i]), _fmt(du.gamma[i]), _fmt(psi_l2[i]),
-                         _fmt(v_l2[i])) for i in range(T)])
+            with manifest.stage("outputs"):
+                _write_csv(du_path, ("t", "gamma", "norm_psi_l2", "norm_v_l2"),
+                           [(_fmt(times[i]), _fmt(du.gamma[i]),
+                             _fmt(psi_l2[i]), _fmt(v_l2[i])) for i in range(T)])
             manifest.add_output(out_dir, du_path)
             manifest.counts["duhamel_sweeps"] = du.iterations
             report["duhamel"] = {
@@ -842,7 +906,8 @@ def cmd_simulate(args, argv):
                 }
 
     report_path = out_dir / "report.json"
-    _write_json(report_path, report)
+    with manifest.stage("outputs"):
+        _write_json(report_path, report)
     manifest.add_output(out_dir, report_path)
     manifest.counts["time_steps"] = result.n_steps
     manifest.counts["snapshots"] = T
@@ -876,7 +941,10 @@ def _build_parser():
     p.add_argument("--model", required=True, help="model id (rgl, nagumo, ...)")
     p.add_argument("--param", action="append", metavar="KEY=VAL",
                    help="model/guess parameter (repeatable)")
-    p.add_argument("--modes", type=int, default=32, help="Fourier truncation")
+    p.add_argument("--modes", type=int, default=32,
+                   help="the profile's storage truncation: Fourier modes "
+                        "|l| <= MODES (the spectra derive their own, at "
+                        "most MODES)")
     p.add_argument("--guess", default="analytic",
                    help="'analytic' or 'file:PATH'")
     p.add_argument("--solve-for", choices=("c", "k"), default="c",
@@ -941,7 +1009,7 @@ def main(argv=None):
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (ModelParameterError, AdmissibilityError) as exc:
+    except (ModelParameterError, AdmissibilityError, ResolutionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BlowUpError as exc:

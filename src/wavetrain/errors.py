@@ -36,6 +36,10 @@ class BranchTrackingError(WavetrainError):
     """Eigenvalue branch continuation hit an overlap ambiguity."""
 
 
+class ResolutionError(WavetrainError):
+    """A spectral truncation does not resolve the eigenvalues it is used for."""
+
+
 class AdmissibilityError(WavetrainError, ValueError):
     """A cutoff or grid parameter violates its admissibility constraints."""
 

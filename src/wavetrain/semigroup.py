@@ -90,7 +90,9 @@ class SemigroupEngine:
     N slot N/2 is -pi, built from the +pi decomposition), and fills the
     xi < 0 half by conjugation when it assembles a result. On the fibers
     inside the cutoff support it follows the critical branch in the
-    phi'-anchored gauge, with adjoints from the rows of V^-1. Per-fiber
+    phi'-anchored gauge, with adjoints from the rows of V^-1; on lattices
+    coarser than the branch step the references come from the profile's
+    fiber store, zero-padded onto the engine's modes. Per-fiber
     arrays have leading size N//2+1; ``frequencies``, ``rho``, ``crit_lam``
     and ``critical`` cover all N frequencies. Fibers whose eigenvector
     matrix fails ||V||_F ||V^-1||_F <= ``cond_limit`` propagate by expm.
@@ -136,7 +138,7 @@ class SemigroupEngine:
 
         # lattices coarser than the branch step take their references from
         # the profile's fiber store, on its refinement of this lattice
-        store = bloch.fiber_store(profile, (self.m_x - 1) // 2)
+        store = bloch.fiber_store(profile)
         fine = store.refined(N)
         ref = self.phi_slots
         for j in range(H):
@@ -156,6 +158,7 @@ class SemigroupEngine:
             if self.rho[j] > 0.0:
                 if j > 0 and fine > N:
                     ref = store.fiber(j * (fine // N) - 1, fine).vec
+                    ref = bloch.pad_modes(ref, self.n, self.m_x)
                 idx, lam_c, ref, adj, _ = bloch.follow_branch(
                     mat, lam, V, ref, self.phi_slots, V_inv if ok else None)
                 lam[idx] = lam_c

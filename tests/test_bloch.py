@@ -8,13 +8,16 @@ from wavetrain.bloch import (
     bloch_spectrum,
     critical_curve,
     critical_mode_data,
+    fiber_store,
     gap_sequence,
+    pad_modes,
     subharmonic_spectrum,
     verify_diffusive_stability,
 )
+from wavetrain.errors import ResolutionError
 from wavetrain.grids import frequency_lattice
-from wavetrain.models import real_ginzburg_landau
-from wavetrain.profiles import rgl_analytic, solve_profile
+from wavetrain.models import nagumo, real_ginzburg_landau
+from wavetrain.profiles import nagumo_guess, rgl_analytic, solve_profile
 
 # Frozen reference values for the q = 0.3 wave (k = 0.3 / (2 pi)).
 # The drift vanishes by reflection symmetry and the curvature equals
@@ -189,6 +192,14 @@ def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
     assert calls["inv"] <= 33
     assert calls["cond"] <= 33
 
+    # a coarse lattice takes its branch references from the default store,
+    # which the default scan has filled, so only the engine's own 9 remain
+    prof = _fresh_profile()
+    stability = verify_diffusive_stability(prof)
+    calls.update(eig=0, eigvals=0, inv=0, cond=0)
+    semigroup.SemigroupEngine(prof, 16, stability=stability)
+    assert 0 < calls["eig"] <= 9
+
 
 def test_fiber_eigensolves_use_one_blas(monkeypatch):
     """Fiber eigensolves go through numpy.linalg, never scipy.linalg, so the
@@ -216,6 +227,58 @@ def test_engine_critical_data_matches_the_branch(engine16, rgl_profile):
         data = critical_mode_data(rgl_profile, engine16.frequencies[j])
         np.testing.assert_allclose(engine16.crit_lam[j], data.lam,
                                    rtol=1e-10, atol=0.0)
-        scale = np.max(np.abs(data.adjoint_vec))
-        np.testing.assert_allclose(engine16.crit_adj[j], data.adjoint_vec,
+        adj = pad_modes(data.adjoint_vec, rgl_profile.n, engine16.m_x)
+        scale = np.max(np.abs(adj))
+        np.testing.assert_allclose(engine16.crit_adj[j], adj,
                                    rtol=0.0, atol=1e-10 * scale)
+
+
+def _nagumo_profile(m_f):
+    return solve_profile(nagumo(0.25), *nagumo_guess(0.25, m_f=m_f),
+                         solve_for="c")
+
+
+@pytest.mark.parametrize("make, most_modes", [
+    (_fresh_profile, 8),
+    (lambda: solve_profile(real_ginzburg_landau(),
+                           *rgl_analytic(0.7, m_f=32), solve_for="c"), 8),
+    (lambda: _nagumo_profile(32), 31),
+], ids=["rgl_q03", "rgl_q07", "nagumo"])
+def test_derived_truncation_reproduces_the_storage_truncation(make, most_modes):
+    derived, full = make(), make()
+    report = verify_diffusive_stability(derived, scan=128)
+    ref = verify_diffusive_stability(full, scan=128, m_f=32)
+    assert report.hill.modes == report.m_f <= most_modes
+    assert report.hill.tail <= 1e-13
+    assert report.hill.check <= 1e-9
+    assert ref.hill is None and ref.m_f == 32
+    assert report.verdict == ref.verdict
+    assert report.xi_1 == ref.xi_1
+    assert report.curve.d == pytest.approx(ref.curve.d, rel=1e-10)
+    assert report.max_nonzero_real == pytest.approx(ref.max_nonzero_real,
+                                                    rel=1e-10)
+    n_values = (2, 4, 8, 16, 32, 64)
+    gaps = gap_sequence(derived, n_values)
+    gaps_full = gap_sequence(full, n_values, m_f=32)
+    for n in n_values:
+        assert gaps[n] == pytest.approx(gaps_full[n], rel=1e-10), f"N = {n}"
+
+
+def test_under_resolved_profile_raises(tmp_path, capsys):
+    from wavetrain.cli import main
+    from wavetrain.profiles import save_profile
+
+    prof = _nagumo_profile(4)
+    with pytest.raises(ResolutionError, match="under-resolved"):
+        fiber_store(prof)
+    with pytest.raises(ResolutionError):
+        verify_diffusive_stability(prof, scan=16)
+    # an explicit truncation overrides the rule
+    assert fiber_store(prof, 4).m == 4
+    path = tmp_path / "nagumo4.json"
+    save_profile(prof, path)
+    code = main(["spectrum", "--profile", str(path), "--scan", "16",
+                 "--out-dir", str(tmp_path / "spec")])
+    assert code == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "under-resolved" in err[0]

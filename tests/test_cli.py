@@ -283,3 +283,45 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "wavetrain" in capsys.readouterr().out
+
+
+def test_manifests_carry_stages(profile_file, tmp_path):
+    prof = str(profile_file)
+    runs = {
+        "spectrum": ["--profile", prof, "--scan", "16"],
+        "gap": ["--profile", prof, "--N", "2,4"],
+        "linear-decay": ["--profile", prof, "--N", "4", "--tmax", "20",
+                         "--samples", "6"],
+    }
+    for name, argv in runs.items():
+        assert main([name, *argv, "--out-dir", str(tmp_path / name)]) == 0
+    cfg = write_config(tmp_path / "cfg.json", profile_file,
+                       tmp_path / "simulate")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    stage_names = {
+        "spectrum": {"stability_scan", "outputs"},
+        "gap": {"spectra", "outputs"},
+        "linear-decay": {"stability_scan", "engine_build", "evolution",
+                         "outputs"},
+        "simulate": {"stability_scan", "engine_build", "evolution",
+                     "extraction", "outputs"},
+    }
+    # N = 4: the engine decomposes its fibers j = 0, 1, 2
+    engine_fibers = {"spectrum": 0, "gap": 0, "linear-decay": 3,
+                     "simulate": 3}
+    for name, names in stage_names.items():
+        stages = read_json(tmp_path / name / "manifest.json")["stages"]
+        assert set(stages["seconds"]) == names, name
+        assert all(s >= 0.0 for s in stages["seconds"].values())
+        assert stages["fibers"]["store"] > 0, name
+        assert stages["fibers"]["engine"] == engine_fibers[name], name
+    # the truncation evidence goes into the reports, timings do not
+    for path in (tmp_path / "spectrum" / "stability_report.json",
+                 tmp_path / "simulate" / "report.json"):
+        report = read_json(path)
+        assert report["hill_modes"] == 4
+        assert report["hill_tail"] <= 1e-13
+        assert report["hill_check"] <= 1e-9
+        assert "stages" not in report
+    report = read_json(tmp_path / "spectrum" / "stability_report.json")
+    assert report["tolerances"]["m_f"] == 4
