@@ -790,6 +790,7 @@ def cmd_simulate(args, argv):
     report["delta_N"] = delta_n
     report.update(_engine_health(engine))
     report.update(_hill_evidence(stability))
+    report["snapshot_tail"] = float(np.max(result.snapshot_tail))
 
     phase = evolve.phase_convergence(result) if T > 3 else None
     if phase is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grids
+from . import fourier, grids
 from .errors import BlowUpError, ExtractionDivergenceError, PhaseWarpError
 
 TWO_PI = 2.0 * np.pi
@@ -189,11 +189,15 @@ def random_perturbation(n_period, m_x, n_components, seed, amplitude,
 
 
 def translated_profile_data(profile, n_period, m_x, shift):
-    """Grid samples of phi(x + shift), exact through the coefficient phases."""
-    from . import fourier
-    x = grids.grid_points(n_period, m_x)
-    vals = fourier.synth(profile.coeffs, x + shift)
-    return grids.GridFunction(n_period, vals)
+    """Grid samples of phi(x + shift), exact through the coefficient phases.
+
+    phi(x + s) has the cell coefficients c_l e^{2 pi i l s}; one cell is
+    synthesized on the m_x-point grid and tiled over the N cells.
+    """
+    ell = fourier.modes(fourier.trunc_order(profile.coeffs))
+    phases = np.exp(TWO_PI * 1j * ell * np.mod(shift, 1.0))
+    cell = fourier.synth_grid(phases[:, None] * profile.coeffs, m_x)
+    return grids.GridFunction(n_period, np.tile(cell, (n_period, 1)))
 
 
 def quintic_smoothstep(t, lo=0.5, hi=1.0):
@@ -248,6 +252,9 @@ class ExperimentResult:
     each snapshot (mean translation content and per-frequency critical
     amplitudes).  ``chi`` is the short-time ramp; the modulation ansatz uses
     gamma = chi * gamma_raw so the phase variables vanish at t = 0.
+    ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
+    |m| > P/3 at each snapshot: the resolution the warp interpolation of
+    :func:`modulation_frame` relies on.
     """
 
     profile: object
@@ -265,6 +272,7 @@ class ExperimentResult:
     chi: np.ndarray
     v_l2: np.ndarray
     v_linf: np.ndarray
+    snapshot_tail: np.ndarray
     n_steps: int
     wall_time: float
     perturbation: dict = field(default_factory=dict)
@@ -276,6 +284,19 @@ class ExperimentResult:
     def psi_field(self, i):
         """The local phase psi at snapshot i (chi-ramped projection)."""
         return self.engine.synthesize_phase(self.chi[i] * self.inner[i])
+
+
+def _spectral_tail(u_hat, n_points):
+    """Fraction of sum_m |u_hat_m|^2 in the global modes |m| > P/3.
+
+    ``u_hat`` is the rfft of a real field on P = ``n_points`` samples, so each
+    row 0 < m < P/2 stands for the pair +-m.
+    """
+    m = np.arange(u_hat.shape[0])
+    weight = np.where((m == 0) | (2 * m == n_points), 1.0, 2.0)
+    energy = weight * np.sum(np.abs(u_hat) ** 2, axis=1)
+    total = float(np.sum(energy))
+    return float(np.sum(energy[3 * m > n_points])) / total if total > 0 else 0.0
 
 
 def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
@@ -316,7 +337,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
     wall0 = _time.perf_counter()
     u_hat = stepper.to_hat(u)
     times, snaps, inners = [], [], []
-    v_l2, v_linf = [], []
+    v_l2, v_linf, tails = [], [], []
 
     def record(step_index):
         vals = stepper.to_grid(u_hat)
@@ -332,6 +353,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         inners.append(engine.critical_inner(w))
         v_l2.append(grids.norm_l2(w))
         v_linf.append(grids.norm_linf(w))
+        tails.append(_spectral_tail(u_hat, stepper.P))
 
     next_snap = 0
     # non-finite values only occur on the way to the BlowUpError below, so
@@ -362,6 +384,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         chi=quintic_smoothstep(times, *chi_interval),
         v_l2=np.array(v_l2),
         v_linf=np.array(v_linf),
+        snapshot_tail=np.array(tails),
         n_steps=total_steps,
         wall_time=_time.perf_counter() - wall0,
         perturbation={"seed": int(seed), "amplitude": float(amplitude),

@@ -62,20 +62,48 @@ class GridFunction:
         return np.arange(self.n_points) / self.m_x
 
     def interp(self, points, deriv=0):
-        """Trigonometric interpolation (and differentiation) at arbitrary points."""
-        coeffs = np.fft.fft(self.values, axis=0) / self.n_points
-        omega = TWO_PI * np.fft.fftfreq(self.n_points, d=1.0 / self.n_points) / self.n_period
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        phases = np.exp(1j * np.outer(pts, omega))
+        """Trigonometric interpolation (and differentiation) at arbitrary points.
+
+        Evaluates sum_m c_m (i omega_m)^deriv e^{i m theta}, theta = 2 pi x / N,
+        over the P modes m = lo..lo+P-1, lo = -floor(P/2) (fftfreq order, so
+        an even P keeps its Nyquist term at -P/2).  Splitting m = lo + a + b*B
+        with B = ceil(sqrt(P)) factors every exponential as
+        e^{i(lo + bB) theta} e^{i a theta}: one product with a (points, B)
+        table and one row-wise contraction with a (points, ceil(P/B)) table
+        give the exact sum with O(P^{3/2}) exponentials and memory instead of
+        a dense (points, P) matrix.
+        """
+        P, n = self.values.shape
+        B = int(np.ceil(np.sqrt(P)))
+        C = -(-P // B)
+        lo = -(P // 2)
+        coeffs = np.zeros((B * C, n), dtype=complex)
+        coeffs[:P] = np.fft.fftshift(np.fft.fft(self.values, axis=0), axes=0) / P
         if deriv:
-            coeffs = coeffs * (1j * omega[:, None]) ** deriv
-        out = phases @ coeffs
+            omega = TWO_PI * (lo + np.arange(P)) / self.n_period
+            coeffs[:P] *= (1j * omega[:, None]) ** deriv
+        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        theta = TWO_PI * np.mod(pts, self.n_period) / self.n_period
+        # blocks[a, b*n + k] is component k of the coefficient of mode lo + a + bB
+        blocks = coeffs.reshape(C, B, n).transpose(1, 0, 2).reshape(B, C * n)
+        partial = (_unit_phases(theta, np.arange(B)) @ blocks).reshape(-1, C, n)
+        out = np.einsum("pb,pbn->pn", _unit_phases(theta, lo + B * np.arange(C)),
+                        partial)
         if np.isrealobj(self.values):
             out = out.real
         return out
 
     def copy(self):
         return GridFunction(self.n_period, self.values.copy())
+
+
+def _unit_phases(theta, freqs):
+    """The table e^{i f theta} for points theta (rows) and integers f (columns)."""
+    table = np.empty((theta.size, freqs.size), dtype=complex)
+    arg = np.multiply.outer(theta, freqs, out=table.real)
+    np.sin(arg, out=table.imag)
+    np.cos(arg, out=arg)
+    return table
 
 
 def grid_points(n_period, m_x):

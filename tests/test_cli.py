@@ -172,6 +172,7 @@ def test_simulate_run_and_outputs(profile_file, tmp_path):
     report = read_json(out / "report.json")
     assert report["E0"] == 1e-4
     assert "phase" in report and "zeta" in report and "delta_N" in report
+    assert 0.0 <= report["snapshot_tail"] < 1e-20
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0].startswith("t,gamma,gamma_t")
     snaps = sorted((out / "snapshots").iterdir())

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetrain import evolve, grids, semigroup
+from wavetrain import evolve, fourier, grids, semigroup
 from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -31,6 +31,8 @@ from wavetrain.evolve import (
     translated_profile_data,
     write_snapshot,
 )
+
+TWO_PI = 2.0 * np.pi
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,36 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
     frame = modulation_frame(res, len(res.times) - 1)
     assert grids.norm_l2(frame.psi) <= 1e-4
     assert grids.norm_linf(frame.v) <= 1e-4
+
+
+@pytest.mark.parametrize("shift", [-1.3, 0.4, 17.25])
+def test_translated_profile_data_matches_direct_synthesis(rgl_profile, shift):
+    got = translated_profile_data(rgl_profile, 3, 65, shift)
+    direct = fourier.synth(rgl_profile.coeffs, grids.grid_points(3, 65) + shift)
+    assert got.n_period == 3
+    np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-13)
+
+
+def test_spectral_tail_weights_the_rfft_half():
+    P = 12
+    x = np.arange(P)
+    # mean squares: mode 1 carries 1/2, mode 5 > P/3 1/8, the Nyquist mode 1/16
+    u = (np.cos(TWO_PI * x / P) + 0.5 * np.cos(TWO_PI * 5 * x / P)
+         + 0.25 * np.cos(np.pi * x))[:, None]
+    tail = evolve._spectral_tail(np.fft.rfft(u, axis=0), P)
+    energy = {1: 0.5, 5: 0.5 * 0.25, 6: 0.0625}
+    assert tail == pytest.approx((energy[5] + energy[6]) / sum(energy.values()),
+                                 rel=1e-14)
+    assert evolve._spectral_tail(np.zeros((7, 1), dtype=complex), P) == 0.0
+
+
+def test_snapshots_of_the_acceptance_run_are_resolved(rgl_profile, engine16):
+    # the ACCEPTANCE 10 trajectory: modes |m| > P/3 carry rounding only
+    res = run_experiment(rgl_profile, 16, engine16, t_max=20.0, dt=0.01,
+                         seed=7, amplitude=1e-5, band=16, normalize="sup")
+    assert res.snapshot_tail.shape == res.times.shape
+    assert np.all(res.snapshot_tail >= 0.0)
+    assert np.max(res.snapshot_tail) < 1e-20
 
 
 def test_derivative_direction_is_pure_phase(rgl_profile, engine4):

@@ -1,5 +1,7 @@
 """Grid containers, the discrete Bloch transform, and norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,69 @@ def test_interp_reproduces_grid_samples(rng):
     np.testing.assert_allclose(gf.interp(gf.x), gf.values, atol=1e-12)
     # periodic extension
     np.testing.assert_allclose(gf.interp(gf.x + 4.0), gf.values, atol=1e-11)
+
+
+def resolved_grid_function(n_period, m_x, rng, complex_valued):
+    """Random two-component field whose spectrum decays to rounding at P/2."""
+    P = n_period * m_x
+    m = np.fft.fftfreq(P, d=1.0 / P)
+    spec = (rng.standard_normal((P, 2)) + 1j * rng.standard_normal((P, 2))) \
+        * np.exp(-36.0 * np.abs(m) / P)[:, None]
+    vals = np.fft.ifft(spec, axis=0) * P
+    return GridFunction(n_period, vals if complex_valued else vals.real)
+
+
+def long_double_interp(gf, points, deriv):
+    """The interpolating sum evaluated term by term in extended precision."""
+    P = gf.n_points
+    coeffs = np.fft.fft(gf.values, axis=0).astype(np.clongdouble) / P
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    omega = two_pi * np.fft.fftfreq(P, d=1.0 / P).astype(np.longdouble) \
+        / gf.n_period
+    arg = np.multiply.outer(np.asarray(points, dtype=np.longdouble), omega)
+    coeffs = coeffs * ((1j * omega[:, None]) ** deriv)
+    out = (np.cos(arg) + 1j * np.sin(arg)) @ coeffs
+    return out if np.iscomplexobj(gf.values) else out.real
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("n_period,m_x", [(16, 65), (4, 16), (5, 13)])
+def test_interp_matches_an_extended_precision_sum(n_period, m_x,
+                                                  complex_valued, rng):
+    # P = 1040 is the simulation grid; the even P = 64 keeps its Nyquist mode
+    # at -P/2, the odd P = 65 has none
+    gf = resolved_grid_function(n_period, m_x, rng, complex_valued)
+    points = np.concatenate([rng.uniform(-n_period, 0.0, 100),
+                             rng.uniform(0.0, n_period, 100),
+                             rng.uniform(n_period, 3 * n_period, 100)])
+    omega_max = TWO_PI * (gf.n_points // 2) / n_period
+    scale = np.max(np.abs(gf.values))
+    for deriv in (0, 1, 2):
+        got = gf.interp(points, deriv=deriv)
+        assert got.shape == (points.size, 2)
+        assert np.iscomplexobj(got) == complex_valued
+        err = np.max(np.abs(got - long_double_interp(gf, points, deriv)))
+        assert err <= 3e-14 * scale * omega_max ** deriv
+
+
+def test_interp_of_a_scalar_point_is_one_row(rng):
+    gf = resolved_grid_function(16, 65, rng, False)
+    got = gf.interp(0.3)
+    assert got.shape == (1, 2)
+    np.testing.assert_array_equal(got, gf.interp(np.array([0.3])))
+
+
+def test_interp_memory_grows_slower_than_the_dense_table(rng):
+    gf = resolved_grid_function(64, 65, rng, False)
+    points = gf.x + 0.01 * np.sin(gf.x)
+    tracemalloc.start()
+    try:
+        gf.interp(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense P x P exponential table alone is 4160^2 * 16 B = 277 MB
+    assert peak < 16e6
 
 
 def test_norms_agree_on_simple_functions():
