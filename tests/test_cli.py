@@ -173,12 +173,37 @@ def test_simulate_run_and_outputs(profile_file, tmp_path):
     assert report["E0"] == 1e-4
     assert "phase" in report and "zeta" in report and "delta_N" in report
     assert 0.0 <= report["snapshot_tail"] < 1e-20
+    # t_max = 12 passes 1/delta_4 = 10.6: the crossover rate is judged
+    assert isinstance(report["crossover"]["pass"], bool)
+    assert "reason" not in report["crossover"]
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0].startswith("t,gamma,gamma_t")
     snaps = sorted((out / "snapshots").iterdir())
     assert snaps and snaps[0].name.startswith("snap_")
     manifest = read_json(out / "manifest.json")
     assert sorted(manifest["outputs"])== manifest["outputs"]
+
+
+def test_simulate_reports_an_unreachable_crossover_unjudged(profile_file,
+                                                            tmp_path, capsys):
+    # the ACCEPTANCE 10 run: t_max = 20 lies far below 1/delta_16 ~ 169,
+    # near which the knee of the decay falls
+    out = tmp_path / "a10"
+    cfg = write_config(
+        tmp_path / "a10.json", profile_file, out, N=16, t_max=20.0,
+        perturbation={"shape": "fourier", "amplitude": 1e-5, "band": 16,
+                      "normalize": "sup", "seed": 7},
+        extraction={"mode": "both"})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    report = read_json(out / "report.json")
+    delta = report["delta_N"]
+    assert 20.0 < 1.0 / delta
+    cross = report["crossover"]
+    assert cross["pass"] is None
+    assert cross["reason"] == "horizon shorter than 1/delta_N"
+    assert np.isfinite(cross["rate"]) and np.isfinite(cross["t_knee"])
+    assert cross["window"] == [0.5 * delta, 1.1 * delta]
+    assert "crossover=n/a" in capsys.readouterr().out
 
 
 def test_simulate_is_deterministic(profile_file, tmp_path):

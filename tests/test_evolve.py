@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetrain import evolve, fourier, grids, semigroup
+from wavetrain import evolve, fourier, grids, models, profiles, semigroup
 from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -180,6 +180,135 @@ def test_etdrk4_beats_imex_accuracy(rgl_profile, engine4):
                              snapshot_times=[1.0])
         results[scheme] = np.max(np.abs(res.snapshots[-1].values - ref))
     assert results["etdrk4"] < 0.1 * results["imex"]
+
+
+def _point_major_steps(profile, n_period, m_x, dt, scheme, values, steps):
+    """Reference: the steppers' formulas on a (P//2+1, n) state, verbatim.
+
+    The steppers keep a component-major (n, P//2+1) state; this is the
+    point-major layout they replaced, with its expressions in their order.
+    """
+    P = m_x * n_period
+    omega = TWO_PI * np.fft.rfftfreq(P, d=1.0 / P) / n_period
+    k, c = profile.k, profile.c
+    symbol = (k * (1j * omega) ** 2 + c * (1j * omega))[:, None]
+    inv_k = 1.0 / k
+
+    def reaction_hat(u_hat):
+        u = np.fft.irfft(u_hat, n=P, axis=0)
+        return np.fft.rfft(profile.model.f(u) * inv_k, axis=0)
+
+    h = dt
+    u_hat = np.fft.rfft(values, axis=0)
+    if scheme == "imex":
+        num = 1.0 + 0.5 * h * symbol
+        den = 1.0 - 0.5 * h * symbol
+        prev_g = None
+        for _ in range(steps):
+            g = reaction_hat(u_hat)
+            if prev_g is None:
+                prev_g = g
+            rhs = num * u_hat + dt * (1.5 * g - 0.5 * prev_g)
+            prev_g = g
+            u_hat = rhs / den
+        return np.fft.irfft(u_hat, n=P, axis=0)
+    L = symbol
+    E = np.exp(h * L)
+    E2 = np.exp(0.5 * h * L)
+    M = 32
+    r = np.exp(1j * np.pi * (np.arange(1, M + 1) - 0.5) / M)
+    LR = h * L[..., None] + r
+    Q = h * np.real(np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=-1))
+    f1 = h * np.real(np.mean(
+        (-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR ** 2)) / LR ** 3, axis=-1))
+    f2 = h * np.real(np.mean(
+        (2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR ** 3, axis=-1))
+    f3 = h * np.real(np.mean(
+        (-4.0 - 3.0 * LR - LR ** 2 + np.exp(LR) * (4.0 - LR)) / LR ** 3, axis=-1))
+    g = reaction_hat
+    for _ in range(steps):
+        Nu = g(u_hat)
+        a = E2 * u_hat + Q * Nu
+        Na = g(a)
+        b = E2 * u_hat + Q * Na
+        Nb = g(b)
+        c = E2 * a + Q * (2.0 * Nb - Nu)
+        Nc = g(c)
+        u_hat = (E * u_hat + f1 * Nu + 2.0 * f2 * (Na + Nb)
+                 + f3 * Nc)
+    return np.fft.irfft(u_hat, n=P, axis=0)
+
+
+@pytest.mark.parametrize("scheme", ["imex", "etdrk4"])
+def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
+                                                             scheme):
+    # the state layout must not change a single bit of a trajectory; the
+    # rgl wave stands still (c = 0), so its symbol is real
+    n_period, m_x, dt = 4, 65, 0.01
+    x = grids.grid_points(n_period, m_x)
+    values = grids.from_profile(rgl_profile, n_period, m_x).values + np.column_stack(
+        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
+    stepper = evolve._SCHEMES[scheme](rgl_profile, n_period, m_x, dt)
+    u_hat = stepper.to_hat(values)
+    assert u_hat.shape == (2, n_period * m_x // 2 + 1)
+    for _ in range(50):
+        u_hat = stepper.step(u_hat)
+    # every FFT and reaction sum of a step runs on the contiguous axis
+    assert u_hat.flags.c_contiguous
+    want = _point_major_steps(rgl_profile, n_period, m_x, dt, scheme, values, 50)
+    assert np.max(np.abs(want - values)) > 1e-2
+    assert np.array_equal(stepper.to_grid(u_hat).T, want)
+
+
+@pytest.fixture(scope="module")
+def brusselator_profile():
+    # A = 1, B = 2.2 lies past the Hopf point B = 1 + A^2; a wave train of
+    # wavenumber 0.9 of the critical one bifurcates from the rest state
+    # (A, B/A) along the critical eigenvector, travelling at c != 0
+    a, b = 1.0, 2.2
+    mu, vec = np.linalg.eig(np.array([[b - 1.0, a * a], [-b, -a * a]]))
+    i = int(np.argmax(mu.imag))
+    k = 0.9 * np.sqrt(mu[i].real) / TWO_PI
+    coeffs = np.zeros((33, 2), dtype=complex)
+    coeffs[16] = [a, b / a]
+    coeffs[17] = vec[:, i] / 2.0
+    coeffs[15] = np.conj(coeffs[17])
+    return profiles.solve_profile(models.brusselator(a, b), coeffs, k,
+                                  -mu[i].imag / (TWO_PI * k), solve_for="c")
+
+
+@pytest.mark.parametrize("scheme", ["imex", "etdrk4"])
+@pytest.mark.parametrize("wave", ["nagumo", "brusselator"])
+def test_pure_profile_of_other_models_is_stationary(request, wave, scheme):
+    # the models see the (P, n) transpose of the component-major state:
+    # nagumo (n = 1) returns x[..., None], brusselator fills np.empty_like
+    profile = request.getfixturevalue(f"{wave}_profile")
+    if wave == "brusselator":
+        assert abs(profile.c) > 1.0
+    n_period, m_x = 2, 2 * profile.m_f + 1
+    dt = 0.5 * stable_dt_limit(profile)
+    stepper = evolve._SCHEMES[scheme](profile, n_period, m_x, dt)
+    base = grids.from_profile(profile, n_period, m_x).values
+    u_hat = stepper.to_hat(base)
+    assert u_hat.shape == (profile.n, n_period * m_x // 2 + 1)
+    for _ in range(int(round(2.0 / dt))):
+        u_hat = stepper.step(u_hat)
+    vals = stepper.to_grid(u_hat).T
+    assert vals.shape == base.shape
+    assert np.max(np.abs(vals - base)) <= 1e-11
+
+
+def test_contour_mean_matches_the_phi_functions_off_the_real_axis():
+    # a travelling wave has a complex symbol; the contour must be the full
+    # circle, not the real part of its upper half
+    z = np.array([-18.9 + 7.1j, -1.4 - 2.0j, 0.7 + 0.6j, -3.0, 0.5j])
+    phi2 = lambda w: (np.exp(w / 2.0) - 1.0) / w
+    phi3 = lambda w: (2.0 + w + np.exp(w) * (-2.0 + w)) / w ** 3
+    for fn in (phi2, phi3):
+        np.testing.assert_allclose(evolve._contour_mean(fn, z), fn(z),
+                                   rtol=1e-12, atol=0)
+    real = np.array([-2.5, 0.0, 1e-9, 3.0])
+    assert np.all(evolve._contour_mean(phi2, real).imag == 0.0)
 
 
 def test_unknown_scheme_is_rejected(rgl_profile, engine4):
