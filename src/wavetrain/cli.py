@@ -128,6 +128,7 @@ class _Manifest:
         self.counts = {}
         self.seconds = {}
         self.fibers = {}
+        self.health = {}
         self.t0 = time.perf_counter()
 
     @contextlib.contextmanager
@@ -166,6 +167,8 @@ class _Manifest:
             "stages": {"seconds": self.seconds, "fibers": self.fibers},
             "wall_time_s": time.perf_counter() - self.t0,
         }
+        if self.health:
+            payload["health"] = self.health
         _write_json(Path(out_dir) / "manifest.json", payload)
 
 
@@ -288,8 +291,9 @@ def cmd_profile(args, argv):
 
     with manifest.stage("outputs"):
         profiles.save_profile(prof, out_path)
-    manifest.counts["newton_iterations"] = len(
-        prof.info.get("newton_residuals", []))
+    manifest.counts["newton_iterations"] = len(prof.info["newton_residuals"])
+    manifest.health = {key: prof.info[key]
+                       for key in ("newton_residuals", "newton_rcond")}
     manifest.add_output(out_dir, out_path)
     manifest.write(out_dir)
     print(f"converged: residual {prof.residual_norm:.3e}, "

@@ -12,11 +12,9 @@ found as Fourier coefficients on modes -M..M together with one free scalar
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import fourier
 from .errors import (
@@ -30,6 +28,11 @@ from .models import make_model
 TWO_PI = 2.0 * np.pi
 
 _SCHEMA_VERSION = 1
+
+# Newton systems with a smaller 1-norm reciprocal condition number are
+# refused: machine epsilon, twice the LAPACK dlamch('E') below which
+# scipy.linalg.solve warns
+_RCOND_MIN = np.finfo(float).eps
 
 
 @dataclass
@@ -169,6 +172,7 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
     kk, cc = float(k), float(c)
     pack = _packing_matrix(m, n)
     history = []
+    rconds = []
     dim = (2 * m + 1) * n
     for it in range(max_iter):
         res, phi = _packed_residual(model, coeffs, kk, cc, grid_size)
@@ -197,14 +201,16 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
         rhs = np.empty(dim + 1)
         rhs[:dim] = _real_rows(res.reshape(-1), m, n)
         rhs[dim] = phase
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sla.LinAlgWarning)
-                delta = sla.solve(jac, -rhs)
-        except (sla.LinAlgError, sla.LinAlgWarning) as exc:
+        # the exact 1-norm reciprocal condition number, never above LAPACK's
+        # estimate of it; 0 for an exactly singular jac
+        rcond = 1.0 / float(np.linalg.cond(jac, 1))
+        rconds.append(rcond)
+        if not rcond >= _RCOND_MIN:         # also catches NaN
             raise ProfileConvergenceError(
                 "singular Newton system (a continuous symmetry may make the chosen "
-                f"free scalar redundant): {exc}", rnorm, history)
+                f"free scalar redundant): reciprocal condition number {rcond:.3e}",
+                rnorm, history)
+        delta = np.linalg.solve(jac, -rhs)
         coeffs = coeffs + fourier.hermitian_unpack(delta[:dim], m, n)
         if solve_for == "c":
             cc += delta[dim]
@@ -216,7 +222,8 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
             history[-1], history)
 
     prof = WaveProfile(model, m, kk, cc, coeffs, rnorm,
-                       info={"newton_residuals": history, "solve_for": solve_for,
+                       info={"newton_residuals": history, "newton_rcond": rconds,
+                             "solve_for": solve_for,
                              "grid_size": grid_size})
     if prof.derivative_l2() < 1e-6:
         raise DegenerateProfileError("converged to a constant state")

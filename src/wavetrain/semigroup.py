@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import bloch, grids
 from .errors import AdmissibilityError
@@ -208,8 +207,10 @@ class SemigroupEngine:
         """e^{L_xi t} on every stored fiber."""
         out = (self.right @ (np.exp(self.eigvals * t)[:, :, None]
                              * (self.right_inv @ half[:, :, None])))[:, :, 0]
-        for j, mat in self._expm.items():
-            out[j] = sla.expm(mat * t) @ half[j]
+        if self._expm:
+            import scipy.linalg     # kept off the package's import path
+            for j, mat in self._expm.items():
+                out[j] = scipy.linalg.expm(mat * t) @ half[j]
         return out
 
     def _inner(self, half):

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from wavetrain.cli import main
 
 GAP_1 = 1.515684575117475
 GAP_4 = 0.094520930738
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,49 @@ def test_profile_writes_a_manifest(profile_file):
     assert data["command"] == "profile"
     assert str(profile_file.name) in " ".join(data["argv"])
     assert "schema_version" in data
+
+
+def test_profile_manifest_records_newton_health(tmp_path):
+    out = tmp_path / "nagumo.json"
+    assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                 "--tol", "1e-10", "--out", str(out)]) == 0
+    manifest = read_json(tmp_path / "manifest.json")
+    residuals = manifest["health"]["newton_residuals"]
+    rconds = manifest["health"]["newton_rcond"]
+    assert len(residuals) == manifest["step_counts"]["newton_iterations"]
+    assert residuals[-1] < 1e-10
+    # every iteration but the converged last one solves a Newton system
+    assert len(rconds) == len(residuals) - 1
+    assert min(rconds) >= np.finfo(float).eps
+    assert "health" not in read_json(out)
+
+
+def _cold_python(*args, cwd):
+    """Run ``python -X importtime ARGS`` on the source tree; return the
+    process and the names of the modules it imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    return proc, modules
+
+
+def test_commands_start_without_scipy(tmp_path):
+    prof = str(tmp_path / "q03.json")
+    runs = [
+        ["-c", "import wavetrain.cli"],
+        ["-m", "wavetrain", "profile", "--model", "rgl", "--param", "q=0.3",
+         "--out", prof],
+        ["-m", "wavetrain", "spectrum", "--profile", prof, "--scan", "16",
+         "--out-dir", str(tmp_path / "spec")],
+    ]
+    for args in runs:
+        proc, modules = _cold_python(*args, cwd=tmp_path)
+        assert proc.returncode == 0, (args, proc.stderr[-2000:])
+        assert "wavetrain.cli" in modules, args
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], args
 
 
 def test_profile_file_round_trips(profile_file):

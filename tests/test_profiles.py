@@ -14,7 +14,7 @@ from wavetrain import (
     save_profile,
     solve_profile,
 )
-from wavetrain.models import nagumo, real_ginzburg_landau
+from wavetrain.models import ReactionModel, nagumo, real_ginzburg_landau
 from wavetrain.profiles import nagumo_guess, rgl_analytic
 
 TWO_PI = 2.0 * np.pi
@@ -54,6 +54,32 @@ def test_solver_failure_carries_history():
         solve_profile(real_ginzburg_landau(), guess, k, c, max_iter=2)
     assert len(err.value.history) == 2
     assert err.value.residual_norm > 0
+
+
+def _nagumo_with_a_passive_component(rate):
+    """nagumo kinetics on u_1 and the linear f_2 = -rate u_2 on u_2."""
+    scalar = nagumo(0.25)
+
+    def f(u):
+        return np.concatenate([scalar.f(u[..., :1]), -rate * u[..., 1:]], axis=-1)
+
+    def df(u):
+        jac = np.zeros(u.shape + (2,))
+        jac[..., :1, :1] = scalar.df(u[..., :1])
+        jac[..., 1, 1] = -rate
+        return jac
+
+    return ReactionModel("passive", 2, f, df)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-18], ids=["singular", "ill_conditioned"])
+def test_newton_refuses_a_singular_or_ill_conditioned_system(rate):
+    # the l = 0 mode of u_2 enters the Jacobian only through -rate
+    coeffs, k, c = nagumo_guess(0.25)
+    guess = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=1)
+    with pytest.raises(ProfileConvergenceError, match="singular Newton system"):
+        solve_profile(_nagumo_with_a_passive_component(rate), guess, k, c,
+                      solve_for="c")
 
 
 def test_constant_guess_is_rejected():

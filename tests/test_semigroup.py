@@ -135,6 +135,25 @@ def test_decomposition_sums_back_to_the_full_action(engine8, rng):
                                       parts.stilde.values)
 
 
+def test_expm_fallback_matches_the_eigendecomposition(
+        engine4, rgl_profile, cutoff, stability, rng):
+    from wavetrain.cli import _engine_health
+
+    # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails cond_limit = 1
+    forced = SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability,
+                             cond_limit=1.0)
+    assert sorted(forced._expm) == list(range(forced.n_half))
+    assert _engine_health(forced)["expm_fibers"] == [
+        float(xi) for xi in forced.frequencies[:forced.n_half]]
+    v = random_field(forced, rng)
+    for t in (0.5, 5.0):
+        for got, ref in ((forced.apply(v, t), engine4.apply(v, t)),
+                         (forced.decompose(v, t).stilde,
+                          engine4.decompose(v, t).stilde)):
+            err = np.linalg.norm(got.values - ref.values)
+            assert err <= 1e-10 * np.linalg.norm(ref.values), t
+
+
 def test_mean_phase_coefficient_of_the_derivative_is_the_period(
         engine4, engine16, rgl_profile):
     for engine, n in ((engine4, 4), (engine16, 16)):
