@@ -34,6 +34,18 @@ HILL_TAIL_TOL = 1e-13
 HILL_MIN_MODES = 4
 HILL_CHECK_TOL = 1e-9
 
+# Branch following: a continuation is ambiguous when the runner-up
+# eigenvector overlap reaches BRANCH_OVERLAP_FLOOR; the branch is walked on
+# lattices refined until their frequency steps are at most BRANCH_MAX_STEP.
+BRANCH_OVERLAP_FLOOR = 0.5
+BRANCH_MAX_STEP = 0.15
+
+# Condition (c) of the stability check: L_0 has exactly one eigenvalue within
+# STABILITY_TOL_ZERO of 0, with eigenfunction within STABILITY_ANGLE_TOL of
+# phi' (1 - |cos|).
+STABILITY_TOL_ZERO = 1e-8
+STABILITY_ANGLE_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # operator assembly
@@ -163,8 +175,7 @@ def adjoint_vector(matrix, lam, v):
     return np.linalg.solve(border.conj().T, rhs)[:dim]
 
 
-def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None,
-                  overlap_floor=0.5):
+def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None):
     """Continue the critical branch of ``ref`` into the fiber (lam, vecs).
 
     Picks the eigenvector with the largest normalized overlap with ``ref``,
@@ -174,7 +185,7 @@ def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None,
     exact to second order in the vector errors; the dense eigensolver alone
     is only good to eps * ||matrix||. Returns (index, lambda_c, v, adj,
     margin), the margin being the best minus the runner-up overlap. Raises
-    BranchTrackingError when the runner-up also reaches ``overlap_floor`` or
+    BranchTrackingError when the runner-up also reaches BRANCH_OVERLAP_FLOOR or
     when v is orthogonal to phi'.
     """
     overlaps = np.abs(ref.conj() @ vecs) / (np.linalg.norm(vecs, axis=0)
@@ -182,10 +193,10 @@ def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None,
     order = np.argsort(-overlaps)
     idx = int(order[0])
     runner_up = overlaps[order[1]] if overlaps.size > 1 else 0.0
-    if runner_up >= overlap_floor:
+    if runner_up >= BRANCH_OVERLAP_FLOOR:
         raise BranchTrackingError(
             f"ambiguous branch continuation: overlaps {overlaps[idx]:.3f} and "
-            f"{runner_up:.3f} both exceed {overlap_floor}")
+            f"{runner_up:.3f} both exceed {BRANCH_OVERLAP_FLOOR}")
     v = vecs[:, idx]
     s = np.vdot(phi_vec, v)
     if abs(s) < 1e-8 * np.linalg.norm(v) * np.linalg.norm(phi_vec):
@@ -234,17 +245,16 @@ class _BranchWalker:
     their fibers; other bases serve critical-curve samples and single
     frequencies. The critical branch is followed from xi = 0, where it is
     phi', by eigenvector overlap over the lattice of q's denominator, refined
-    by powers of two until its steps are at most ``max_step``. A fiber keeps
+    by powers of two until its steps are at most BRANCH_MAX_STEP. A fiber keeps
     its eigenvalues and critical data only, no eigenvector matrix; xi < 0
     comes from -xi by conjugation. Modes are in FFT wrap order.
     """
 
-    def __init__(self, profile, m, max_step=0.15):
+    def __init__(self, profile, m):
         self.profile = profile
         self.m = m
         self.ells = grids.cell_modes(2 * m + 1)
         self.that = reaction_coeffs(profile, 2 * m)
-        self.max_step = max_step
         self.phi_vec = phi_prime_vector(profile, self.ells)
         self._flip = conjugate_index(self.ells.size, profile.n)
         self._fibers = {}
@@ -252,8 +262,8 @@ class _BranchWalker:
         self.hill = None            # HillTruncation when m is the derived one
 
     def refined(self, n, base=TWO_PI):
-        """Smallest n * 2^p whose lattice steps base / (n 2^p) are <= max_step."""
-        while base / n > self.max_step:
+        """Smallest n * 2^p with lattice steps base / (n 2^p) <= BRANCH_MAX_STEP."""
+        while base / n > BRANCH_MAX_STEP:
             n *= 2
         return n
 
@@ -460,8 +470,7 @@ class StabilityReport:
     min_overlap_margin: float = np.nan                  # over the followed scan fibers
 
 
-def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
-                               angle_tol=1e-6, xi_fit=0.25):
+def verify_diffusive_stability(profile, scan=256, m_f=None, xi_fit=0.25):
     """Check the three spectral stability conditions over a Bloch-frequency scan.
 
     (a) spectrum of every L_xi in {Re < 0} apart from the translation zero,
@@ -483,16 +492,17 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
     # condition (c): simplicity of the zero of L_0 with eigenfunction phi'
     lam0 = fibers[0].lam
     absorder = np.argsort(np.abs(lam0))
-    zero_count = int(np.sum(np.abs(lam0) <= tol_zero))
+    zero_count = int(np.sum(np.abs(lam0) <= STABILITY_TOL_ZERO))
     zero_simplicity = float(np.abs(lam0[absorder[1]]))
     # the gauge makes <phi', vec> = ||phi'||^2, so |cos| = ||phi'|| / ||vec||
     align = (float(np.linalg.norm(store.phi_vec) / np.linalg.norm(fibers[0].vec))
              if fibers[0].index == absorder[0] else 0.0)
-    cond_simple = (zero_count == 1) and (align >= 1.0 - angle_tol)
+    cond_simple = (zero_count == 1) and (align >= 1.0 - STABILITY_ANGLE_TOL)
     if zero_count != 1:
         failures.append(
-            f"L_0 has {zero_count} eigenvalues within {tol_zero:g} of 0 (need exactly 1)")
-    if align < 1.0 - angle_tol:
+            f"L_0 has {zero_count} eigenvalues within {STABILITY_TOL_ZERO:g} "
+            "of 0 (need exactly 1)")
+    if align < 1.0 - STABILITY_ANGLE_TOL:
         failures.append(f"zero eigenfunction misaligned with phi' (|cos| = {align:.2e})")
 
     # scan: top of each spectrum and the critical branch against the rest
@@ -569,7 +579,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, tol_zero=1e-8,
         scan=scan,
         m_f=store.m,
         hill=store.hill,
-        tol_zero=tol_zero,
+        tol_zero=STABILITY_TOL_ZERO,
         branch_lost=branch_lost,
         min_overlap_margin=float(min(margins)) if margins else np.nan,
     )

@@ -226,6 +226,8 @@ def _resize_coeffs(coeffs, m_new):
 # profile
 
 def cmd_profile(args, argv):
+    if args.modes < 1:
+        raise _CliError(EXIT_USAGE, f"--modes must be >= 1, got {args.modes}")
     params = _parse_params(args.param)
     model_id = args.model.lower()
     if model_id not in _MODEL_PARAM_NAMES:
@@ -606,6 +608,13 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     def bad(msg):
         raise _CliError(EXIT_VALIDATION, f"config: {msg}")
 
+    # JSON true/false are Python bools, which are ints
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
     known_top = {"model", "profile", "N", "m_x", "dt", "t_max", "scheme", "K",
                  "snapshot", "perturbation", "extraction", "output_dir"}
     for key in cfg:
@@ -650,30 +659,31 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         "output_dir": str(out_dir),
     }
 
-    if not isinstance(resolved["N"], int) or resolved["N"] < 1:
+    if not is_int(resolved["N"]) or resolved["N"] < 1:
         bad("'N' must be a positive integer")
-    if resolved["m_x"] is not None and (not isinstance(resolved["m_x"], int)
-                                        or resolved["m_x"] < 3):
-        bad("'m_x' must be an integer >= 3")
-    if not (isinstance(resolved["dt"], (int, float)) and resolved["dt"] > 0):
+    m_x = resolved["m_x"]
+    if m_x is not None and not (is_int(m_x) and m_x >= 3 and m_x % 2 == 1):
+        bad("'m_x' must be an odd integer >= 3")
+    if not (is_number(resolved["dt"]) and resolved["dt"] > 0):
         bad("'dt' must be positive")
-    if not (isinstance(resolved["t_max"], (int, float))
-            and resolved["t_max"] > 0):
+    if not (is_number(resolved["t_max"]) and resolved["t_max"] > 0):
         bad("'t_max' must be positive")
     if resolved["t_max"] <= 10.0:
         bad("'t_max' must exceed 10 so the phase limit has a fit window")
     if resolved["scheme"] not in evolve._SCHEMES:
         bad(f"unknown scheme {resolved['scheme']!r} "
             f"(have {sorted(evolve._SCHEMES)})")
-    if not isinstance(resolved["K"], int) or resolved["K"] < 1:
+    if not is_int(resolved["K"]) or resolved["K"] < 1:
         bad("'K' must be an integer >= 1")
     p = resolved["perturbation"]
     if p["shape"] not in ("fourier", "bump"):
         bad(f"perturbation shape must be 'fourier' or 'bump', got {p['shape']!r}")
-    if not (isinstance(p["amplitude"], (int, float)) and p["amplitude"] >= 0):
+    if not (is_number(p["amplitude"]) and p["amplitude"] >= 0):
         bad("perturbation amplitude must be >= 0")
-    if not isinstance(p["seed"], int):
+    if not is_int(p["seed"]):
         bad("perturbation seed must be an integer")
+    if p["band"] is not None and not (is_int(p["band"]) and p["band"] >= 0):
+        bad("perturbation band must be an integer >= 0")
     e = resolved["extraction"]
     if e["mode"] not in ("projection", "duhamel", "both"):
         bad(f"extraction mode must be projection/duhamel/both, got {e['mode']!r}")
@@ -681,7 +691,11 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     if (not isinstance(chi, (list, tuple)) or len(chi) != 2
             or not chi[0] < chi[1]):
         bad("extraction chi must be an increasing pair [lo, hi]")
+    if e["cutoff"] is not None and not is_number(e["cutoff"]):
+        bad("extraction cutoff must be a number")
     s = resolved["snapshot"]
+    if not all(is_number(s[key]) for key in s):
+        bad("snapshot dense_until, stride and ratio must be numbers")
     if not (s["stride"] > 0 and s["ratio"] > 1.0 and s["dense_until"] >= 0):
         bad("snapshot spec needs stride > 0, ratio > 1, dense_until >= 0")
     return resolved
@@ -702,6 +716,10 @@ def cmd_simulate(args, argv):
         raise _CliError(EXIT_VALIDATION,
                         f"config model {cfg['model']!r} does not match the "
                         f"profile's model {prof.model.id!r}")
+    if cfg["m_x"] is not None and cfg["m_x"] < 2 * prof.m_f + 1:
+        raise _CliError(EXIT_VALIDATION,
+                        f"config: 'm_x' = {cfg['m_x']} cannot hold the "
+                        f"profile's modes (need >= {2 * prof.m_f + 1})")
 
     dt_limit = evolve.stable_dt_limit(prof)
     if cfg["dt"] > dt_limit:

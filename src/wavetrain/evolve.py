@@ -27,6 +27,9 @@ from .errors import BlowUpError, ExtractionDivergenceError, PhaseWarpError
 
 TWO_PI = 2.0 * np.pi
 
+# profile grid points on which stable_dt_limit samples the stiffness of Df(phi)
+DT_LIMIT_SAMPLES = 256
+
 
 # ---------------------------------------------------------------------------
 # steppers
@@ -163,14 +166,14 @@ class Etdrk4Stepper(_Stepper):
 _SCHEMES = {"imex": ImexStepper, "etdrk4": Etdrk4Stepper}
 
 
-def stable_dt_limit(profile, samples=256):
+def stable_dt_limit(profile):
     """Heuristic explicit-term step bound 0.5 / rho(Df(phi)/k).
 
     The reaction term is integrated explicitly; its stiffness along the wave
     is estimated by the largest spectral radius of Df(phi(x))/k on a fine
     profile grid.
     """
-    vals = profile.on_grid(max(samples, 4 * profile.m_f + 4))
+    vals = profile.on_grid(max(DT_LIMIT_SAMPLES, 4 * profile.m_f + 4))
     jac = profile.model.df(vals) / profile.k
     rho = np.max(np.abs(np.linalg.eigvals(jac)))
     return 0.5 / max(float(rho), 1e-300)

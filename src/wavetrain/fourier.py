@@ -95,17 +95,3 @@ def operator_matrix(ells, xi, a2, a1, that, react_scale=1.0):
     a[np.arange(ells.size * n), np.arange(ells.size * n)] += np.repeat(sym, n)
     return a
 
-
-def hermitian_unpack(vec, m, n):
-    """Hermitian coefficients (2M+1, n) from the real unknown vector.
-
-    Layout: [Re c_0 (n); Re c_1, Im c_1 (2n); ...; Re c_M, Im c_M (2n)].
-    """
-    coeffs = np.empty((2 * m + 1, n), dtype=complex)
-    coeffs[m] = vec[:n]
-    for l in range(1, m + 1):
-        base = n + (l - 1) * 2 * n
-        cl = vec[base:base + n] + 1j * vec[base + n:base + 2 * n]
-        coeffs[m + l] = cl
-        coeffs[m - l] = np.conj(cl)
-    return coeffs

@@ -103,9 +103,9 @@ def nagumo_guess(alpha, amplitude=0.1, m_f=32, detune=0.95):
     return coeffs, k_guess, 0.0
 
 
-def _packed_residual(model, coeffs, k, c, grid_size):
+def _residual(model, coeffs, k, c):
     m = fourier.trunc_order(coeffs)
-    phi = fourier.synth_grid(coeffs, grid_size)
+    phi = fourier.synth_grid(coeffs, 4 * (m + 1))
     fhat = fourier.grid_coeffs(model.f(phi), m)
     ell = fourier.modes(m)
     sym = k * k * (TWO_PI * 1j * ell) ** 2 + k * c * (TWO_PI * 1j * ell)
@@ -113,56 +113,24 @@ def _packed_residual(model, coeffs, k, c, grid_size):
     return res, phi
 
 
-def _res_norm(res):
-    # L2(0,1) norm of the mode-projected residual function
-    return float(np.linalg.norm(res))
-
-
-def _real_rows(full_rows, m, n):
-    """Map complex rows on modes -m..m to the packed real row layout."""
-    rows = np.empty(((2 * m + 1) * n,) + full_rows.shape[1:])
-    rows[:n] = full_rows[m * n:(m + 1) * n].real
-    for l in range(1, m + 1):
-        base = n + (l - 1) * 2 * n
-        blk = full_rows[(m + l) * n:(m + l + 1) * n]
-        rows[base:base + n] = blk.real
-        rows[base + n:base + 2 * n] = blk.imag
-    return rows
-
-
-def _packing_matrix(m, n):
-    """Complex matrix taking packed real unknowns to the full coefficient vector."""
-    dim = (2 * m + 1) * n
-    b = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        b[m * n + j, j] = 1.0
-    for l in range(1, m + 1):
-        base = n + (l - 1) * 2 * n
-        for j in range(n):
-            b[(m + l) * n + j, base + j] = 1.0
-            b[(m - l) * n + j, base + j] = 1.0
-            b[(m + l) * n + j, base + n + j] = 1.0j
-            b[(m - l) * n + j, base + n + j] = -1.0j
-    return b
-
-
-def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
-                  grid_size=None):
+def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25):
     """Newton-solve the profile equation from coefficient guess ``guess``.
 
     ``solve_for`` selects the free scalar ("c" or "k"); the other of k, c stays
     fixed at the passed value. Raises ProfileConvergenceError on failure and
     DegenerateProfileError if the guess or the solution is constant.
+
+    The bordered Newton system acts on the complex coefficient vector. For a
+    real reaction term its Jacobian commutes with the conjugate flip
+    c_l -> conj(c_{-l}), so the step is Hermitian up to rounding, which the
+    update projects away.
     """
     if solve_for not in ("c", "k"):
         raise ValueError(f"solve_for must be 'c' or 'k', got {solve_for!r}")
     coeffs = np.array(guess, dtype=complex)
     m = fourier.trunc_order(coeffs)
-    n = coeffs.shape[1]
     # project the guess onto real-valued functions (Hermitian symmetry)
     coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
-    if grid_size is None:
-        grid_size = 4 * (m + 1)
     gderiv = fourier.deriv_coeffs(coeffs)
     if np.linalg.norm(gderiv) < 1e-8:
         raise DegenerateProfileError("guess is a constant state; phase condition is singular")
@@ -170,13 +138,13 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
 
     ell = fourier.modes(m)
     kk, cc = float(k), float(c)
-    pack = _packing_matrix(m, n)
     history = []
     rconds = []
-    dim = (2 * m + 1) * n
+    dim = coeffs.size
     for it in range(max_iter):
-        res, phi = _packed_residual(model, coeffs, kk, cc, grid_size)
-        rnorm = _res_norm(res)
+        res, phi = _residual(model, coeffs, kk, cc)
+        # L2(0,1) norm of the mode-projected residual function
+        rnorm = float(np.linalg.norm(res))
         history.append(rnorm)
         if not np.isfinite(rnorm):
             raise ProfileConvergenceError(
@@ -185,22 +153,16 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
             break
 
         that = fourier.matrix_field_coeffs(model.df(phi), 2 * m)
-        afull = fourier.operator_matrix(ell, 0.0, kk * kk, kk * cc, that)
-        jac = np.empty((dim + 1, dim + 1))
-        jac[:dim, :dim] = _real_rows(afull @ pack, m, n)
+        jac = np.zeros((dim + 1, dim + 1), dtype=complex)
+        jac[:dim, :dim] = fourier.operator_matrix(ell, 0.0, kk * kk, kk * cc, that)
         if solve_for == "c":
             dscalar = (kk * (TWO_PI * 1j * ell))[:, None] * coeffs
         else:
             dscalar = ((2.0 * kk * (TWO_PI * 1j * ell) ** 2
                         + cc * (TWO_PI * 1j * ell)))[:, None] * coeffs
-        jac[:dim, dim] = _real_rows(dscalar.reshape(-1), m, n)
-        jac[dim, :dim] = np.real(np.conj(gflat) @ pack)
-        jac[dim, dim] = 0.0
-
-        phase = float(np.real(np.vdot(gflat, coeffs.reshape(-1))))
-        rhs = np.empty(dim + 1)
-        rhs[:dim] = _real_rows(res.reshape(-1), m, n)
-        rhs[dim] = phase
+        jac[:dim, dim] = dscalar.reshape(-1)
+        jac[dim, :dim] = np.conj(gflat)
+        rhs = np.append(res.reshape(-1), np.vdot(gflat, coeffs.reshape(-1)))
         # the exact 1-norm reciprocal condition number, never above LAPACK's
         # estimate of it; 0 for an exactly singular jac
         rcond = 1.0 / float(np.linalg.cond(jac, 1))
@@ -211,11 +173,12 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
                 f"free scalar redundant): reciprocal condition number {rcond:.3e}",
                 rnorm, history)
         delta = np.linalg.solve(jac, -rhs)
-        coeffs = coeffs + fourier.hermitian_unpack(delta[:dim], m, n)
+        step = delta[:dim].reshape(coeffs.shape)
+        coeffs = coeffs + 0.5 * (step + np.conj(step[::-1]))
         if solve_for == "c":
-            cc += delta[dim]
+            cc += delta[dim].real
         else:
-            kk += delta[dim]
+            kk += delta[dim].real
     else:
         raise ProfileConvergenceError(
             f"no convergence after {max_iter} iterations (residual {history[-1]:.3e})",
@@ -223,8 +186,7 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
 
     prof = WaveProfile(model, m, kk, cc, coeffs, rnorm,
                        info={"newton_residuals": history, "newton_rcond": rconds,
-                             "solve_for": solve_for,
-                             "grid_size": grid_size})
+                             "solve_for": solve_for})
     if prof.derivative_l2() < 1e-6:
         raise DegenerateProfileError("converged to a constant state")
     if prof.k <= 0.0:
@@ -233,13 +195,10 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25,
     return prof
 
 
-def profile_residual(profile, grid_size=None):
+def profile_residual(profile):
     """Recompute the mode-projected residual norm of a profile."""
-    if grid_size is None:
-        grid_size = 4 * (profile.m_f + 1)
-    res, _ = _packed_residual(profile.model, profile.coeffs, profile.k, profile.c,
-                              grid_size)
-    return _res_norm(res)
+    res, _ = _residual(profile.model, profile.coeffs, profile.k, profile.c)
+    return float(np.linalg.norm(res))
 
 
 def continue_profile(profile, param, target, steps, tol=1e-10, max_iter=25):

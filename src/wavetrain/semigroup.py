@@ -135,11 +135,8 @@ class SemigroupEngine:
         self.crit_adj = np.zeros((H, self.dim), dtype=complex)
         self._expm = {}             # j -> Bloch matrix of a fiber failing cond_limit
 
-        # lattices coarser than the branch step take their references from
-        # the profile's fiber store, on its refinement of this lattice
+        # branch references: the profile's fiber store at the same frequency
         store = bloch.fiber_store(profile)
-        fine = store.refined(N)
-        ref = self.phi_slots
         for j in range(H):
             # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
             mat = bloch.assemble_bloch(profile, abs(self.frequencies[j]),
@@ -155,13 +152,11 @@ class SemigroupEngine:
                 V_inv = np.full_like(V, np.nan)
             crit = (np.nan + 0j, np.zeros(self.dim), np.zeros(self.dim))
             if self.rho[j] > 0.0:
-                if j > 0 and fine > N:
-                    ref = store.fiber(j * (fine // N) - 1, fine).vec
-                    ref = bloch.pad_modes(ref, self.n, self.m_x)
-                idx, lam_c, ref, adj, _ = bloch.follow_branch(
+                ref = bloch.pad_modes(store.fiber(j, N).vec, self.n, self.m_x)
+                idx, lam_c, vec, adj, _ = bloch.follow_branch(
                     mat, lam, V, ref, self.phi_slots, V_inv if ok else None)
                 lam[idx] = lam_c
-                crit = (lam_c, ref, adj)
+                crit = (lam_c, vec, adj)
             if 2 * j == N:      # even N keeps -pi: conjugate the +pi fiber
                 mat, lam, V, V_inv = (np.conj(mat)[flip][:, flip], np.conj(lam),
                                       np.conj(V)[flip], np.conj(V_inv)[:, flip])

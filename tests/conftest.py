@@ -3,6 +3,8 @@ import pytest
 
 from wavetrain import bloch, models, profiles, semigroup
 
+TWO_PI = 2.0 * np.pi
+
 
 @pytest.fixture(scope="session")
 def rgl_profile():
@@ -23,6 +25,23 @@ def nagumo_profile():
     return profiles.solve_profile(models.nagumo(0.25),
                                   *profiles.nagumo_guess(0.25),
                                   solve_for="c")
+
+
+@pytest.fixture(scope="session")
+def brusselator_profile():
+    # A = 1, B = 2.2 lies past the Hopf point B = 1 + A^2; a wave train of
+    # wavenumber 0.9 of the critical one bifurcates from the rest state
+    # (A, B/A) along the critical eigenvector, travelling at c != 0
+    a, b = 1.0, 2.2
+    mu, vec = np.linalg.eig(np.array([[b - 1.0, a * a], [-b, -a * a]]))
+    i = int(np.argmax(mu.imag))
+    k = 0.9 * np.sqrt(mu[i].real) / TWO_PI
+    coeffs = np.zeros((33, 2), dtype=complex)
+    coeffs[16] = [a, b / a]
+    coeffs[17] = vec[:, i] / 2.0
+    coeffs[15] = np.conj(coeffs[17])
+    return profiles.solve_profile(models.brusselator(a, b), coeffs, k,
+                                  -mu[i].imag / (TWO_PI * k), solve_for="c")
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,14 @@ def test_profile_manifest_records_newton_health(tmp_path):
     assert "health" not in read_json(out)
 
 
+def test_profile_output_is_deterministic(tmp_path):
+    outs = [tmp_path / f"run{i}" / "nagumo.json" for i in range(2)]
+    for out in outs:
+        assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def _cold_python(*args, cwd):
     """Run ``python -X importtime ARGS`` on the source tree; return the
     process and the names of the modules it imported."""
@@ -344,6 +352,30 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     report = read_json(out / "report.json")
     assert report["phase"]["pass"] is True
+
+
+@pytest.mark.parametrize("case, code", [
+    ({"m_x": 66}, 65),
+    ({"m_x": 63}, 65),      # the profile's m_f = 32 needs m_x >= 65
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": -1}}, 65),
+    ({"snapshot": {"stride": "0.25"}}, 65),
+    ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65),
+    ({"N": True}, 65),
+    (["--modes", "0"], 64),
+    (["--modes", "-2"], 64),
+], ids=["even_m_x", "short_m_x", "negative_band", "text_stride",
+        "text_cutoff", "bool_N", "zero_modes", "negative_modes"])
+def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
+                                            case, code):
+    if isinstance(case, dict):
+        cfg = write_config(tmp_path / "cfg.json", profile_file, tmp_path / "o",
+                           **case)
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["profile", "--model", "rgl", "--param", "q=0.3", *case,
+                "--out", str(tmp_path / "x.json")]
+    assert main(argv) == code
+    assert capsys.readouterr().err
 
 
 def test_unreadable_config_is_an_input_error(tmp_path):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetrain import evolve, fourier, grids, models, profiles, semigroup
+from wavetrain import evolve, fourier, grids, semigroup
 from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -258,23 +258,6 @@ def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
     want = _point_major_steps(rgl_profile, n_period, m_x, dt, scheme, values, 50)
     assert np.max(np.abs(want - values)) > 1e-2
     assert np.array_equal(stepper.to_grid(u_hat).T, want)
-
-
-@pytest.fixture(scope="module")
-def brusselator_profile():
-    # A = 1, B = 2.2 lies past the Hopf point B = 1 + A^2; a wave train of
-    # wavenumber 0.9 of the critical one bifurcates from the rest state
-    # (A, B/A) along the critical eigenvector, travelling at c != 0
-    a, b = 1.0, 2.2
-    mu, vec = np.linalg.eig(np.array([[b - 1.0, a * a], [-b, -a * a]]))
-    i = int(np.argmax(mu.imag))
-    k = 0.9 * np.sqrt(mu[i].real) / TWO_PI
-    coeffs = np.zeros((33, 2), dtype=complex)
-    coeffs[16] = [a, b / a]
-    coeffs[17] = vec[:, i] / 2.0
-    coeffs[15] = np.conj(coeffs[17])
-    return profiles.solve_profile(models.brusselator(a, b), coeffs, k,
-                                  -mu[i].imag / (TWO_PI * k), solve_for="c")
 
 
 @pytest.mark.parametrize("scheme", ["imex", "etdrk4"])

@@ -143,6 +143,18 @@ def test_continuation_fails_past_the_existence_boundary(rgl_profile):
     assert all(p.amplitude() > 0 for p in err.value.profiles)
 
 
+def test_newton_with_free_wavenumber_returns_to_the_wave(brusselator_profile):
+    # the k-free bordered system, started off the c-solve on both sides
+    base = brusselator_profile
+    for scale in (1.01, 0.99):
+        prof = solve_profile(base.model, base.coeffs * (1.0 + 1e-3),
+                             base.k * scale, base.c, solve_for="k")
+        assert prof.residual_norm < 1e-10
+        assert abs(prof.k - base.k) <= 1e-12
+        assert prof.c == base.c
+        assert np.array_equal(prof.coeffs, np.conj(prof.coeffs[::-1]))
+
+
 def test_nagumo_wave_solves_with_free_speed(nagumo_profile):
     assert nagumo_profile.residual_norm < 1e-10
     assert nagumo_profile.k > 0
