@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fourier, grids
-from .errors import BranchTrackingError, ResolutionError
+from .errors import AdmissibilityError, BranchTrackingError, ResolutionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -391,6 +391,43 @@ def fiber_store(profile, m_f=None):
     if m_f not in stores:
         stores[m_f] = _BranchWalker(profile, m_f)
     return stores[m_f]
+
+
+def grid_modes(profile, m_x=None):
+    """The cell modes m_x of the grids and engines of ``profile``, and the
+    profile coefficients such a cell carries.
+
+    The default is 4M + 1 for the Hill truncation M of ``fiber_store``: the
+    cell holds |l| <= 2M, the band of Df(phi) times a fiber's modes, capped
+    at the 2 m_f + 1 that carry every stored coefficient. An explicit m_x
+    below 2 m_f + 1 must be at least 2M + 1, so that the store's fibers fit
+    (AdmissibilityError otherwise). The coefficients beyond the cell's
+    |l| <= (m_x - 1)/2 are dropped only when the largest of them is at most
+    HILL_TAIL_TOL of the largest coefficient; otherwise ResolutionError is
+    raised. Returns (m_x, coefficients on the kept modes).
+    """
+    full = 2 * profile.m_f + 1
+    if m_x is None or m_x < full:
+        M = fiber_store(profile).hill.modes
+        if m_x is None:
+            m_x = min(4 * M + 1, full)
+        elif m_x < 2 * M + 1:
+            raise AdmissibilityError(
+                f"m_x = {m_x} cannot hold the modes |l| <= {M} of the Hill "
+                f"truncation; need m_x >= {2 * M + 1}")
+    m_f, keep = profile.m_f, min(profile.m_f, (m_x - 1) // 2)
+    coeffs = profile.coeffs
+    if keep < m_f:
+        mags = np.abs(coeffs).max(axis=1)
+        kept = np.s_[m_f - keep:m_f + keep + 1]
+        tail = np.delete(mags, kept).max() / mags.max()
+        if not tail <= HILL_TAIL_TOL:
+            raise ResolutionError(
+                f"m_x = {m_x} drops profile coefficients up to {tail:.2e} of "
+                f"the largest (limit {HILL_TAIL_TOL:g}); the grid is "
+                "under-resolved, use a larger m_x")
+        coeffs = coeffs[kept]
+    return int(m_x), coeffs
 
 
 def decomposed_fibers(profile):

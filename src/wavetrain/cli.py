@@ -432,6 +432,12 @@ def cmd_gap(args, argv):
 # ---------------------------------------------------------------------------
 # linear decay
 
+def _grid_health(engine, stability):
+    """The manifest's grid resolution: the engine's cell modes and the Hill
+    truncation they derive from."""
+    return {"m_x": engine.m_x, "hill_modes": stability.hill.modes}
+
+
 def _engine_health(engine):
     """The engine's worst eigenvector condition bound and its expm fibers."""
     return {"max_eigvec_cond": float(np.max(engine.eigvec_cond)),
@@ -471,10 +477,14 @@ def cmd_linear_decay(args, argv):
         engines.append(engine)
         v = evolve.random_perturbation(n, engine.m_x, prof.n, args.seed, 1.0,
                                        normalize="l1")
+        # the L1 size v was scaled to, so the constants are the same on
+        # every grid
+        size = grids.norm_l1(grids.quadrature_samples(v))
         with manifest.stage("evolution"):
             measures = {
                 part: semigroup.measure_decay(engine, v, times, part=part,
-                                              l=args.l, m=args.m)
+                                              l=args.l, m=args.m,
+                                              reference_norm=size)
                 for part in ("total", "mean", "sp", "stilde")
             }
         for i, t in enumerate(times):
@@ -494,6 +504,7 @@ def cmd_linear_decay(args, argv):
             } for part, meas in measures.items()}})
 
     manifest.count_fibers(prof, engines)
+    manifest.health = _grid_health(engines[0], stability)
 
     csv_path = out_dir / "decay.csv"
     with manifest.stage("outputs"):
@@ -684,6 +695,9 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         bad("perturbation seed must be an integer")
     if p["band"] is not None and not (is_int(p["band"]) and p["band"] >= 0):
         bad("perturbation band must be an integer >= 0")
+    if p["normalize"] not in ("sup", "l1", "l1_sobolev"):
+        bad("perturbation normalize must be 'sup', 'l1' or 'l1_sobolev', "
+            f"got {p['normalize']!r}")
     e = resolved["extraction"]
     if e["mode"] not in ("projection", "duhamel", "both"):
         bad(f"extraction mode must be projection/duhamel/both, got {e['mode']!r}")
@@ -716,10 +730,13 @@ def cmd_simulate(args, argv):
         raise _CliError(EXIT_VALIDATION,
                         f"config model {cfg['model']!r} does not match the "
                         f"profile's model {prof.model.id!r}")
-    if cfg["m_x"] is not None and cfg["m_x"] < 2 * prof.m_f + 1:
-        raise _CliError(EXIT_VALIDATION,
-                        f"config: 'm_x' = {cfg['m_x']} cannot hold the "
-                        f"profile's modes (need >= {2 * prof.m_f + 1})")
+    m_x, _ = bloch.grid_modes(prof, cfg["m_x"])
+    pert = cfg["perturbation"]
+    if pert["shape"] == "fourier":
+        try:
+            evolve.fourier_band(cfg["N"], m_x, pert["band"])
+        except ValueError as exc:
+            raise _CliError(EXIT_VALIDATION, f"config: {exc}")
 
     dt_limit = evolve.stable_dt_limit(prof)
     if cfg["dt"] > dt_limit:
@@ -744,15 +761,15 @@ def cmd_simulate(args, argv):
     else:
         cutoff = semigroup.default_cutoff(prof, stability=stability)
     with manifest.stage("engine_build"):
-        engine = semigroup.SemigroupEngine(prof, n_period, m_x=cfg["m_x"],
+        engine = semigroup.SemigroupEngine(prof, n_period, m_x=m_x,
                                            cutoff=cutoff, stability=stability)
     manifest.count_fibers(prof, [engine])
+    manifest.health = _grid_health(engine, stability)
 
     snap = cfg["snapshot"]
     snapshot_times = evolve.default_snapshot_times(
         cfg["t_max"], dense_until=snap["dense_until"],
         dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
-    pert = cfg["perturbation"]
     try:
         with manifest.stage("evolution"):
             result = evolve.run_experiment(

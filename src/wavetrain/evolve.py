@@ -22,13 +22,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fourier, grids
-from .errors import BlowUpError, ExtractionDivergenceError, PhaseWarpError
+from . import bloch, fourier, grids
+from .errors import (
+    BlowUpError,
+    ExtractionDivergenceError,
+    PhaseWarpError,
+    ResolutionError,
+)
 
 TWO_PI = 2.0 * np.pi
 
 # profile grid points on which stable_dt_limit samples the stiffness of Df(phi)
 DT_LIMIT_SAMPLES = 256
+
+# largest fraction of a snapshot's energy in the global modes |m| > P/3 that
+# run_experiment accepts before it raises ResolutionError.  Measured on rgl
+# (N = 4 and 8, sup amplitudes 0.1 to 2, m_x 17 to 65 against m_x = 129):
+# every run whose tail passed 1e-9 had gamma_inf off by more than 2e-6
+# relative, and no run on m_x = 65 passed 1.3e-13.  A smaller tail does not
+# certify gamma_inf for data that large: tails of 3e-10 came with errors
+# up to 1e-4.
+SNAPSHOT_TAIL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +196,40 @@ def stable_dt_limit(profile):
 # ---------------------------------------------------------------------------
 # initial data
 
+def fourier_band(n_period, m_x, band=None):
+    """The band of global modes |m| <= band of a "fourier" perturbation
+    (default 3N); ValueError unless it lies below the grid's Nyquist mode."""
+    band = 3 * n_period if band is None else int(band)
+    top = n_period * m_x // 2 - 1
+    if band > top:
+        raise ValueError(
+            f"perturbation band {band} exceeds the highest mode {top} of the "
+            f"grid (N = {n_period}, m_x = {m_x})")
+    return band
+
+
 def random_perturbation(n_period, m_x, n_components, seed, amplitude,
                         band=None, kind="fourier", normalize="sup", k_sob=3):
     """Smooth random N-periodic field of prescribed size ``amplitude``.
 
     Deterministic in ``seed`` (counter-based Philox generator).  "fourier"
-    draws Gaussian coefficients on global modes |m| <= band (default 3N);
+    draws Gaussian coefficients on global modes |m| <= band (default 3N),
+    which must lie below the grid's Nyquist mode (else ValueError);
     "bump" places a Gaussian bump of unit-cell width at a random location.
 
     ``normalize`` picks the norm that is scaled to ``amplitude``: "sup" for
-    the grid max, "l1" for the L1(0, N) norm, "l1_sobolev" for the sum
+    the maximum, "l1" for the L1(0, N) norm, "l1_sobolev" for the sum
     ||.||_{L1} + ||.||_{H^k_sob} (the smallness quantity of the nonlinear
-    stability statement).
+    stability statement).  The norm is taken on the field's trigonometric
+    interpolant at max(m_x, grids.PERTURBATION_QUADRATURE) points per cell
+    (``grids.quadrature_samples``), so a seed draws the same "fourier" field
+    on every grid.
     """
     P = n_period * m_x
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     x = grids.grid_points(n_period, m_x)
     if kind == "fourier":
-        if band is None:
-            band = 3 * n_period
-        band = int(min(band, P // 2 - 1))
+        band = fourier_band(n_period, m_x, band)
         vals = np.zeros((P, n_components))
         for comp in range(n_components):
             c = np.zeros(P // 2 + 1, dtype=complex)
@@ -221,12 +249,13 @@ def random_perturbation(n_period, m_x, n_components, seed, amplitude,
     if amplitude == 0.0:
         gf.values[:] = 0.0
         return gf
+    ref = grids.quadrature_samples(gf)
     if normalize == "sup":
-        size = grids.norm_linf(gf)
+        size = grids.norm_linf(ref)
     elif normalize == "l1":
-        size = grids.norm_l1(gf)
+        size = grids.norm_l1(ref)
     elif normalize == "l1_sobolev":
-        size = grids.norm_l1(gf) + grids.norm_h(gf, k_sob)
+        size = grids.norm_l1(ref) + grids.norm_h(ref, k_sob)
     else:
         raise ValueError(f"unknown normalization {normalize!r}")
     if size == 0.0:
@@ -239,11 +268,13 @@ def translated_profile_data(profile, n_period, m_x, shift):
     """Grid samples of phi(x + shift), exact through the coefficient phases.
 
     phi(x + s) has the cell coefficients c_l e^{2 pi i l s}; one cell is
-    synthesized on the m_x-point grid and tiled over the N cells.
+    synthesized on the m_x-point grid from the coefficients that
+    ``bloch.grid_modes`` keeps there, and tiled over the N cells.
     """
-    ell = fourier.modes(fourier.trunc_order(profile.coeffs))
+    m_x, coeffs = bloch.grid_modes(profile, m_x)
+    ell = fourier.modes(fourier.trunc_order(coeffs))
     phases = np.exp(TWO_PI * 1j * ell * np.mod(shift, 1.0))
-    cell = fourier.synth_grid(phases[:, None] * profile.coeffs, m_x)
+    cell = fourier.synth_grid(phases[:, None] * coeffs, m_x)
     return grids.GridFunction(n_period, np.tile(cell, (n_period, 1)))
 
 
@@ -355,7 +386,9 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
 
     ``initial`` overrides the random perturbation (a GridFunction added to
     phi).  Snapshot times are rounded to whole steps.  Raises BlowUpError
-    when the sup-norm passes ``blowup_limit`` or turns non-finite.
+    when the sup-norm passes ``blowup_limit`` or turns non-finite, and
+    ResolutionError at the first snapshot whose ``snapshot_tail`` exceeds
+    SNAPSHOT_TAIL_TOL.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (have {sorted(_SCHEMES)})")
@@ -401,6 +434,11 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         v_l2.append(grids.norm_l2(w))
         v_linf.append(grids.norm_linf(w))
         tails.append(_spectral_tail(u_hat.T, stepper.P))
+        if not tails[-1] <= SNAPSHOT_TAIL_TOL:
+            raise ResolutionError(
+                f"the snapshot at t = {t:.4f} holds {tails[-1]:.2e} of its "
+                f"energy in the modes |m| > P/3 (limit {SNAPSHOT_TAIL_TOL:g}): "
+                f"m_x = {m_x} cell modes under-resolve the run; set a larger m_x")
 
     next_snap = 0
     # non-finite values only occur on the way to the BlowUpError below, so

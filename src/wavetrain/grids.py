@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fourier
+
 TWO_PI = 2.0 * np.pi
+
+# points per cell, at least, of the quadrature on which a perturbation's size
+# is measured (evolve.random_perturbation scales to it; linear-decay divides
+# its constants by it), so that a band-limited field has one size on every
+# grid
+PERTURBATION_QUADRATURE = 65
 
 
 @dataclass
@@ -118,12 +126,15 @@ def from_callable(fn, n_period, m_x):
 
 
 def from_profile(profile, n_period, m_x):
-    """Sample a wave profile exactly by synthesizing one cell and tiling it."""
-    if m_x < 2 * profile.m_f + 1:
-        raise ValueError(
-            f"m_x = {m_x} cannot represent modes up to {profile.m_f}; "
-            f"need at least {2 * profile.m_f + 1} samples per cell")
-    cell = profile.on_grid(m_x)
+    """Sample a wave profile exactly by synthesizing one cell and tiling it.
+
+    The cell carries the coefficients that ``bloch.grid_modes`` keeps on
+    m_x points (it refuses an m_x that would drop more than a negligible
+    tail).
+    """
+    from .bloch import grid_modes       # bloch imports this module
+    m_x, coeffs = grid_modes(profile, m_x)
+    cell = fourier.synth_grid(coeffs, m_x)
     return GridFunction(n_period, np.tile(cell, (n_period, 1)))
 
 
@@ -226,6 +237,26 @@ def inner_l2(f, g):
 
 def norm_l2(gf):
     return float(np.sqrt(np.sum(np.abs(gf.values) ** 2) * gf.spacing))
+
+
+def resample(gf, m_x):
+    """The trigonometric interpolant of the real ``gf`` on m_x >= gf.m_x
+    points per cell; an even grid's Nyquist mode is split evenly between
+    +-P/2."""
+    n_points = gf.n_period * m_x
+    if n_points == gf.n_points:
+        return gf
+    spec = np.fft.rfft(gf.values, axis=0)
+    if gf.n_points % 2 == 0:
+        spec[-1] *= 0.5
+    vals = np.fft.irfft(spec, n=n_points, axis=0) * (n_points / gf.n_points)
+    return GridFunction(gf.n_period, vals)
+
+
+def quadrature_samples(gf):
+    """``gf`` on max(m_x, PERTURBATION_QUADRATURE) points per cell, where a
+    perturbation's size is measured (``resample``)."""
+    return resample(gf, max(gf.m_x, PERTURBATION_QUADRATURE))
 
 
 def norm_l1(gf):

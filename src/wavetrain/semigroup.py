@@ -84,7 +84,8 @@ class SemigroupEngine:
 
     The engine takes real fields only, so the fiber at -xi is the conjugate
     of the one at xi under the l -> -l flip. It eigendecomposes the dense
-    Bloch block (odd per-cell mode count m_x) at the floor(N/2)+1 lattice
+    Bloch block (odd per-cell mode count m_x; ``bloch.grid_modes`` derives
+    the default from the Hill truncation) at the floor(N/2)+1 lattice
     slots j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps (for even
     N slot N/2 is -pi, built from the +pi decomposition), and fills the
     xi < 0 half by conjugation when it assembles a result. On the fibers
@@ -99,16 +100,11 @@ class SemigroupEngine:
 
     def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None,
                  cond_limit=1e10):
-        if m_x is None:
-            m_x = 2 * profile.m_f + 1
-        if m_x % 2 == 0:
+        if m_x is not None and m_x % 2 == 0:
             raise ValueError(f"m_x must be odd, got {m_x}")
-        if m_x < 2 * profile.m_f + 1:
-            raise ValueError(
-                f"m_x = {m_x} cannot hold the profile band (need >= {2 * profile.m_f + 1})")
         self.profile = profile
         self.n_period = N = int(n_period)
-        self.m_x = int(m_x)
+        self.m_x, _ = bloch.grid_modes(profile, m_x)
         self.n = profile.n
         self.dim = self.m_x * self.n
         self.ells = grids.cell_modes(self.m_x)
@@ -319,12 +315,15 @@ class DecayMeasurement:
 
 
 def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
-                  fit_window=None):
+                  fit_window=None, reference_norm=None):
     """Track a part's L2 norm over time and fit log-norm vs log(1+t).
 
     ``part`` is one of "sp" (the scalar field with derivative multipliers),
     "stilde", "mean", or "total".  The attained constant is
-    sup_t norm(t) (1+t)^{-claimed} / ||v||_{L1}.
+    sup_t norm(t) (1+t)^{-claimed} / ||v||_{L1}, with ||v||_{L1} summed on
+    the engine's grid unless ``reference_norm`` gives it (for a band-limited
+    datum, its size on ``grids.quadrature_samples``, which is the same on
+    every grid).
 
     The default fit window is [10, N^2/10] (transient and crossover excluded);
     when that window holds fewer than two samples the whole series is used.
@@ -340,7 +339,7 @@ def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
     if claimed_exponent is None:
         claimed_exponent = {"sp": -0.25 - 0.5 * (l + m), "stilde": -0.75,
                             "mean": 0.0, "total": 0.0}[part]
-    ref = grids.norm_l1(v)
+    ref = grids.norm_l1(v) if reference_norm is None else reference_norm
 
     mask = norms > 1e-290
     if fit_window is not None:

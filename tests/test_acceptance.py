@@ -291,3 +291,24 @@ def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
              f"route agreement: gamma {gam_rel:.1e}, psi {psi_rel:.1e} "
              f"(<= 1e-3 relative); residual-equation defect "
              f"{tr.v2_defect:.1e} (<= {10.0 * tol:.0e})")
+
+
+def test_acceptance_10_fingerprints_hold_on_the_storage_grid(
+        rgl_profile, stability, cutoff, engine16):
+    # the ACCEPTANCE 10 run on the derived grid (m_x = 17) and on the
+    # profile's storage grid 2 m_f + 1 = 65
+    tol = 1e-8
+    prints = {}
+    for engine in (engine16, semigroup.SemigroupEngine(
+            rgl_profile, 16, m_x=65, cutoff=cutoff, stability=stability)):
+        res = evolve.run_experiment(rgl_profile, 16, engine, t_max=20.0,
+                                    dt=0.01, seed=7, amplitude=1e-5, band=16,
+                                    normalize="sup")
+        tr = evolve.extract_modulation_duhamel(res, tol=tol)
+        prints[engine.m_x] = (evolve.phase_convergence(res).gamma_inf,
+                              engine.spectral_gap(), tr.v2_defect)
+    assert sorted(prints) == [17, 65]
+    (g17, d17, v17), (g65, d65, v65) = prints[17], prints[65]
+    assert abs(g17 - g65) <= 1e-8 * abs(g65)
+    assert abs(d17 - d65) <= 1e-8 * abs(d65)
+    assert max(v17, v65) <= 10.0 * tol

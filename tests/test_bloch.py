@@ -10,14 +10,20 @@ from wavetrain.bloch import (
     critical_mode_data,
     fiber_store,
     gap_sequence,
+    grid_modes,
     pad_modes,
     subharmonic_spectrum,
     verify_diffusive_stability,
 )
-from wavetrain.errors import ResolutionError
+from wavetrain.errors import AdmissibilityError, ResolutionError
 from wavetrain.grids import frequency_lattice
-from wavetrain.models import nagumo, real_ginzburg_landau
-from wavetrain.profiles import nagumo_guess, rgl_analytic, solve_profile
+from wavetrain.models import ReactionModel, nagumo, real_ginzburg_landau
+from wavetrain.profiles import (
+    WaveProfile,
+    nagumo_guess,
+    rgl_analytic,
+    solve_profile,
+)
 
 # Frozen reference values for the q = 0.3 wave (k = 0.3 / (2 pi)).
 # The drift vanishes by reflection symmetry and the curvature equals
@@ -282,3 +288,31 @@ def test_under_resolved_profile_raises(tmp_path, capsys):
     assert code == 65
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "under-resolved" in err[0]
+
+
+def test_grid_modes_follow_the_hill_truncation(nagumo_profile):
+    # 4M + 1 cell modes, capped at the storage grid 2 m_f + 1
+    assert grid_modes(nagumo_profile)[0] == 4 * 11 + 1
+    m_x, coeffs = grid_modes(nagumo_profile, 23)
+    np.testing.assert_array_equal(coeffs, nagumo_profile.coeffs[32 - 11:32 + 12])
+    assert grid_modes(nagumo_profile, 67)[1] is nagumo_profile.coeffs
+
+
+def test_grid_modes_refuse_to_drop_a_profile_tail():
+    # a linear reaction has a constant Df(phi), so its Hill truncation is
+    # HILL_MIN_MODES = 4 whatever phi carries: the default grid 4M + 1 = 17
+    # would drop phi's modes +-12
+    model = ReactionModel("linear", 1, lambda u: -u,
+                          lambda u: -np.ones(u.shape + (1,)))
+    coeffs = np.zeros((33, 1), dtype=complex)
+    coeffs[[15, 17]] = 0.5
+    coeffs[[4, 28]] = 1e-6
+    prof = WaveProfile(model, 16, 0.1, 0.0, coeffs, 0.0)
+    with pytest.raises(ResolutionError, match="drops profile coefficients"):
+        grid_modes(prof)
+    assert grid_modes(prof, 25)[0] == 25
+    with pytest.raises(AdmissibilityError, match="need m_x >= 9"):
+        grid_modes(prof, 7)
+    coeffs[[4, 28]] = 1e-14
+    m_x, kept = grid_modes(prof)
+    assert m_x == 17 and kept.shape == (17, 1)

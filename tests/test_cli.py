@@ -335,6 +335,12 @@ def test_simulate_phase_warp_failure_exit_code(profile_file, tmp_path, capsys):
                               "normalize": "sup", "seed": 3}
     config["extraction"] = {"mode": "both"}
     cfg.write_text(json.dumps(config))
+    # the derived m_x = 17 under-resolves it (snapshot tail 1.4e-5); the
+    # profile's storage grid m_x = 65 resolves it (tail 7.7e-15)
+    assert main(["simulate", "--config", str(cfg)]) == 65
+    assert "set a larger m_x" in capsys.readouterr().err
+    config["m_x"] = 65
+    cfg.write_text(json.dumps(config))
     code = main(["simulate", "--config", str(cfg)])
     assert code == 71
     assert "psi_x" in capsys.readouterr().err
@@ -356,15 +362,20 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
 
 @pytest.mark.parametrize("case, code", [
     ({"m_x": 66}, 65),
-    ({"m_x": 63}, 65),      # the profile's m_f = 32 needs m_x >= 65
+    ({"m_x": 7}, 65),       # below rgl's floor 2M + 1 = 9 (Hill M = 4)
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": -1}}, 65),
+    # N = 4 on the derived m_x = 17: P = 68 holds the modes |m| <= 33
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": 34}}, 65),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
+                       "normalize": "l2"}}, 65),
     ({"snapshot": {"stride": "0.25"}}, 65),
     ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65),
     ({"N": True}, 65),
     (["--modes", "0"], 64),
     (["--modes", "-2"], 64),
-], ids=["even_m_x", "short_m_x", "negative_band", "text_stride",
-        "text_cutoff", "bool_N", "zero_modes", "negative_modes"])
+], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
+        "unknown_normalize", "text_stride", "text_cutoff", "bool_N",
+        "zero_modes", "negative_modes"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                                             case, code):
     if isinstance(case, dict):
@@ -376,6 +387,20 @@ def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                 "--out", str(tmp_path / "x.json")]
     assert main(argv) == code
     assert capsys.readouterr().err
+
+
+def test_simulate_refuses_an_under_resolved_run(profile_file, tmp_path,
+                                                capsys):
+    # at m_x = 9 a quarter of the band of 64 global modes lies above
+    # P/3 = 48 at t = 0
+    cfg = write_config(tmp_path / "cfg.json", profile_file, tmp_path / "o",
+                       N=16, m_x=9)
+    config = json.loads(cfg.read_text())
+    config["perturbation"].update(band=64, amplitude=1e-2, normalize="sup")
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg)]) == 65
+    err = capsys.readouterr().err
+    assert "t = 0.0000" in err and "set a larger m_x" in err
 
 
 def test_unreadable_config_is_an_input_error(tmp_path):
@@ -430,3 +455,7 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         assert "stages" not in report
     report = read_json(tmp_path / "spectrum" / "stability_report.json")
     assert report["tolerances"]["m_f"] == 4
+    # the grid the engines ran on, derived from the Hill truncation
+    for name in ("linear-decay", "simulate"):
+        health = read_json(tmp_path / name / "manifest.json")["health"]
+        assert health == {"m_x": 17, "hill_modes": 4}, name

@@ -10,6 +10,7 @@ from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
     PhaseWarpError,
+    ResolutionError,
 )
 from wavetrain.evolve import (
     crossover_fit,
@@ -74,6 +75,29 @@ def test_random_perturbation_band_limit():
     P = 8 * 65
     signed = np.where(live <= P // 2, live, live - P)
     assert np.max(np.abs(signed)) <= 8
+
+
+@pytest.mark.parametrize("normalize", ["sup", "l1", "l1_sobolev"])
+def test_random_perturbation_is_one_function_on_every_grid(normalize):
+    # the size is measured on grids.PERTURBATION_QUADRATURE points per cell,
+    # so a seed draws the same band-limited function on the derived and the
+    # storage grid
+    n, band = 16, 16
+    coeffs = {}
+    for m_x in (17, 65):
+        gf = random_perturbation(n, m_x, 2, seed=7, amplitude=1e-2, band=band,
+                                 normalize=normalize)
+        coeffs[m_x] = np.fft.rfft(gf.values, axis=0)[:band + 1] / (n * m_x)
+    scale = np.max(np.abs(coeffs[65]))
+    assert np.max(np.abs(coeffs[17] - coeffs[65])) <= 1e-14 * scale
+
+
+def test_random_perturbation_refuses_a_band_beyond_the_grid():
+    # P = 4 * 17 = 68 points hold the modes |m| <= 33 below Nyquist
+    assert random_perturbation(4, 17, 2, seed=0, amplitude=1.0,
+                               band=33).values.shape == (68, 2)
+    with pytest.raises(ValueError, match="band 34"):
+        random_perturbation(4, 17, 2, seed=0, amplitude=1.0, band=34)
 
 
 def test_zero_amplitude_perturbation_is_zero():
@@ -311,6 +335,21 @@ def test_blow_up_is_detected(rgl_profile, engine4):
         run_experiment(rgl_profile, 4, engine4, t_max=5.0, dt=0.01,
                        initial=big, blowup_limit=1e4)
     assert err.value.t is not None
+
+
+def test_under_resolved_run_raises_at_its_first_snapshot(rgl_profile,
+                                                        stability, cutoff):
+    # m_x = 9 is rgl's floor 2M + 1; a band of 64 global modes puts a
+    # quarter of the perturbation above P/3 = 48 already at t = 0, a tail
+    # of 2.3e-6 at sup amplitude 1e-2
+    engine = semigroup.SemigroupEngine(rgl_profile, 16, m_x=9, cutoff=cutoff,
+                                       stability=stability)
+    with pytest.raises(ResolutionError, match=r"t = 0\.0000.*m_x = 9"):
+        run_experiment(rgl_profile, 16, engine, t_max=12.0, dt=0.01,
+                       seed=0, amplitude=1e-2, band=64, normalize="sup")
+    res = run_experiment(rgl_profile, 16, engine, t_max=12.0, dt=0.01,
+                         seed=0, amplitude=1e-2, band=16)
+    assert np.max(res.snapshot_tail) <= evolve.SNAPSHOT_TAIL_TOL
 
 
 def test_trajectory_stays_real(small_run):

@@ -21,6 +21,7 @@ from wavetrain.grids import (
     norm_l1,
     norm_l2,
     norm_linf,
+    resample,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -243,8 +244,9 @@ def test_from_profile_tiles_one_cell_exactly(rgl_profile):
 
 
 def test_from_profile_rejects_coarse_grids(rgl_profile):
+    # below 2M + 1 = 9, the modes of rgl's Hill truncation M = 4
     with pytest.raises(ValueError, match="modes"):
-        from_profile(rgl_profile, 2, rgl_profile.m_f)
+        from_profile(rgl_profile, 2, 7)
 
 
 def test_inner_product_is_conjugate_linear_in_the_first_slot(rng):
@@ -254,3 +256,15 @@ def test_inner_product_is_conjugate_linear_in_the_first_slot(rng):
     assert inner_l2(scaled, g) == pytest.approx(
         np.conj(2.0 + 1j) * inner_l2(f, g), rel=1e-12)
     assert inner_l2(f, f).real == pytest.approx(norm_l2(f) ** 2, rel=1e-12)
+
+
+def test_resample_is_the_trigonometric_interpolant():
+    # an even grid (N = 4, m_x = 4): its Nyquist mode cos(pi x m_x) must
+    # interpolate as a cosine, not twice one
+    x = grid_points(4, 4)
+    coarse = GridFunction(4, np.column_stack(
+        [np.cos(np.pi * 4 * x), np.sin(2 * np.pi * x / 4)]))
+    fine = resample(coarse, 9)
+    xf = grid_points(4, 9)
+    want = np.column_stack([np.cos(np.pi * 4 * xf), np.sin(2 * np.pi * xf / 4)])
+    np.testing.assert_allclose(fine.values, want, atol=1e-13)
