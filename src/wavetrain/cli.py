@@ -703,8 +703,10 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         bad(f"extraction mode must be projection/duhamel/both, got {e['mode']!r}")
     chi = e["chi"]
     if (not isinstance(chi, (list, tuple)) or len(chi) != 2
-            or not chi[0] < chi[1]):
-        bad("extraction chi must be an increasing pair [lo, hi]")
+            or not all(is_number(x) for x in chi) or not chi[0] < chi[1]):
+        bad("extraction chi must be an increasing pair of numbers [lo, hi]")
+    if not (is_number(e["tol"]) and e["tol"] > 0):
+        bad("extraction tol must be a positive number")
     if e["cutoff"] is not None and not is_number(e["cutoff"]):
         bad("extraction cutoff must be a number")
     s = resolved["snapshot"]
@@ -732,11 +734,15 @@ def cmd_simulate(args, argv):
                         f"profile's model {prof.model.id!r}")
     m_x, _ = bloch.grid_modes(prof, cfg["m_x"])
     pert = cfg["perturbation"]
-    if pert["shape"] == "fourier":
-        try:
+    snap = cfg["snapshot"]
+    try:
+        if pert["shape"] == "fourier":
             evolve.fourier_band(cfg["N"], m_x, pert["band"])
-        except ValueError as exc:
-            raise _CliError(EXIT_VALIDATION, f"config: {exc}")
+        snapshot_times = evolve.default_snapshot_times(
+            cfg["t_max"], dense_until=snap["dense_until"],
+            dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
+    except ValueError as exc:
+        raise _CliError(EXIT_VALIDATION, f"config: {exc}")
 
     dt_limit = evolve.stable_dt_limit(prof)
     if cfg["dt"] > dt_limit:
@@ -766,10 +772,6 @@ def cmd_simulate(args, argv):
     manifest.count_fibers(prof, [engine])
     manifest.health = _grid_health(engine, stability)
 
-    snap = cfg["snapshot"]
-    snapshot_times = evolve.default_snapshot_times(
-        cfg["t_max"], dense_until=snap["dense_until"],
-        dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
     try:
         with manifest.stage("evolution"):
             result = evolve.run_experiment(

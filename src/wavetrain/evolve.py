@@ -46,27 +46,31 @@ SNAPSHOT_TAIL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# stepper
 
-class _Stepper:
-    """Shared spectral plumbing: rfft state, linear symbol, reaction closure.
+class ImexStepper:
+    """Crank-Nicolson on the linear symbol, 2-step Adams-Bashforth reaction.
 
     The spectral state is component-major, shape (n, P//2+1), so every FFT
     runs along the contiguous last axis and the 1-D symbol broadcasts over
     the components.  The reaction model still sees grid values as (P, n),
     through the transposed view.
+
+    Exact equilibria of the semidiscretization are preserved exactly: with
+    L u + G(u) = 0 the update reduces to the identity.
     """
 
     def __init__(self, profile, n_period, m_x, dt):
         self.profile = profile
-        self.n_period = int(n_period)
-        self.m_x = int(m_x)
-        self.P = self.m_x * self.n_period
+        self.P = int(m_x) * int(n_period)
         self.dt = float(dt)
-        omega = TWO_PI * np.fft.rfftfreq(self.P, d=1.0 / self.P) / self.n_period
+        omega = TWO_PI * np.fft.rfftfreq(self.P, d=1.0 / self.P) / int(n_period)
         k, c = profile.k, profile.c
-        self.symbol = k * (1j * omega) ** 2 + c * (1j * omega)
+        symbol = k * (1j * omega) ** 2 + c * (1j * omega)
         self.inv_k = 1.0 / k
+        self.num = 1.0 + 0.5 * self.dt * symbol
+        self.den = 1.0 - 0.5 * self.dt * symbol
+        self.prev_g = None
 
     def reaction_hat(self, u_hat):
         u = np.fft.irfft(u_hat, n=self.P, axis=-1)
@@ -86,21 +90,6 @@ class _Stepper:
         """Grid values of the state, shape (n, P): transpose for (P, n)."""
         return np.fft.irfft(u_hat, n=self.P, axis=-1)
 
-
-class ImexStepper(_Stepper):
-    """Crank-Nicolson on the linear symbol, 2-step Adams-Bashforth reaction.
-
-    Exact equilibria of the semidiscretization are preserved exactly: with
-    L u + G(u) = 0 the update reduces to the identity.
-    """
-
-    def __init__(self, profile, n_period, m_x, dt):
-        super().__init__(profile, n_period, m_x, dt)
-        h = self.dt
-        self.num = 1.0 + 0.5 * h * self.symbol
-        self.den = 1.0 - 0.5 * h * self.symbol
-        self.prev_g = None
-
     def step(self, u_hat):
         g = self.reaction_hat(u_hat)
         if self.prev_g is None:
@@ -117,67 +106,7 @@ class ImexStepper(_Stepper):
         return rhs
 
 
-# Points on each half of the circle |w - hL| = 1 over which Etdrk4Stepper
-# averages its phi-functions: the trapezoid rule on a circle converges
-# geometrically, and 32 per half reach rounding level for every symbol entry,
-# where the direct formulas cancel catastrophically near hL = 0 (Kassam &
-# Trefethen 2005).
-ETDRK4_CONTOUR_POINTS = 32
-
-
-def _contour_mean(fn, z):
-    """Mean of ``fn`` over the circles |w - z| = 1, one per entry of ``z``.
-
-    ``fn`` has real Taylor coefficients, so fn(z + conj(r)) equals
-    conj(fn(conj(z) + r)): both halves are sampled at the same upper-half
-    points r.  For a real ``z`` both means see the same inputs, so the
-    result is exactly the real part of the upper-half mean, imaginary part 0.
-    A travelling wave (c != 0) has a complex symbol, which needs both halves.
-    """
-    M = ETDRK4_CONTOUR_POINTS
-    r = np.exp(1j * np.pi * (np.arange(1, M + 1) - 0.5) / M)
-    upper = np.mean(fn(z[:, None] + r), axis=-1)
-    lower = np.conj(np.mean(fn(np.conj(z)[:, None] + r), axis=-1))
-    return 0.5 * (upper + lower)
-
-
-class Etdrk4Stepper(_Stepper):
-    """Fourth-order exponential time differencing (Cox-Matthews scheme).
-
-    The phi-function coefficients are averages over 2 x
-    ``ETDRK4_CONTOUR_POINTS`` points of the circle |w - hL| = 1
-    (``_contour_mean``), so the near-zero symbol entries stay accurate.
-    """
-
-    def __init__(self, profile, n_period, m_x, dt):
-        super().__init__(profile, n_period, m_x, dt)
-        h = self.dt
-        L = self.symbol
-        hL = h * L
-        self.E = np.exp(hL)
-        self.E2 = np.exp(0.5 * h * L)
-        self.Q = h * _contour_mean(lambda w: (np.exp(w / 2.0) - 1.0) / w, hL)
-        self.f1 = h * _contour_mean(
-            lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w ** 2)) / w ** 3, hL)
-        self.f2 = h * _contour_mean(
-            lambda w: (2.0 + w + np.exp(w) * (-2.0 + w)) / w ** 3, hL)
-        self.f3 = h * _contour_mean(
-            lambda w: (-4.0 - 3.0 * w - w ** 2 + np.exp(w) * (4.0 - w)) / w ** 3, hL)
-
-    def step(self, u_hat):
-        g = self.reaction_hat
-        Nu = g(u_hat)
-        a = self.E2 * u_hat + self.Q * Nu
-        Na = g(a)
-        b = self.E2 * u_hat + self.Q * Na
-        Nb = g(b)
-        c = self.E2 * a + self.Q * (2.0 * Nb - Nu)
-        Nc = g(c)
-        return (self.E * u_hat + self.f1 * Nu + 2.0 * self.f2 * (Na + Nb)
-                + self.f3 * Nc)
-
-
-_SCHEMES = {"imex": ImexStepper, "etdrk4": Etdrk4Stepper}
+_SCHEMES = {"imex": ImexStepper}
 
 
 def stable_dt_limit(profile):
@@ -313,9 +242,19 @@ def read_snapshot(path):
 
 def default_snapshot_times(t_max, dense_until=10.0, dense_spacing=0.25,
                            geometric_ratio=1.15):
-    """Uniform sampling early, geometric later."""
+    """Uniform sampling early, geometric later.
+
+    ValueError when the geometric part cannot grow: the dense part ends at
+    t = 0 (``dense_until`` or ``t_max`` below ``dense_spacing``) short of
+    ``t_max``, or ``geometric_ratio`` <= 1.
+    """
     times = list(np.arange(0.0, min(dense_until, t_max) + 1e-12, dense_spacing))
     t = times[-1]
+    if t < t_max and not (t > 0.0 and geometric_ratio > 1.0):
+        raise ValueError(
+            f"snapshot times cannot grow geometrically from t = {t:g} by the "
+            f"ratio {geometric_ratio:g}: dense_until ({dense_until:g}) must "
+            f"reach dense_spacing ({dense_spacing:g}) and the ratio exceed 1")
     while t < t_max:
         t = min(t * geometric_ratio, t_max)
         times.append(t)

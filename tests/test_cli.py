@@ -371,11 +371,19 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
     ({"snapshot": {"stride": "0.25"}}, 65),
     ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65),
     ({"N": True}, 65),
+    ({"scheme": "etdrk4"}, 65),
+    # a dense part that ends at t = 0 cannot grow geometrically
+    ({"snapshot": {"dense_until": 0}}, 65),
+    ({"snapshot": {"dense_until": 0.1}}, 65),     # below the stride 0.25
+    ({"extraction": {"mode": "duhamel", "tol": "1e-8"}}, 65),
+    ({"extraction": {"mode": "duhamel", "tol": 0}}, 65),
+    ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65),
     (["--modes", "0"], 64),
     (["--modes", "-2"], 64),
 ], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
         "unknown_normalize", "text_stride", "text_cutoff", "bool_N",
-        "zero_modes", "negative_modes"])
+        "unknown_scheme", "zero_dense_until", "short_dense_until", "text_tol",
+        "zero_tol", "text_chi", "zero_modes", "negative_modes"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                                             case, code):
     if isinstance(case, dict):

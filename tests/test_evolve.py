@@ -124,6 +124,16 @@ def test_default_snapshot_times_structure():
     np.testing.assert_allclose(np.diff(dense), 0.25, atol=1e-9)
 
 
+@pytest.mark.parametrize("kwargs", [{"dense_until": 0.0},
+                                    {"dense_until": 0.1},
+                                    {"dense_spacing": 200.0},
+                                    {"geometric_ratio": 1.0}])
+def test_default_snapshot_times_refuse_a_geometric_part_that_cannot_grow(
+        kwargs):
+    with pytest.raises(ValueError, match="geometrically"):
+        default_snapshot_times(100.0, **kwargs)
+
+
 def test_quintic_smoothstep_ramp():
     assert quintic_smoothstep(0.2) == 0.0
     assert quintic_smoothstep(1.5) == 1.0
@@ -160,7 +170,7 @@ def test_time_derivative_exact_on_cubics():
                                atol=1e-9)
 
 
-@pytest.mark.parametrize("scheme", ["imex", "etdrk4"])
+@pytest.mark.parametrize("scheme", ["imex"])
 def test_pure_profile_is_stationary(rgl_profile, engine4, scheme):
     res = run_experiment(rgl_profile, 4, engine4, t_max=10.0, dt=0.01,
                          scheme=scheme, amplitude=0.0,
@@ -178,39 +188,23 @@ def test_imex_is_second_order_in_time(rgl_profile, engine4):
     bump = grids.GridFunction(4, np.column_stack(
         [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)]))
 
-    def final_state(dt, scheme="imex"):
+    def final_state(dt):
         res = run_experiment(rgl_profile, 4, engine4, t_max=1.0, dt=dt,
-                             scheme=scheme, amplitude=0.0, initial=bump,
+                             amplitude=0.0, initial=bump,
                              snapshot_times=[1.0])
         return res.snapshots[-1].values
 
-    ref = final_state(0.000625, scheme="etdrk4")
+    ref = final_state(0.0003125)
     e1 = np.max(np.abs(final_state(0.01) - ref))
     e2 = np.max(np.abs(final_state(0.005) - ref))
     assert 2.8 < e1 / e2 < 5.5
 
 
-def test_etdrk4_beats_imex_accuracy(rgl_profile, engine4):
-    x = grids.grid_points(4, engine4.m_x)
-    bump = grids.GridFunction(4, np.column_stack(
-        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)]))
-    ref = run_experiment(rgl_profile, 4, engine4, t_max=1.0, dt=0.000625,
-                         scheme="etdrk4", amplitude=0.0, initial=bump,
-                         snapshot_times=[1.0]).snapshots[-1].values
-    results = {}
-    for scheme in ("imex", "etdrk4"):
-        res = run_experiment(rgl_profile, 4, engine4, t_max=1.0, dt=0.01,
-                             scheme=scheme, amplitude=0.0, initial=bump,
-                             snapshot_times=[1.0])
-        results[scheme] = np.max(np.abs(res.snapshots[-1].values - ref))
-    assert results["etdrk4"] < 0.1 * results["imex"]
+def _point_major_steps(profile, n_period, m_x, dt, values, steps):
+    """Reference: the IMEX formulas on a (P//2+1, n) state, verbatim.
 
-
-def _point_major_steps(profile, n_period, m_x, dt, scheme, values, steps):
-    """Reference: the steppers' formulas on a (P//2+1, n) state, verbatim.
-
-    The steppers keep a component-major (n, P//2+1) state; this is the
-    point-major layout they replaced, with its expressions in their order.
+    The stepper keeps a component-major (n, P//2+1) state; this is the
+    point-major layout it replaced, with its expressions in their order.
     """
     P = m_x * n_period
     omega = TWO_PI * np.fft.rfftfreq(P, d=1.0 / P) / n_period
@@ -224,46 +218,20 @@ def _point_major_steps(profile, n_period, m_x, dt, scheme, values, steps):
 
     h = dt
     u_hat = np.fft.rfft(values, axis=0)
-    if scheme == "imex":
-        num = 1.0 + 0.5 * h * symbol
-        den = 1.0 - 0.5 * h * symbol
-        prev_g = None
-        for _ in range(steps):
-            g = reaction_hat(u_hat)
-            if prev_g is None:
-                prev_g = g
-            rhs = num * u_hat + dt * (1.5 * g - 0.5 * prev_g)
-            prev_g = g
-            u_hat = rhs / den
-        return np.fft.irfft(u_hat, n=P, axis=0)
-    L = symbol
-    E = np.exp(h * L)
-    E2 = np.exp(0.5 * h * L)
-    M = 32
-    r = np.exp(1j * np.pi * (np.arange(1, M + 1) - 0.5) / M)
-    LR = h * L[..., None] + r
-    Q = h * np.real(np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=-1))
-    f1 = h * np.real(np.mean(
-        (-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR ** 2)) / LR ** 3, axis=-1))
-    f2 = h * np.real(np.mean(
-        (2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR ** 3, axis=-1))
-    f3 = h * np.real(np.mean(
-        (-4.0 - 3.0 * LR - LR ** 2 + np.exp(LR) * (4.0 - LR)) / LR ** 3, axis=-1))
-    g = reaction_hat
+    num = 1.0 + 0.5 * h * symbol
+    den = 1.0 - 0.5 * h * symbol
+    prev_g = None
     for _ in range(steps):
-        Nu = g(u_hat)
-        a = E2 * u_hat + Q * Nu
-        Na = g(a)
-        b = E2 * u_hat + Q * Na
-        Nb = g(b)
-        c = E2 * a + Q * (2.0 * Nb - Nu)
-        Nc = g(c)
-        u_hat = (E * u_hat + f1 * Nu + 2.0 * f2 * (Na + Nb)
-                 + f3 * Nc)
+        g = reaction_hat(u_hat)
+        if prev_g is None:
+            prev_g = g
+        rhs = num * u_hat + dt * (1.5 * g - 0.5 * prev_g)
+        prev_g = g
+        u_hat = rhs / den
     return np.fft.irfft(u_hat, n=P, axis=0)
 
 
-@pytest.mark.parametrize("scheme", ["imex", "etdrk4"])
+@pytest.mark.parametrize("scheme", ["imex"])
 def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
                                                              scheme):
     # the state layout must not change a single bit of a trajectory; the
@@ -279,12 +247,12 @@ def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
         u_hat = stepper.step(u_hat)
     # every FFT and reaction sum of a step runs on the contiguous axis
     assert u_hat.flags.c_contiguous
-    want = _point_major_steps(rgl_profile, n_period, m_x, dt, scheme, values, 50)
+    want = _point_major_steps(rgl_profile, n_period, m_x, dt, values, 50)
     assert np.max(np.abs(want - values)) > 1e-2
     assert np.array_equal(stepper.to_grid(u_hat).T, want)
 
 
-@pytest.mark.parametrize("scheme", ["imex", "etdrk4"])
+@pytest.mark.parametrize("scheme", ["imex"])
 @pytest.mark.parametrize("wave", ["nagumo", "brusselator"])
 def test_pure_profile_of_other_models_is_stationary(request, wave, scheme):
     # the models see the (P, n) transpose of the component-major state:
@@ -303,19 +271,6 @@ def test_pure_profile_of_other_models_is_stationary(request, wave, scheme):
     vals = stepper.to_grid(u_hat).T
     assert vals.shape == base.shape
     assert np.max(np.abs(vals - base)) <= 1e-11
-
-
-def test_contour_mean_matches_the_phi_functions_off_the_real_axis():
-    # a travelling wave has a complex symbol; the contour must be the full
-    # circle, not the real part of its upper half
-    z = np.array([-18.9 + 7.1j, -1.4 - 2.0j, 0.7 + 0.6j, -3.0, 0.5j])
-    phi2 = lambda w: (np.exp(w / 2.0) - 1.0) / w
-    phi3 = lambda w: (2.0 + w + np.exp(w) * (-2.0 + w)) / w ** 3
-    for fn in (phi2, phi3):
-        np.testing.assert_allclose(evolve._contour_mean(fn, z), fn(z),
-                                   rtol=1e-12, atol=0)
-    real = np.array([-2.5, 0.0, 1e-9, 3.0])
-    assert np.all(evolve._contour_mean(phi2, real).imag == 0.0)
 
 
 def test_unknown_scheme_is_rejected(rgl_profile, engine4):
