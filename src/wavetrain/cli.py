@@ -167,6 +167,9 @@ class _Manifest:
             "stages": {"seconds": self.seconds, "fibers": self.fibers},
             "wall_time_s": time.perf_counter() - self.t0,
         }
+        if self.counts.get("time_steps"):
+            payload["stages"]["evolution_step_us"] = (
+                1e6 * self.seconds["evolution"] / self.counts["time_steps"])
         if self.health:
             payload["health"] = self.health
         _write_json(Path(out_dir) / "manifest.json", payload)
@@ -479,7 +482,8 @@ def cmd_linear_decay(args, argv):
                                        normalize="l1")
         # the L1 size v was scaled to, so the constants are the same on
         # every grid
-        size = grids.norm_l1(grids.quadrature_samples(v))
+        size = grids.norm_l1(grids.quadrature_samples(
+            v, evolve.fourier_band(n, engine.m_x)))
         with manifest.stage("evolution"):
             measures = {
                 part: semigroup.measure_decay(engine, v, times, part=part,

@@ -24,10 +24,9 @@ from . import fourier
 
 TWO_PI = 2.0 * np.pi
 
-# points per cell, at least, of the quadrature on which a perturbation's size
-# is measured (evolve.random_perturbation scales to it; linear-decay divides
-# its constants by it), so that a band-limited field has one size on every
-# grid
+# points per cell (odd), at least, of the quadrature of a perturbation's size
+# (evolve.random_perturbation scales to it; linear-decay divides its
+# constants by it), so that a band-limited field has one size on every grid
 PERTURBATION_QUADRATURE = 65
 
 
@@ -240,9 +239,9 @@ def norm_l2(gf):
 
 
 def resample(gf, m_x):
-    """The trigonometric interpolant of the real ``gf`` on m_x >= gf.m_x
-    points per cell; an even grid's Nyquist mode is split evenly between
-    +-P/2."""
+    """The trigonometric interpolant of the real ``gf`` on m_x points per
+    cell; an even grid's Nyquist mode is split evenly between +-P/2.  Below
+    gf.m_x the modes the grid cannot hold are dropped."""
     n_points = gf.n_period * m_x
     if n_points == gf.n_points:
         return gf
@@ -253,10 +252,12 @@ def resample(gf, m_x):
     return GridFunction(gf.n_period, vals)
 
 
-def quadrature_samples(gf):
-    """``gf`` on max(m_x, PERTURBATION_QUADRATURE) points per cell, where a
-    perturbation's size is measured (``resample``)."""
-    return resample(gf, max(gf.m_x, PERTURBATION_QUADRATURE))
+def quadrature_samples(gf, band=None):
+    """``gf`` where a perturbation's size is measured (``resample``): on
+    max(m_x, PERTURBATION_QUADRATURE) points per cell, or for global modes
+    |m| <= ``band`` on the fewest odd ones >= that constant that hold them."""
+    fewest = gf.m_x if band is None else -(-2 * (band + 1) // gf.n_period) | 1
+    return resample(gf, max(fewest, PERTURBATION_QUADRATURE))
 
 
 def norm_l1(gf):

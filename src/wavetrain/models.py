@@ -39,8 +39,8 @@ def real_ginzburg_landau():
     """Two-component real Ginzburg-Landau reaction (1 - |u|^2) u."""
 
     def f(u):
-        amp = 1.0 - np.sum(u * u, axis=-1, keepdims=True)
-        return amp * u
+        amp = np.add.reduce(u * u, axis=-1, keepdims=True)
+        return np.subtract(1.0, amp, out=amp) * u
 
     def df(u):
         amp = 1.0 - np.sum(u * u, axis=-1)

@@ -453,6 +453,13 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         assert all(s >= 0.0 for s in stages["seconds"].values())
         assert stages["fibers"]["store"] > 0, name
         assert stages["fibers"]["engine"] == engine_fibers[name], name
+        # the mean time step, where the command counts its steps
+        assert ("evolution_step_us" in stages) == (name == "simulate"), name
+    manifest = read_json(tmp_path / "simulate" / "manifest.json")
+    stages = manifest["stages"]
+    assert stages["evolution_step_us"] == pytest.approx(
+        1e6 * stages["seconds"]["evolution"]
+        / manifest["step_counts"]["time_steps"])
     # the truncation evidence goes into the reports, timings do not
     for path in (tmp_path / "spectrum" / "stability_report.json",
                  tmp_path / "simulate" / "report.json"):

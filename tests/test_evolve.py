@@ -13,6 +13,7 @@ from wavetrain.errors import (
     ResolutionError,
 )
 from wavetrain.evolve import (
+    ImexStepper,
     crossover_fit,
     default_snapshot_times,
     envelope_slope,
@@ -90,6 +91,23 @@ def test_random_perturbation_is_one_function_on_every_grid(normalize):
         coeffs[m_x] = np.fft.rfft(gf.values, axis=0)[:band + 1] / (n * m_x)
     scale = np.max(np.abs(coeffs[65]))
     assert np.max(np.abs(coeffs[17] - coeffs[65])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("normalize", ["sup", "l1", "l1_sobolev"])
+@pytest.mark.parametrize("band, coarse", [(12, 65), (140, 71)])
+def test_random_perturbation_is_one_function_above_the_quadrature(
+        normalize, band, coarse):
+    # on m_x = 129 the size is measured on the fewest odd points per cell,
+    # at least grids.PERTURBATION_QUADRATURE, that hold the band (65 for
+    # band 12, 71 for band 140), not on the grid's 129
+    n = 4
+    coeffs = {}
+    for m_x in (coarse, 129):
+        gf = random_perturbation(n, m_x, 2, seed=2, amplitude=0.4, band=band,
+                                 normalize=normalize)
+        coeffs[m_x] = np.fft.rfft(gf.values, axis=0)[:band + 1] / (n * m_x)
+    scale = np.max(np.abs(coeffs[coarse]))
+    assert np.max(np.abs(coeffs[129] - coeffs[coarse])) <= 1e-14 * scale
 
 
 def test_random_perturbation_refuses_a_band_beyond_the_grid():
@@ -200,35 +218,82 @@ def test_imex_is_second_order_in_time(rgl_profile, engine4):
     assert 2.8 < e1 / e2 < 5.5
 
 
+def test_imex_is_second_order_in_time_on_a_travelling_wave(
+        brusselator_profile):
+    # |c| > 1: the symbol and so the folded coefficients are complex, which
+    # the rgl check above (c = 0, real coefficients) cannot see
+    profile = brusselator_profile
+    assert abs(profile.c) > 1.0
+    n_period, m_x = 2, 2 * profile.m_f + 1
+    values = _bump_state(profile, n_period, m_x)
+
+    def final_state(dt):
+        stepper = ImexStepper(profile, n_period, m_x, dt)
+        u_hat = stepper.to_hat(values)
+        for _ in range(int(round(0.5 / dt))):
+            u_hat = stepper.step(u_hat)
+        return stepper.to_grid(u_hat)
+
+    ref = final_state(0.0003125)
+    e1 = np.max(np.abs(final_state(0.005) - ref))
+    e2 = np.max(np.abs(final_state(0.0025) - ref))
+    assert 2.8 < e1 / e2 < 5.5
+
+
 def _point_major_steps(profile, n_period, m_x, dt, values, steps):
     """Reference: the IMEX formulas on a (P//2+1, n) state, verbatim.
 
     The stepper keeps a component-major (n, P//2+1) state; this is the
-    point-major layout it replaced, with its expressions in their order.
+    point-major layout it replaced, with the folded coefficients and the
+    expressions of ``ImexStepper.step`` in their order.
     """
     P = m_x * n_period
     omega = TWO_PI * np.fft.rfftfreq(P, d=1.0 / P) / n_period
     k, c = profile.k, profile.c
     symbol = (k * (1j * omega) ** 2 + c * (1j * omega))[:, None]
-    inv_k = 1.0 / k
+    den = 1.0 - 0.5 * dt * symbol
+    lin = (1.0 + 0.5 * dt * symbol) / den
+    w_new = (1.5 * dt / k) / den
+    w_old = (0.5 * dt / k) / den
 
-    def reaction_hat(u_hat):
-        u = np.fft.irfft(u_hat, n=P, axis=0)
-        return np.fft.rfft(profile.model.f(u) * inv_k, axis=0)
-
-    h = dt
     u_hat = np.fft.rfft(values, axis=0)
-    num = 1.0 + 0.5 * h * symbol
-    den = 1.0 - 0.5 * h * symbol
     prev_g = None
     for _ in range(steps):
-        g = reaction_hat(u_hat)
+        g = np.fft.rfft(profile.model.f(np.fft.irfft(u_hat, n=P, axis=0)),
+                        axis=0)
         if prev_g is None:
             prev_g = g
-        rhs = num * u_hat + dt * (1.5 * g - 0.5 * prev_g)
+        u_hat = lin * u_hat + w_new * g - w_old * prev_g
         prev_g = g
-        u_hat = rhs / den
     return np.fft.irfft(u_hat, n=P, axis=0)
+
+
+def _unfolded_steps(profile, n_period, m_x, dt, values, steps):
+    """Second reference: Crank-Nicolson / AB2 as written in the textbook,
+    ((1 + dt L/2) u + dt (1.5 g - 0.5 g_prev) / k) / (1 - dt L/2)."""
+    P = m_x * n_period
+    omega = TWO_PI * np.fft.rfftfreq(P, d=1.0 / P) / n_period
+    k, c = profile.k, profile.c
+    symbol = (k * (1j * omega) ** 2 + c * (1j * omega))[:, None]
+    num = 1.0 + 0.5 * dt * symbol
+    den = 1.0 - 0.5 * dt * symbol
+
+    u_hat = np.fft.rfft(values, axis=0)
+    prev_g = None
+    for _ in range(steps):
+        u = np.fft.irfft(u_hat, n=P, axis=0)
+        g = np.fft.rfft(profile.model.f(u) / k, axis=0)
+        if prev_g is None:
+            prev_g = g
+        u_hat = (num * u_hat + dt * (1.5 * g - 0.5 * prev_g)) / den
+        prev_g = g
+    return np.fft.irfft(u_hat, n=P, axis=0)
+
+
+def _bump_state(profile, n_period, m_x):
+    x = grids.grid_points(n_period, m_x)
+    return grids.from_profile(profile, n_period, m_x).values + np.column_stack(
+        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
 
 
 @pytest.mark.parametrize("scheme", ["imex"])
@@ -237,9 +302,7 @@ def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
     # the state layout must not change a single bit of a trajectory; the
     # rgl wave stands still (c = 0), so its symbol is real
     n_period, m_x, dt = 4, 65, 0.01
-    x = grids.grid_points(n_period, m_x)
-    values = grids.from_profile(rgl_profile, n_period, m_x).values + np.column_stack(
-        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
+    values = _bump_state(rgl_profile, n_period, m_x)
     stepper = evolve._SCHEMES[scheme](rgl_profile, n_period, m_x, dt)
     u_hat = stepper.to_hat(values)
     assert u_hat.shape == (2, n_period * m_x // 2 + 1)
@@ -250,6 +313,31 @@ def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
     want = _point_major_steps(rgl_profile, n_period, m_x, dt, values, 50)
     assert np.max(np.abs(want - values)) > 1e-2
     assert np.array_equal(stepper.to_grid(u_hat).T, want)
+    # folding 1/k, dt and 1/den into the coefficients moves only rounding
+    unfolded = _unfolded_steps(rgl_profile, n_period, m_x, dt, values, 50)
+    assert np.max(np.abs(want - unfolded)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_imex_steps_do_not_touch_returned_states(rgl_profile):
+    n_period, m_x, dt = 4, 17, 0.01
+    stepper = ImexStepper(rgl_profile, n_period, m_x, dt)
+    u0 = stepper.to_hat(_bump_state(rgl_profile, n_period, m_x))
+    # the first step starts Adams-Bashforth with g_prev = g: Crank-Nicolson
+    # plus forward Euler on the same coefficients
+    u = np.fft.irfft(u0, n=stepper.P, axis=-1)
+    g = np.fft.rfft(rgl_profile.model.f(u.T).T, axis=-1)
+    euler = stepper.lin * u0
+    euler += stepper.w_new * g
+    euler -= stepper.w_old * g
+    u1 = stepper.step(u0)
+    assert np.array_equal(u1, euler)
+    kept = u1.copy()
+    states = [u1]
+    for _ in range(10):
+        states.append(stepper.step(states[-1]))
+    assert np.array_equal(u1, kept)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(states) for b in states[i + 1:])
 
 
 @pytest.mark.parametrize("scheme", ["imex"])

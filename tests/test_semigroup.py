@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from wavetrain import bloch, grids
 from wavetrain.errors import AdmissibilityError
-from wavetrain.evolve import random_perturbation
+from wavetrain.evolve import fourier_band, random_perturbation
 from wavetrain.semigroup import (
     CutoffSpec,
     SemigroupEngine,
@@ -237,21 +237,25 @@ def test_measure_decay_fits_the_phase_exponent(engine16, rng):
 
 def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, stability,
                                                    cutoff, engine4):
-    # linear-decay's datum and reference norm on the derived grid (m_x = 17)
-    # and on the storage grid (65): one function of one size, so one constant
+    # linear-decay's datum and reference norm on the derived grid (m_x = 17),
+    # the storage grid (65) and a finer one (129): one function of one size,
+    # so one constant
     times = np.geomspace(0.5, 40.0, 12)
     consts = {}
-    for engine in (engine4, SemigroupEngine(rgl_profile, 4, m_x=65,
-                                            cutoff=cutoff,
-                                            stability=stability)):
+    for engine in (engine4, *(SemigroupEngine(rgl_profile, 4, m_x=m_x,
+                                              cutoff=cutoff,
+                                              stability=stability)
+                              for m_x in (65, 129))):
         v = random_perturbation(4, engine.m_x, 2, seed=7, amplitude=1.0,
                                 normalize="l1")
-        size = grids.norm_l1(grids.quadrature_samples(v))
+        size = grids.norm_l1(grids.quadrature_samples(
+            v, fourier_band(4, engine.m_x)))
         consts[engine.m_x] = measure_decay(
             engine, v, times, part="total",
             reference_norm=size).attained_constant
-    assert sorted(consts) == [17, 65]
+    assert sorted(consts) == [17, 65, 129]
     assert consts[17] == pytest.approx(consts[65], rel=1e-10)
+    assert consts[129] == pytest.approx(consts[65], rel=1e-10)
 
 
 def test_measure_decay_rejects_an_empty_window(engine4, rng):
