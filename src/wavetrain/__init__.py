@@ -5,180 +5,74 @@ assembles their Bloch-operator linearizations, verifies diffusive spectral
 stability, decomposes the linear semigroup on N-periodic functions into
 phase, critically damped, and exponentially damped parts, and runs nonlinear
 simulations with modulation (phase/translation) extraction.
-"""
 
-from .bloch import (
-    CriticalCurve,
-    HillTruncation,
-    StabilityReport,
-    SubharmonicSpectrum,
-    assemble_bloch,
-    bloch_spectrum,
-    critical_curve,
-    critical_mode_data,
-    gap_sequence,
-    grid_modes,
-    subharmonic_spectrum,
-    verify_diffusive_stability,
-)
-from .errors import (
-    AdmissibilityError,
-    BlowUpError,
-    BranchTrackingError,
-    ContinuationError,
-    DegenerateProfileError,
-    ExtractionDivergenceError,
-    ModelParameterError,
-    PhaseWarpError,
-    ProfileConvergenceError,
-    ResolutionError,
-    WavetrainError,
-)
-from .evolve import (
-    DuhamelTrace,
-    ExperimentResult,
-    ModulationTraceData,
-    crossover_fit,
-    damping_check,
-    default_snapshot_times,
-    envelope_slope,
-    extract_modulation_duhamel,
-    extract_modulation_projection,
-    modulation_frame,
-    modulation_trace,
-    nonlinear_residual,
-    phase_convergence,
-    random_perturbation,
-    read_snapshot,
-    recomposition_error,
-    run_experiment,
-    translated_profile_data,
-    write_snapshot,
-    zeta_diagnostic,
-)
-from .grids import (
-    BlochCoefficients,
-    GridFunction,
-    bloch_inverse,
-    bloch_transform,
-    derivative,
-    from_callable,
-    frequency_lattice,
-    from_profile,
-    grid_points,
-    inner_l2,
-    norm_h,
-    norm_l1,
-    norm_l2,
-    norm_linf,
-    resample,
-)
-from .models import ReactionModel, brusselator, make_model, nagumo, real_ginzburg_landau
-from .profiles import (
-    WaveProfile,
-    continue_profile,
-    load_profile,
-    nagumo_guess,
-    profile_residual,
-    rgl_analytic,
-    save_profile,
-    solve_profile,
-)
-from .semigroup import (
-    CutoffSpec,
-    DecayMeasurement,
-    SemigroupEngine,
-    SemigroupParts,
-    continuum_envelope,
-    crossover_probe,
-    default_cutoff,
-    lattice_sum,
-    measure_decay,
-    sum_bound_report,
-)
+Submodules load on first use: ``wavetrain.bloch_spectrum`` imports
+``wavetrain.bloch``, and a command that never touches the time stepper never
+loads ``wavetrain.evolve``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "BlochCoefficients",
-    "BlowUpError",
-    "BranchTrackingError",
-    "ContinuationError",
-    "CriticalCurve",
-    "CutoffSpec",
-    "DecayMeasurement",
-    "DegenerateProfileError",
-    "DuhamelTrace",
-    "ExperimentResult",
-    "ExtractionDivergenceError",
-    "GridFunction",
-    "HillTruncation",
-    "ModelParameterError",
-    "ModulationTraceData",
-    "PhaseWarpError",
-    "ProfileConvergenceError",
-    "ReactionModel",
-    "ResolutionError",
-    "SemigroupEngine",
-    "SemigroupParts",
-    "StabilityReport",
-    "SubharmonicSpectrum",
-    "WaveProfile",
-    "WavetrainError",
-    "assemble_bloch",
-    "bloch_inverse",
-    "bloch_spectrum",
-    "bloch_transform",
-    "brusselator",
-    "continue_profile",
-    "continuum_envelope",
-    "critical_curve",
-    "critical_mode_data",
-    "crossover_fit",
-    "crossover_probe",
-    "damping_check",
-    "default_cutoff",
-    "default_snapshot_times",
-    "derivative",
-    "envelope_slope",
-    "extract_modulation_duhamel",
-    "extract_modulation_projection",
-    "from_callable",
-    "frequency_lattice",
-    "from_profile",
-    "gap_sequence",
-    "grid_modes",
-    "grid_points",
-    "inner_l2",
-    "lattice_sum",
-    "load_profile",
-    "make_model",
-    "measure_decay",
-    "modulation_frame",
-    "modulation_trace",
-    "nagumo",
-    "nagumo_guess",
-    "nonlinear_residual",
-    "norm_h",
-    "norm_l1",
-    "norm_l2",
-    "norm_linf",
-    "phase_convergence",
-    "profile_residual",
-    "random_perturbation",
-    "read_snapshot",
-    "real_ginzburg_landau",
-    "recomposition_error",
-    "resample",
-    "rgl_analytic",
-    "run_experiment",
-    "save_profile",
-    "solve_profile",
-    "subharmonic_spectrum",
-    "sum_bound_report",
-    "translated_profile_data",
-    "verify_diffusive_stability",
-    "write_snapshot",
-    "zeta_diagnostic",
-]
+# each submodule and the public names it owns
+_EXPORTS = {
+    "bloch": (
+        "CriticalCurve", "HillTruncation", "StabilityReport",
+        "SubharmonicSpectrum", "assemble_bloch", "bloch_spectrum",
+        "critical_curve", "critical_mode_data", "gap_sequence", "grid_modes",
+        "subharmonic_spectrum", "verify_diffusive_stability",
+    ),
+    "errors": (
+        "AdmissibilityError", "BlowUpError", "BranchTrackingError",
+        "ContinuationError", "DegenerateProfileError",
+        "ExtractionDivergenceError", "ModelParameterError", "PhaseWarpError",
+        "ProfileConvergenceError", "ResolutionError", "WavetrainError",
+    ),
+    "evolve": (
+        "DuhamelTrace", "ExperimentResult", "ModulationTraceData",
+        "crossover_fit", "damping_check", "default_snapshot_times",
+        "envelope_slope", "extract_modulation_duhamel",
+        "extract_modulation_projection", "modulation_frame",
+        "modulation_trace", "nonlinear_residual", "phase_convergence",
+        "random_perturbation", "read_snapshot", "recomposition_error",
+        "run_experiment", "translated_profile_data", "write_snapshot",
+        "zeta_diagnostic",
+    ),
+    "fourier": (),
+    "grids": (
+        "BlochCoefficients", "GridFunction", "bloch_inverse",
+        "bloch_transform", "derivative", "from_callable", "frequency_lattice",
+        "from_profile", "grid_points", "inner_l2", "norm_h", "norm_l1",
+        "norm_l2", "norm_linf", "resample",
+    ),
+    "models": (
+        "ReactionModel", "brusselator", "make_model", "nagumo",
+        "real_ginzburg_landau",
+    ),
+    "profiles": (
+        "WaveProfile", "continue_profile", "load_profile", "nagumo_guess",
+        "profile_residual", "rgl_analytic", "save_profile", "solve_profile",
+    ),
+    "semigroup": (
+        "CutoffSpec", "DecayMeasurement", "SemigroupEngine", "SemigroupParts",
+        "continuum_envelope", "crossover_probe", "default_cutoff",
+        "lattice_sum", "measure_decay", "sum_bound_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ binds the submodule here, and `python -X importtime` lists
+    # it (importlib.import_module would not)
+    __import__(f"{__name__}.{module}")
+    submodule = globals()[module]
+    return submodule if name == module else getattr(submodule, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bloch, evolve, fourier, grids, profiles, semigroup
+from . import __version__, fourier, profiles
 from .errors import (
     AdmissibilityError,
     BlowUpError,
@@ -144,6 +144,8 @@ class _Manifest:
     def count_fibers(self, profile, engines=()):
         """Record the fibers decomposed by the profile's stores and by the
         engines."""
+        from . import bloch
+
         self.fibers = {"store": bloch.decomposed_fibers(profile),
                        "engine": sum(e.n_half for e in engines)}
 
@@ -231,6 +233,8 @@ def _resize_coeffs(coeffs, m_new):
 def cmd_profile(args, argv):
     if args.modes < 1:
         raise _CliError(EXIT_USAGE, f"--modes must be >= 1, got {args.modes}")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise _CliError(EXIT_USAGE, f"--tol must be finite and > 0, got {args.tol}")
     params = _parse_params(args.param)
     model_id = args.model.lower()
     if model_id not in _MODEL_PARAM_NAMES:
@@ -347,6 +351,8 @@ def _stability_payload(report, xi_fit):
 
 
 def cmd_spectrum(args, argv):
+    from . import bloch, grids
+
     if args.scan < 8:
         raise _CliError(EXIT_USAGE, f"--scan must be >= 8, got {args.scan}")
     if not 0.0 < args.xi_max <= np.pi:
@@ -397,6 +403,8 @@ def cmd_spectrum(args, argv):
 # gap
 
 def cmd_gap(args, argv):
+    from . import bloch
+
     n_values = _parse_int_list(args.N, "--N")
     prof = _load_profile_checked(args.profile)
     manifest = _Manifest("gap", argv, {"profile": str(args.profile),
@@ -449,11 +457,15 @@ def _engine_health(engine):
 
 
 def cmd_linear_decay(args, argv):
+    from . import bloch, evolve, grids, semigroup
+
     n_values = _parse_int_list(args.N, "--N")
     if args.l < 0 or args.m < 0:
         raise _CliError(EXIT_USAGE, "--l and --m must be >= 0")
     if args.samples < 4:
         raise _CliError(EXIT_USAGE, "--samples must be >= 4")
+    if not np.isfinite(args.tmax):
+        raise _CliError(EXIT_USAGE, f"--tmax must be finite, got {args.tmax}")
     if args.tmax <= 10.0:
         raise _CliError(
             EXIT_VALIDATION,
@@ -547,8 +559,14 @@ def cmd_linear_decay(args, argv):
 # sum bounds
 
 def cmd_sum_bounds(args, argv):
-    if args.d <= 0.0:
-        raise _CliError(EXIT_USAGE, f"--d must be positive, got {args.d}")
+    from . import semigroup
+
+    if not (np.isfinite(args.d) and args.d > 0.0):
+        raise _CliError(EXIT_USAGE, f"--d must be finite and > 0, got {args.d}")
+    # the time grid starts at t = 1e-2
+    if not (np.isfinite(args.tmax) and args.tmax > 1e-2):
+        raise _CliError(EXIT_USAGE,
+                        f"--tmax must be finite and > 1e-2, got {args.tmax}")
     try:
         r_values = [float(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
@@ -615,6 +633,8 @@ def _load_config(path):
 
 def _validated_simulation_config(raw, profile_flag, extract_flag):
     """Fill defaults and validate the experiment configuration document."""
+    from . import evolve
+
     cfg = dict(raw)
     pert = dict(cfg.get("perturbation") or {})
     extr = dict(cfg.get("extraction") or {})
@@ -722,6 +742,8 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
 
 
 def _slope_or_none(times, values, t_lo=10.0, t_hi=None):
+    from . import evolve
+
     try:
         return evolve.envelope_slope(times, values, t_lo=t_lo, t_hi=t_hi)
     except ValueError:
@@ -729,6 +751,8 @@ def _slope_or_none(times, values, t_lo=10.0, t_hi=None):
 
 
 def cmd_simulate(args, argv):
+    from . import bloch, evolve, grids, semigroup
+
     raw_cfg = _load_config(args.config)
     cfg = _validated_simulation_config(raw_cfg, args.profile, args.extract)
     prof = _load_profile_checked(cfg["profile"])

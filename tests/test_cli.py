@@ -90,6 +90,44 @@ def test_commands_start_without_scipy(tmp_path):
         assert not [m for m in modules if m.split(".")[0] == "scipy"], args
 
 
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    prof = str(tmp_path / "q03.json")
+    runs = [
+        (["-c", "import wavetrain; wavetrain.fourier"], {"fourier"},
+         {"bloch", "errors", "evolve", "grids", "models", "profiles",
+          "semigroup"}),
+        (["-m", "wavetrain", "profile", "--model", "rgl", "--param", "q=0.3",
+          "--out", prof], {"errors", "fourier", "models", "profiles"},
+         {"bloch", "evolve", "grids", "semigroup"}),
+        (["-m", "wavetrain", "spectrum", "--profile", prof, "--scan", "16",
+          "--out-dir", str(tmp_path / "spec")], {"bloch", "grids"},
+         {"evolve", "semigroup"}),
+    ]
+    for args, used, unused in runs:
+        proc, modules = _cold_python(*args, cwd=tmp_path)
+        assert proc.returncode == 0, (args, proc.stderr[-2000:])
+        loaded = {m.split(".", 1)[1] for m in modules
+                  if m.startswith("wavetrain.")}
+        assert used <= loaded, args
+        assert not unused & loaded, args
+
+
+def test_package_namespace_resolves_on_first_use():
+    import wavetrain
+
+    for name in wavetrain.__all__:
+        obj = getattr(wavetrain, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("wavetrain."), name
+    assert wavetrain.evolve is sys.modules["wavetrain.evolve"]
+    assert set(wavetrain.__all__) <= set(dir(wavetrain))
+    namespace = {}
+    exec("from wavetrain import *", namespace)
+    assert set(wavetrain.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        wavetrain.no_such_name
+
+
 def test_profile_file_round_trips(profile_file):
     from wavetrain.profiles import load_profile
     prof = load_profile(profile_file)
@@ -380,10 +418,14 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
     ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65),
     (["--modes", "0"], 64),
     (["--modes", "-2"], 64),
+    (["--tol", "0"], 64),
+    (["--tol", "-1"], 64),
+    (["--tol", "nan"], 64),
 ], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
         "unknown_normalize", "text_stride", "text_cutoff", "bool_N",
         "unknown_scheme", "zero_dense_until", "short_dense_until", "text_tol",
-        "zero_tol", "text_chi", "zero_modes", "negative_modes"])
+        "zero_tol", "text_chi", "zero_modes", "negative_modes",
+        "zero_newton_tol", "negative_newton_tol", "nan_newton_tol"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                                             case, code):
     if isinstance(case, dict):
@@ -395,6 +437,31 @@ def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                 "--out", str(tmp_path / "x.json")]
     assert main(argv) == code
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum-bounds", "--d", "nan"],
+    ["sum-bounds", "--d", "inf"],
+    ["sum-bounds", "--d", "1", "--tmax", "0"],
+    ["sum-bounds", "--d", "1", "--tmax", "-3"],
+    ["sum-bounds", "--d", "1", "--tmax", "nan"],
+    ["sum-bounds", "--d", "1", "--tmax", "inf"],
+    ["sum-bounds", "--d", "1", "--tmax", "1e-2"],
+    ["linear-decay", "--N", "8", "--tmax", "nan"],
+    ["linear-decay", "--N", "8", "--tmax", "inf"],
+], ids=["nan_d", "inf_d", "zero_tmax", "negative_tmax",
+        "nan_tmax", "inf_tmax", "tmax_at_grid_start", "nan_decay_tmax",
+        "inf_decay_tmax"])
+def test_malformed_flags_are_usage_errors(profile_file, tmp_path, capsys,
+                                          argv):
+    out = tmp_path / "out"
+    argv = [*argv, "--out-dir", str(out)]
+    if argv[0] == "linear-decay":
+        argv += ["--profile", str(profile_file)]
+    assert main(argv) == 64
+    assert capsys.readouterr().err
+    # rejected before any work: nothing is written
+    assert not out.exists()
 
 
 def test_simulate_refuses_an_under_resolved_run(profile_file, tmp_path,
