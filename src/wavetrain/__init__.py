@@ -34,8 +34,8 @@ _EXPORTS = {
         "extract_modulation_projection", "modulation_frame",
         "modulation_trace", "nonlinear_residual", "phase_convergence",
         "random_perturbation", "read_snapshot", "recomposition_error",
-        "run_experiment", "translated_profile_data", "write_snapshot",
-        "zeta_diagnostic",
+        "run_checks", "run_experiment", "translated_profile_data",
+        "write_snapshot",
     ),
     "fourier": (),
     "grids": (

@@ -55,7 +55,7 @@ _SCHEMA_VERSIONS = {
     "sum_summary": 1,
     "trace_csv": 1,
     "snapshot_blob": 1,
-    "experiment_report": 1,
+    "experiment_report": 2,
 }
 
 # model parameters consumed by the model factory; remaining --param entries
@@ -466,6 +466,8 @@ def cmd_linear_decay(args, argv):
         raise _CliError(EXIT_USAGE, "--samples must be >= 4")
     if not np.isfinite(args.tmax):
         raise _CliError(EXIT_USAGE, f"--tmax must be finite, got {args.tmax}")
+    if not 0 <= args.seed < 2 ** 128:
+        raise _CliError(EXIT_USAGE, f"--seed must be in [0, 2**128), got {args.seed}")
     if args.tmax <= 10.0:
         raise _CliError(
             EXIT_VALIDATION,
@@ -571,8 +573,8 @@ def cmd_sum_bounds(args, argv):
         r_values = [float(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
         raise _CliError(EXIT_USAGE, f"--r expects numbers, got {args.r!r}")
-    if not r_values or any(r < 0 for r in r_values):
-        raise _CliError(EXIT_USAGE, "--r entries must be >= 0")
+    if not r_values or not all(np.isfinite(r) and r >= 0 for r in r_values):
+        raise _CliError(EXIT_USAGE, "--r entries must be finite and >= 0")
     n_values = _parse_int_list(args.N, "--N")
     out_dir = _ensure_dir(args.out_dir)
     manifest = _Manifest("sum-bounds", argv, {
@@ -715,8 +717,8 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         bad(f"perturbation shape must be 'fourier' or 'bump', got {p['shape']!r}")
     if not (is_number(p["amplitude"]) and p["amplitude"] >= 0):
         bad("perturbation amplitude must be >= 0")
-    if not is_int(p["seed"]):
-        bad("perturbation seed must be an integer")
+    if not (is_int(p["seed"]) and 0 <= p["seed"] < 2 ** 128):
+        bad("perturbation seed must be an integer in [0, 2**128)")
     if p["band"] is not None and not (is_int(p["band"]) and p["band"] >= 0):
         bad("perturbation band must be an integer >= 0")
     if p["normalize"] not in ("sup", "l1", "l1_sobolev"):
@@ -741,17 +743,8 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     return resolved
 
 
-def _slope_or_none(times, values, t_lo=10.0, t_hi=None):
-    from . import evolve
-
-    try:
-        return evolve.envelope_slope(times, values, t_lo=t_lo, t_hi=t_hi)
-    except ValueError:
-        return None
-
-
 def cmd_simulate(args, argv):
-    from . import bloch, evolve, grids, semigroup
+    from . import bloch, evolve, semigroup
 
     raw_cfg = _load_config(args.config)
     cfg = _validated_simulation_config(raw_cfg, args.profile, args.extract)
@@ -817,14 +810,10 @@ def cmd_simulate(args, argv):
 
     times = result.times
     T = times.size
-    k_sob = cfg["K"]
 
     # per-snapshot extraction; warp failures are recorded, not fatal
     with manifest.stage("extraction"):
-        trace = evolve.modulation_trace(result, k_sob=k_sob)
-    warp_ok = trace.warp_ok
-    n_failed = int((~warp_ok).sum())
-    gamma, gamma_t = trace.gamma, trace.gamma_t
+        trace = evolve.modulation_trace(result, k_sob=cfg["K"])
 
     trace_path = out_dir / "trace.csv"
     with manifest.stage("outputs"):
@@ -833,11 +822,11 @@ def cmd_simulate(args, argv):
             ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h",
              "norm_psi_t_h", "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2",
              "warp_ok"),
-            [(_fmt(times[i]), _fmt(gamma[i]), _fmt(gamma_t[i]),
+            [(_fmt(times[i]), _fmt(trace.gamma[i]), _fmt(trace.gamma_t[i]),
               _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]),
               _fmt(trace.psi_t_h[i]), _fmt(trace.v_l2[i]),
               _fmt(trace.psi_x_l2[i]), _fmt(trace.psi_t_l2[i]),
-              str(int(warp_ok[i]))) for i in range(T)])
+              str(int(trace.warp_ok[i]))) for i in range(T)])
         manifest.add_output(out_dir, trace_path)
 
         snap_dir = _ensure_dir(out_dir / "snapshots")
@@ -846,99 +835,7 @@ def cmd_simulate(args, argv):
             evolve.write_snapshot(path, result.snapshots[i], times[i])
             manifest.add_output(out_dir, path)
 
-    # diagnostics on the clean prefix of the trace
-    report = {
-        "schema_version": _SCHEMA_VERSIONS["experiment_report"],
-        "n_snapshots": T,
-        "extraction_failures": n_failed,
-        "scheme": cfg["scheme"],
-        "E0": pert["amplitude"],
-    }
-    usable = warp_ok.all()
-    delta_n = engine.spectral_gap()
-    report["delta_N"] = delta_n
-    report.update(_engine_health(engine))
-    report.update(_hill_evidence(stability))
-    report["snapshot_tail"] = float(np.max(result.snapshot_tail))
-
-    phase = evolve.phase_convergence(result) if T > 3 else None
-    if phase is not None:
-        anchor_tol = 10.0 * pert["amplitude"]
-        denom = max(abs(phase.anchor), 1e-300)
-        rel = abs(phase.gamma_inf - phase.anchor) / denom
-        report["phase"] = {
-            "gamma_inf": phase.gamma_inf,
-            "gamma_inf_fit": phase.gamma_inf_fit,
-            "tail_power": None if np.isnan(phase.tail_power)
-            else phase.tail_power,
-            "anchor": phase.anchor,
-            "sigma_inf": phase.sigma_inf,
-            "best_shift": phase.best_shift,
-            "shift_misfit": phase.shift_misfit,
-            "unshifted_misfit": phase.unshifted_misfit,
-            "anchor_rel_err": rel,
-            "tolerance": anchor_tol,
-            "pass": bool(rel <= anchor_tol) if pert["amplitude"] > 0
-            else bool(abs(phase.gamma_inf - phase.anchor) < 1e-12),
-        }
-
-    if usable and T > 3:
-        zeta = evolve.zeta_diagnostic(result, k_sob=k_sob, trace=trace)
-        i10 = int(np.searchsorted(times, 10.0))
-        zeta10 = float(zeta.zeta[min(i10, T - 1)])
-        zeta_end = float(zeta.zeta[-1])
-        report["zeta"] = {
-            "zeta_10": zeta10, "zeta_end": zeta_end,
-            "bound_factor": 4.0,
-            "pass": bool(zeta_end <= 4.0 * zeta10 + 1e-300),
-        }
-        damping = evolve.damping_check(result, k_sob=k_sob, delta_n=delta_n,
-                                       trace=trace)
-        report["damping"] = {
-            "best_theta": damping.best_theta,
-            "best_constant": damping.best_constant,
-            "violations": damping.violations,
-            "theta_half_gap": delta_n / 2.0,
-            "pass": bool(np.isfinite(damping.best_constant)
-                         and damping.violations == 0),
-        }
-
-        gamma_inf = phase.gamma_inf if phase is not None else gamma[-1]
-        shifted = evolve.translated_profile_data(prof, n_period, result.m_x,
-                                                 gamma_inf / n_period)
-        h1 = np.array([grids.norm_h(grids.GridFunction(
-            n_period, result.snapshots[i].values - shifted.values), 1)
-            for i in range(T)])
-        knee = None
-        try:
-            knee = evolve.crossover_fit(times, h1)
-        except (ValueError, np.linalg.LinAlgError):
-            pass
-        if knee is not None:
-            lo, hi = 0.5 * delta_n, 1.1 * delta_n
-            # the knee lies near t = 1/delta_N: a shorter run cannot show
-            # the late exponential rate, so its fit is reported, not judged
-            short = times[-1] < 1.0 / delta_n
-            report["crossover"] = {
-                "t_knee": knee.t_knee, "power": knee.power,
-                "rate": knee.rate, "window": [lo, hi],
-                "pass": None if short else bool(lo <= knee.rate <= hi),
-            }
-            if short:
-                report["crossover"]["reason"] = "horizon shorter than 1/delta_N"
-        t_knee = knee.t_knee if knee is not None else None
-        slope_v = _slope_or_none(times, trace.v_h, t_hi=t_knee)
-        slope_g = _slope_or_none(times, np.abs(gamma_t))
-        report["fits"] = {
-            "v_h_slope_pre_knee": slope_v,
-            "v_h_threshold": -0.6,
-            "v_h_pass": None if slope_v is None else bool(slope_v <= -0.6),
-            "gamma_t_slope": slope_g,
-            "gamma_t_threshold": -1.2,
-            "gamma_t_pass": None if slope_g is None else bool(slope_g <= -1.2),
-        }
-
-    duhamel_exit = None
+    du = duhamel_exit = None
     if cfg["extraction"]["mode"] in ("duhamel", "both"):
         try:
             with manifest.stage("extraction"):
@@ -949,7 +846,6 @@ def cmd_simulate(args, argv):
             print(f"Duhamel extraction failed: {exc}", file=sys.stderr)
             manifest.counts["duhamel_sweeps"] = getattr(exc, "iterations", None)
             duhamel_exit = EXIT_DIVERGENCE
-            du = None
         if du is not None:
             du_path = out_dir / "trace_duhamel.csv"
             psi_l2 = np.sqrt(np.sum(du.psi_vals ** 2, axis=1) / result.m_x)
@@ -960,25 +856,34 @@ def cmd_simulate(args, argv):
                              _fmt(psi_l2[i]), _fmt(v_l2[i])) for i in range(T)])
             manifest.add_output(out_dir, du_path)
             manifest.counts["duhamel_sweeps"] = du.iterations
-            report["duhamel"] = {
-                "iterations": du.iterations,
-                "update_norms": list(du.update_norms),
-                "tol": cfg["extraction"]["tol"],
-                "v2_defect": du.v2_defect,
-            }
-            if cfg["extraction"]["mode"] == "both" and usable:
-                proj_psi = np.nan_to_num(trace.psi_vals)
-                dg = float(np.max(np.abs(du.gamma - gamma)))
-                dpsi = float(np.max(np.sqrt(np.sum(
-                    (du.psi_vals - proj_psi) ** 2, axis=1) / result.m_x)))
-                denom = (float(np.max(np.abs(gamma)))
-                         + float(np.max(np.sqrt(np.sum(proj_psi ** 2, axis=1)
-                                                / result.m_x))))
-                agreement = (dg + dpsi) / max(denom, 1e-300)
-                report["route_agreement"] = {
-                    "relative": agreement, "tolerance": 1e-3,
-                    "pass": bool(agreement <= 1e-3),
-                }
+
+    delta_n = engine.spectral_gap()
+    checks = evolve.run_checks(
+        result, trace, delta_n,
+        duhamel=du if cfg["extraction"]["mode"] == "both" else None)
+    if "route_agreement" in checks:
+        # the name schema 1 gave the value, which readers of the report use
+        checks["route_agreement"]["relative"] = \
+            checks["route_agreement"]["value"]
+    report = {
+        "schema_version": _SCHEMA_VERSIONS["experiment_report"],
+        "n_snapshots": T,
+        "extraction_failures": int((~trace.warp_ok).sum()),
+        "scheme": cfg["scheme"],
+        "E0": pert["amplitude"],
+        "delta_N": delta_n,
+        **_engine_health(engine),
+        **_hill_evidence(stability),
+        "snapshot_tail": float(np.max(result.snapshot_tail)),
+        **checks,
+    }
+    if du is not None:
+        report["duhamel"] = {
+            "iterations": du.iterations,
+            "update_norms": list(du.update_norms),
+            "tol": cfg["extraction"]["tol"],
+            "v2_defect": du.v2_defect,
+        }
 
     report_path = out_dir / "report.json"
     with manifest.stage("outputs"):
@@ -988,12 +893,11 @@ def cmd_simulate(args, argv):
     manifest.counts["snapshots"] = T
     manifest.write(out_dir)
 
-    flags = {key: val.get("pass") for key, val in report.items()
-             if isinstance(val, dict) and "pass" in val}
     print(f"simulated {cfg['t_max']:g} time units ({result.n_steps} steps), "
           f"{T} snapshots -> {out_dir}")
-    print("checks: " + ", ".join(f"{k}={'n/a' if v is None else v}"
-                                 for k, v in sorted(flags.items())))
+    print("checks: " + ", ".join(
+        f"{name}={'n/a' if check['pass'] is None else check['pass']}"
+        for name, check in sorted(checks.items())))
     if duhamel_exit is not None:
         return duhamel_exit
     return EXIT_OK

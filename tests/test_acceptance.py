@@ -231,36 +231,27 @@ def test_acceptance_09_nonlinear_run(rgl_profile, run9):
     res, trace = run9
     n = res.n_period
     delta_n = bloch.subharmonic_spectrum(rgl_profile, n).delta
-    zd = evolve.zeta_diagnostic(res, k_sob=3, trace=trace)
-    phase = evolve.phase_convergence(res)
-    damp = evolve.damping_check(res, k_sob=3, delta_n=delta_n, trace=trace)
+    judged = evolve.run_checks(res, trace, delta_n)
+    knee, damp = judged["crossover"], judged["damping"]
 
-    shifted = evolve.translated_profile_data(rgl_profile, n, res.m_x,
-                                             phase.gamma_inf / n)
-    h1 = np.array([grids.norm_h(grids.GridFunction(
-        n, res.snapshots[i].values - shifted.values), 1)
-        for i in range(res.times.size)])
-    knee = evolve.crossover_fit(res.times, h1)
-
-    slope_vh = evolve.envelope_slope(res.times, trace.v_h,
-                                     t_lo=10.0, t_hi=knee.t_knee)
+    # the judge reports |gamma_t| as below its rounding floor on this run;
+    # the slope over the same window stays this test's own check
     slope_gt = evolve.envelope_slope(res.times, np.abs(trace.gamma_t),
                                      t_lo=10.0, t_hi=n ** 2 / 10.0)
-    i10 = int(np.searchsorted(res.times, 10.0))
-    zeta_ratio = zd.zeta[-1] / zd.zeta[i10]
-    anchor_rel = abs(phase.gamma_inf - phase.anchor) / abs(phase.anchor)
-    rate_ratio = knee.rate / delta_n
-    c_half = float(damp.constants[int(np.argmin(
-        np.abs(damp.thetas - delta_n / 2.0)))])
+    slope_vh = judged["v_h_envelope"]["value"]
+    zeta_ratio = judged["zeta"]["value"]
+    anchor_rel = judged["phase"]["value"]
+    rate_ratio = knee["value"] / delta_n
+    c_half = damp["value"]
 
     checks = {
         "envelope": slope_vh <= -0.6,
         "zeta": zeta_ratio <= 4.0,
         "gamma_t": slope_gt <= -1.2,
         "anchor": anchor_rel <= 10.0 * res.amplitude,
-        "knee rate": knee.exp_side == "late" and 0.5 <= rate_ratio <= 1.1,
+        "knee rate": knee["exp_side"] == "late" and 0.5 <= rate_ratio <= 1.1,
         "damping": np.isfinite(c_half) and c_half > 0
-                   and damp.violations == 0,
+                   and damp["violations"] == 0,
     }
     ok = all(checks.values())
     bad = ", ".join(name for name, good in checks.items() if not good)
@@ -270,8 +261,16 @@ def test_acceptance_09_nonlinear_run(rgl_profile, run9):
              f"(<= -1.2), phase limit off its linear prediction by "
              f"{anchor_rel:.1e} (<= {10.0 * res.amplitude:.0e}), post-knee "
              f"rate/gap {rate_ratio:.2f} (in [0.5, 1.1]), damping constant "
-             f"{c_half:.1f} with {damp.violations} violations"
+             f"{c_half:.1f} with {damp['violations']} violations"
              + (f"; out of band: {bad}" if bad else ""))
+    # report.json ships the judge's verdicts: the same ones, and gamma_t
+    # unjudged at the rounding floor
+    for name, key in (("envelope", "v_h_envelope"), ("zeta", "zeta"),
+                      ("anchor", "phase"), ("knee rate", "crossover"),
+                      ("damping", "damping")):
+        assert judged[key]["pass"] == checks[name], key
+    assert judged["gamma_t_envelope"]["pass"] is None
+    assert judged["gamma_t_envelope"]["reason"] == "below rounding floor"
 
 
 def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
@@ -279,18 +278,15 @@ def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
     res = evolve.run_experiment(rgl_profile, 16, engine16, t_max=20.0,
                                 dt=0.01, seed=7, amplitude=1e-5, band=16,
                                 normalize="sup")
-    tr = evolve.extract_modulation_duhamel(res, tol=tol)
-    frames = evolve.extract_modulation_projection(res)
-    psi_proj = np.stack([f.psi.values[:, 0] for f in frames])
-    gam_rel = (np.max(np.abs(tr.gamma - res.gamma))
-               / np.max(np.abs(res.gamma)))
-    psi_rel = (np.max(np.sqrt(np.mean((tr.psi_vals - psi_proj) ** 2, axis=1)))
-               / np.max(np.sqrt(np.mean(psi_proj ** 2, axis=1))))
-    ok = gam_rel <= 1e-3 and psi_rel <= 1e-3 and tr.v2_defect <= 10.0 * tol
+    trace = evolve.modulation_trace(res)
+    tr = evolve.extract_modulation_duhamel(res, tol=tol, trace=trace)
+    agreement = evolve.run_checks(res, trace, engine16.spectral_gap(),
+                                  duhamel=tr)["route_agreement"]
+    ok = agreement["value"] <= 1e-3 and tr.v2_defect <= 10.0 * tol
     _verdict(10, ok,
-             f"route agreement: gamma {gam_rel:.1e}, psi {psi_rel:.1e} "
-             f"(<= 1e-3 relative); residual-equation defect "
-             f"{tr.v2_defect:.1e} (<= {10.0 * tol:.0e})")
+             f"route agreement: gamma {agreement['gamma']:.1e}, psi "
+             f"{agreement['psi']:.1e} (<= 1e-3 relative); residual-equation "
+             f"defect {tr.v2_defect:.1e} (<= {10.0 * tol:.0e})")
 
 
 def test_acceptance_10_fingerprints_hold_on_the_storage_grid(

@@ -294,9 +294,16 @@ def test_simulate_reports_an_unreachable_crossover_unjudged(profile_file,
     cross = report["crossover"]
     assert cross["pass"] is None
     assert cross["reason"] == "horizon shorter than 1/delta_N"
-    assert np.isfinite(cross["rate"]) and np.isfinite(cross["t_knee"])
-    assert cross["window"] == [0.5 * delta, 1.1 * delta]
+    assert np.isfinite(cross["value"]) and np.isfinite(cross["t_knee"])
+    assert cross["band"] == [0.5 * delta, 1.1 * delta]
     assert "crossover=n/a" in capsys.readouterr().out
+    # the keys perfbench/workloads.py reads
+    assert isinstance(report["delta_N"], float)
+    assert report["extraction_failures"] == 0
+    assert isinstance(report["phase"]["gamma_inf"], float)
+    assert report["phase"]["pass"] is True
+    assert report["route_agreement"]["relative"] <= 1e-3
+    assert report["duhamel"]["v2_defect"] <= 1e-7
 
 
 def test_simulate_is_deterministic(profile_file, tmp_path):
@@ -416,6 +423,9 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
     ({"extraction": {"mode": "duhamel", "tol": "1e-8"}}, 65),
     ({"extraction": {"mode": "duhamel", "tol": 0}}, 65),
     ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "seed": -1}}, 65),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
+                       "seed": 2 ** 128}}, 65),
     (["--modes", "0"], 64),
     (["--modes", "-2"], 64),
     (["--tol", "0"], 64),
@@ -424,7 +434,8 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
 ], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
         "unknown_normalize", "text_stride", "text_cutoff", "bool_N",
         "unknown_scheme", "zero_dense_until", "short_dense_until", "text_tol",
-        "zero_tol", "text_chi", "zero_modes", "negative_modes",
+        "zero_tol", "text_chi", "negative_seed", "huge_seed", "zero_modes",
+        "negative_modes",
         "zero_newton_tol", "negative_newton_tol", "nan_newton_tol"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
                                             case, code):
@@ -449,9 +460,12 @@ def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
     ["sum-bounds", "--d", "1", "--tmax", "1e-2"],
     ["linear-decay", "--N", "8", "--tmax", "nan"],
     ["linear-decay", "--N", "8", "--tmax", "inf"],
+    ["linear-decay", "--N", "8", "--seed", "-1"],
+    ["sum-bounds", "--d", "1", "--r", "nan"],
+    ["sum-bounds", "--d", "1", "--r", "inf"],
 ], ids=["nan_d", "inf_d", "zero_tmax", "negative_tmax",
         "nan_tmax", "inf_tmax", "tmax_at_grid_start", "nan_decay_tmax",
-        "inf_decay_tmax"])
+        "inf_decay_tmax", "negative_seed", "nan_r", "inf_r"])
 def test_malformed_flags_are_usage_errors(profile_file, tmp_path, capsys,
                                           argv):
     out = tmp_path / "out"

@@ -613,9 +613,9 @@ def test_damping_constants_do_not_depend_on_the_time_origin(small_run):
     # the homogeneous term decays from the first snapshot, so moving every
     # time of the trace by a constant leaves the constants where they are
     trace = modulation_trace(small_run)
-    base = evolve.damping_check(small_run, trace=trace)
+    base = evolve.damping_check(trace)
     moved = evolve.damping_check(
-        small_run, trace=dataclasses.replace(trace, times=trace.times + 5.0))
+        dataclasses.replace(trace, times=trace.times + 5.0))
     np.testing.assert_allclose(moved.constants, base.constants, rtol=1e-12)
     assert moved.best_theta == base.best_theta
 
@@ -662,6 +662,59 @@ def test_crossover_fit_physical_orientation():
     assert fit.rate == pytest.approx(delta, rel=0.05)
     assert fit.t_knee == pytest.approx(knee, rel=0.25)
     assert fit.power == pytest.approx(0.25, abs=0.1)
+
+
+def test_envelope_check_reports_slopes_at_the_rounding_floor_unjudged():
+    # gamma_t of an O(1) wave: its rounding level is eps max|u| / h
+    times = np.concatenate([np.arange(0.0, 10.0, 0.25),
+                            10.0 * 1.15 ** np.arange(30)])
+    window, band = [10.0, 160.0], [None, -1.2]
+
+    def level(t):
+        return np.finfo(float).eps * 1.0 / np.min(np.diff(t))
+
+    noise = 1e-16 * (1.0 + np.random.default_rng(0).random(times.size))
+    check = evolve._envelope_check(times, noise, window, band, level)
+    assert check["pass"] is None and check["value"] is None
+    assert check["reason"] == "below rounding floor"
+
+    decay = 1e-6 * (1.0 + times) ** -1.5
+    check = evolve._envelope_check(times, decay, window, band, level)
+    assert check["value"] == pytest.approx(-1.5, abs=0.05)
+    assert check["pass"] is True and "reason" not in check
+
+
+def test_crossover_check_needs_the_late_exponential():
+    # the synthetic trace of test_crossover_fit_recovers_the_synthetic_rate:
+    # its rate matches the gap, but the exponential segment is the early one
+    delta = 0.09
+    times = np.geomspace(0.5, 400.0, 120)
+    vals = 1e-4 * (1.0 + times) ** -0.25 + 2.0 * np.exp(-delta * times)
+    check = evolve._crossover_check(times, vals, delta)
+    assert check["exp_side"] == "early"
+    assert check["band"][0] <= check["value"] <= check["band"][1]
+    assert check["pass"] is False
+
+
+def test_run_checks_leave_the_residual_checks_unjudged_after_a_warp_failure(
+        rgl_profile, engine4):
+    res = run_experiment(rgl_profile, 4, engine4, t_max=12.0, dt=0.01,
+                         seed=3, amplitude=1e-5)
+    trace = modulation_trace(res)
+    delta = engine4.spectral_gap()
+    clean = evolve.run_checks(res, trace, delta)
+    assert clean["zeta"]["pass"] is True and clean["damping"]["pass"] is True
+    warp_ok = trace.warp_ok.copy()
+    warp_ok[-1] = False
+    judged = evolve.run_checks(
+        res, dataclasses.replace(trace, warp_ok=warp_ok), delta)
+    for name in ("zeta", "damping", "v_h_envelope"):
+        assert judged[name]["pass"] is None and judged[name]["value"] is None
+        assert judged[name]["reason"] == (
+            f"phase warp failed at 1 of {res.times.size} snapshots")
+    # phase and crossover read no residual field
+    assert judged["phase"] == clean["phase"]
+    assert judged["crossover"] == clean["crossover"]
 
 
 def test_crossover_fit_on_a_linear_relaxation(rgl_profile, engine4):
