@@ -30,12 +30,10 @@ _EXPORTS = {
     "evolve": (
         "DuhamelTrace", "ExperimentResult", "ModulationTraceData",
         "crossover_fit", "damping_check", "default_snapshot_times",
-        "envelope_slope", "extract_modulation_duhamel",
-        "extract_modulation_projection", "modulation_frame",
+        "envelope_slope", "extract_modulation_duhamel", "modulation_frame",
         "modulation_trace", "nonlinear_residual", "phase_convergence",
         "random_perturbation", "read_snapshot", "recomposition_error",
-        "run_checks", "run_experiment", "translated_profile_data",
-        "write_snapshot",
+        "run_checks", "run_experiment", "write_snapshot",
     ),
     "fourier": (),
     "grids": (

@@ -33,7 +33,7 @@ from .errors import (
     ProfileConvergenceError,
     ResolutionError,
 )
-from .models import make_model
+from .models import _FACTORIES, make_model
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -57,11 +57,6 @@ _SCHEMA_VERSIONS = {
     "snapshot_blob": 1,
     "experiment_report": 2,
 }
-
-# model parameters consumed by the model factory; remaining --param entries
-# parameterize the analytic guess family (q for rgl, amplitude/detune knobs)
-_MODEL_PARAM_NAMES = {"rgl": (), "nagumo": ("alpha",),
-                      "brusselator": ("A", "B")}
 
 
 class _CliError(Exception):
@@ -237,13 +232,15 @@ def cmd_profile(args, argv):
         raise _CliError(EXIT_USAGE, f"--tol must be finite and > 0, got {args.tol}")
     params = _parse_params(args.param)
     model_id = args.model.lower()
-    if model_id not in _MODEL_PARAM_NAMES:
+    if model_id not in _FACTORIES:
         raise _CliError(EXIT_USAGE,
                         f"unknown model {args.model!r}; known: "
-                        f"{sorted(_MODEL_PARAM_NAMES)}")
+                        f"{sorted(_FACTORIES)}")
+    # the model factory takes its own parameters; the remaining --param
+    # entries parameterize the analytic guess (q for rgl, amplitude/detune)
     try:
         model = make_model(model_id,
-                           {k: params[k] for k in _MODEL_PARAM_NAMES[model_id]
+                           {k: params[k] for k in _FACTORIES[model_id][1]
                             if k in params})
     except ModelParameterError as exc:
         raise _CliError(EXIT_VALIDATION, str(exc))
@@ -499,12 +496,8 @@ def cmd_linear_decay(args, argv):
         size = grids.norm_l1(grids.quadrature_samples(
             v, evolve.fourier_band(n, engine.m_x)))
         with manifest.stage("evolution"):
-            measures = {
-                part: semigroup.measure_decay(engine, v, times, part=part,
-                                              l=args.l, m=args.m,
-                                              reference_norm=size)
-                for part in ("total", "mean", "sp", "stilde")
-            }
+            measures = semigroup.measure_decay(engine, v, times, l=args.l,
+                                               m=args.m, reference_norm=size)
         for i, t in enumerate(times):
             rows.append((str(n), _fmt(t),
                          _fmt(measures["total"].norms[i]),
@@ -584,34 +577,36 @@ def cmd_sum_bounds(args, argv):
     times = np.unique(np.concatenate(
         [[0.0], np.geomspace(1e-2, args.tmax, 240)]))
     rows = []
-    for n in n_values:
-        for r in r_values:
-            sums = semigroup.lattice_sum(n, r, times, d=args.d)
-            ratios = sums * (1.0 + times) ** (r + 0.5)
-            for t, s, ratio in zip(times, sums, ratios):
-                rows.append((str(n), _fmt(r), _fmt(t), _fmt(s), _fmt(ratio)))
+    with manifest.stage("lattice_sums"):
+        for n in n_values:
+            for r in r_values:
+                sums = semigroup.lattice_sum(n, r, times, d=args.d)
+                ratios = sums * (1.0 + times) ** (r + 0.5)
+                for t, s, ratio in zip(times, sums, ratios):
+                    rows.append((str(n), _fmt(r), _fmt(t), _fmt(s),
+                                 _fmt(ratio)))
+        report_rows = semigroup.sum_bound_report(n_values, r_values, times,
+                                                 d=args.d)
+        global_c = max(row.attained_constant for row in report_rows)
+        probes = {}
+        for n in n_values:
+            probe = semigroup.crossover_probe(n, d=args.d, r=0)
+            probes[str(n)] = {"t_star": probe.t_star,
+                              "late_rate": probe.late_rate,
+                              "predicted_rate": probe.predicted_rate}
     csv_path = out_dir / "sums.csv"
-    _write_csv(csv_path, ("N", "r", "t", "sum", "envelope_ratio"), rows)
-
-    report_rows = semigroup.sum_bound_report(n_values, r_values, times,
-                                             d=args.d)
-    global_c = max(row.attained_constant for row in report_rows)
-    probes = {}
-    for n in n_values:
-        probe = semigroup.crossover_probe(n, d=args.d, r=0)
-        probes[str(n)] = {"t_star": probe.t_star,
-                          "late_rate": probe.late_rate,
-                          "predicted_rate": probe.predicted_rate}
     summary_path = out_dir / "sum_summary.json"
-    _write_json(summary_path, {
-        "schema_version": _SCHEMA_VERSIONS["sum_summary"],
-        "d": args.d,
-        "per_pair": [{"N": row.n_period, "r": row.r,
-                      "C_min": row.attained_constant,
-                      "sup_time": row.sup_time} for row in report_rows],
-        "C_global": global_c,
-        "crossover": probes,
-    })
+    with manifest.stage("outputs"):
+        _write_csv(csv_path, ("N", "r", "t", "sum", "envelope_ratio"), rows)
+        _write_json(summary_path, {
+            "schema_version": _SCHEMA_VERSIONS["sum_summary"],
+            "d": args.d,
+            "per_pair": [{"N": row.n_period, "r": row.r,
+                          "C_min": row.attained_constant,
+                          "sup_time": row.sup_time} for row in report_rows],
+            "C_global": global_c,
+            "crossover": probes,
+        })
     manifest.counts["time_samples"] = int(times.size)
     manifest.add_output(out_dir, csv_path)
     manifest.add_output(out_dir, summary_path)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bloch, fourier, grids
+from . import grids
 from .errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -189,20 +189,6 @@ def random_perturbation(n_period, m_x, n_components, seed, amplitude,
     return gf
 
 
-def translated_profile_data(profile, n_period, m_x, shift):
-    """Grid samples of phi(x + shift), exact through the coefficient phases.
-
-    phi(x + s) has the cell coefficients c_l e^{2 pi i l s}; one cell is
-    synthesized on the m_x-point grid from the coefficients that
-    ``bloch.grid_modes`` keeps there, and tiled over the N cells.
-    """
-    m_x, coeffs = bloch.grid_modes(profile, m_x)
-    ell = fourier.modes(fourier.trunc_order(coeffs))
-    phases = np.exp(TWO_PI * 1j * ell * np.mod(shift, 1.0))
-    cell = fourier.synth_grid(phases[:, None] * coeffs, m_x)
-    return grids.GridFunction(n_period, np.tile(cell, (n_period, 1)))
-
-
 def quintic_smoothstep(t, lo=0.5, hi=1.0):
     """C^2 ramp: 0 below lo, 1 above hi, quintic polynomial between."""
     r = np.clip((np.asarray(t, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
@@ -274,9 +260,6 @@ class ExperimentResult:
     engine: object
     n_period: int
     m_x: int
-    dt: float
-    scheme: str
-    seed: int
     amplitude: float
     times: np.ndarray
     snapshots: list
@@ -383,9 +366,6 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         engine=engine,
         n_period=n_period,
         m_x=m_x,
-        dt=dt,
-        scheme=scheme,
-        seed=int(seed),
         amplitude=float(amplitude),
         times=times,
         snapshots=snaps,
@@ -492,11 +472,6 @@ def modulation_frame(result, i, gamma=None, inner=None):
     base = grids.from_profile(prof, result.n_period, result.m_x)
     v = grids.GridFunction(result.n_period, u_mod - base.values)
     return ModulationFrame(float(result.times[i]), float(gamma), psi, v)
-
-
-def extract_modulation_projection(result):
-    """Phase variables and modulated perturbations for a full trajectory."""
-    return [modulation_frame(result, i) for i in range(len(result.times))]
 
 
 def recomposition_error(result, frame, i):
@@ -931,7 +906,7 @@ def phase_convergence(result, fit_fraction=0.25):
     prof = result.profile
 
     def misfit(s):
-        ref = translated_profile_data(prof, N, result.m_x, s)
+        ref = grids.from_profile(prof, N, result.m_x, s)
         return grids.norm_l2(grids.GridFunction(N, u_last.values - ref.values))
 
     # golden-section around the predicted shift, one cell wide
@@ -1098,8 +1073,8 @@ def run_checks(result, trace, delta_n, duhamel=None):
         [0.0, tol if tol > 0 else None], ok=tol > 0 or offset < 1e-12,
         **{k: None if np.isnan(v) else v for k, v in vars(phase).items()})}
 
-    shifted = translated_profile_data(result.profile, n, result.m_x,
-                                      phase.gamma_inf / n)
+    shifted = grids.from_profile(result.profile, n, result.m_x,
+                                 phase.gamma_inf / n)
     h1 = np.array([grids.norm_h(grids.GridFunction(
         n, snap.values - shifted.values), 1) for snap in result.snapshots])
     checks["crossover"] = _crossover_check(times, h1, delta_n)

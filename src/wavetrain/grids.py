@@ -124,16 +124,18 @@ def from_callable(fn, n_period, m_x):
     return GridFunction(n_period, vals)
 
 
-def from_profile(profile, n_period, m_x):
-    """Sample a wave profile exactly by synthesizing one cell and tiling it.
+def from_profile(profile, n_period, m_x, shift=0.0):
+    """Sample phi(x + shift) exactly by synthesizing one cell and tiling it.
 
-    The cell carries the coefficients that ``bloch.grid_modes`` keeps on
-    m_x points (it refuses an m_x that would drop more than a negligible
-    tail).
+    The cell carries the coefficients c_l e^{2 pi i l shift} of the ones
+    that ``bloch.grid_modes`` keeps on m_x points (it refuses an m_x that
+    would drop more than a negligible tail).
     """
     from .bloch import grid_modes       # bloch imports this module
     m_x, coeffs = grid_modes(profile, m_x)
-    cell = fourier.synth_grid(coeffs, m_x)
+    ell = fourier.modes(fourier.trunc_order(coeffs))
+    phases = np.exp(TWO_PI * 1j * ell * np.mod(shift, 1.0))
+    cell = fourier.synth_grid(phases[:, None] * coeffs, m_x)
     return GridFunction(n_period, np.tile(cell, (n_period, 1)))
 
 

@@ -263,9 +263,8 @@ class SemigroupEngine:
         sp_f[0] = 0.0
         return full, mean_f, sp_f, full - mean_f - sp_f
 
-    def _evolve(self, v, t):
-        """``_split`` of e^{Lt} v."""
-        half = self._fibers(v)
+    def _evolve(self, half, t):
+        """``_split`` of e^{Lt} on the stored fibers ``half``."""
         amp = np.exp(self.crit_lam[:self.n_half] * t) * self._inner(half)
         return self._split(self._propagate(half, t), amp)
 
@@ -275,11 +274,12 @@ class SemigroupEngine:
         The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
         the discretization (same eigendecompositions throughout).
         """
-        return SemigroupParts(float(t), *map(self._assemble, self._evolve(v, t)))
+        return SemigroupParts(float(t), *map(self._assemble,
+                                             self._evolve(self._fibers(v), t)))
 
     def stilde(self, v, t):
         """The remainder S~(t) v alone, as ``decompose(v, t).stilde``."""
-        return self._assemble(self._evolve(v, t)[3])
+        return self._assemble(self._evolve(self._fibers(v), t)[3])
 
     def stilde_parts(self, v, t):
         """Split S~ further: high-frequency, low-frequency complement, critical
@@ -303,76 +303,77 @@ class SemigroupEngine:
 class DecayMeasurement:
     """Norm history of one decomposition part against a claimed envelope."""
 
-    part: str
     times: np.ndarray
     norms: np.ndarray
     claimed_exponent: float
     fitted_exponent: float
-    fitted_constant: float      # intercept of the least-squares fit, over ref
     attained_constant: float    # sup_t norm (1+t)^{-claimed} / ref
     reference_norm: float
     super_polynomial: bool
 
 
-def measure_decay(engine, v, times, part="sp", l=0, m=0, claimed_exponent=None,
-                  fit_window=None, reference_norm=None):
-    """Track a part's L2 norm over time and fit log-norm vs log(1+t).
+def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
+                  reference_norm=None):
+    """Track the L2 norms of the parts of e^{Lt} v and fit each log-norm
+    against log(1+t).
 
-    ``part`` is one of "sp" (the scalar field with derivative multipliers),
-    "stilde", "mean", or "total".  The attained constant is
-    sup_t norm(t) (1+t)^{-claimed} / ||v||_{L1}, with ||v||_{L1} summed on
-    the engine's grid unless ``reference_norm`` gives it (for a band-limited
-    datum, its size on ``grids.quadrature_samples``, which is the same on
-    every grid).
+    Returns a DecayMeasurement per part: "total" (e^{Lt} v), "mean" (the
+    mean phase), "sp" (the scalar d_x^l d_t^m s_p(t) v) and "stilde" (the
+    remainder).  v is transformed once and propagated once per sample time.
+    The attained constant is sup_t norm(t) (1+t)^{-claimed} / ||v||_{L1},
+    with ||v||_{L1} summed on the engine's grid unless ``reference_norm``
+    gives it (for a band-limited datum, its size on
+    ``grids.quadrature_samples``, which is the same on every grid).
 
     The default fit window is [10, N^2/10] (transient and crossover excluded);
     when that window holds fewer than two samples the whole series is used.
     An explicitly empty window raises ValueError.
     """
     times = np.asarray(times, dtype=float)
-    field = {"sp": lambda t: engine.sp_scalar(v, t, l=l, m=m),
-             "stilde": lambda t: engine.stilde(v, t),
-             "mean": lambda t: engine._assemble(engine._evolve(v, t)[1]),
-             "total": lambda t: engine.apply(v, t)}[part]
-    norms = np.array([grids.norm_l2(field(t)) for t in times], dtype=float)
+    if fit_window is None:
+        lo, hi = 10.0, engine.n_period ** 2 / 10.0
+    else:
+        lo, hi = fit_window
+    window = (times >= lo) & (times <= hi)
+    if fit_window is not None and not window.any():
+        raise ValueError(f"no samples inside fit window [{lo}, {hi}]")
 
-    if claimed_exponent is None:
-        claimed_exponent = {"sp": -0.25 - 0.5 * (l + m), "stilde": -0.75,
-                            "mean": 0.0, "total": 0.0}[part]
+    half = engine._fibers(v)
+    inner = engine._critical_inner(half)
+    H = engine.n_half
+    norms = np.empty((4, times.size))
+    for i, t in enumerate(times):
+        total, mean, _, rem = engine._split(
+            engine._propagate(half, t), np.exp(engine.crit_lam[:H] * t) * inner[:H])
+        sp = engine.synthesize_phase(inner, t=t, l=l, m=m)
+        norms[:, i] = [grids.norm_l2(engine._assemble(total)),
+                       grids.norm_l2(engine._assemble(mean)), grids.norm_l2(sp),
+                       grids.norm_l2(engine._assemble(rem))]
     ref = grids.norm_l1(v) if reference_norm is None else reference_norm
 
-    mask = norms > 1e-290
-    if fit_window is not None:
-        lo, hi = fit_window
-        window_mask = (times >= lo) & (times <= hi)
-        if not window_mask.any():
-            raise ValueError(f"no samples inside fit window [{lo}, {hi}]")
-        mask &= window_mask
-    else:
-        lo, hi = 10.0, engine.n_period ** 2 / 10.0
-        window_mask = (times >= lo) & (times <= hi)
-        if (mask & window_mask).sum() >= 2:
-            mask &= window_mask
-    lt = np.log1p(times[mask])
-    ln = np.log(norms[mask])
-    if mask.sum() >= 2:
-        slope, intercept = np.polyfit(lt, ln, 1)
-    else:
-        slope, intercept = np.nan, np.nan
-    envelope = (1.0 + times) ** claimed_exponent
-    attained = float(np.max(norms / (envelope * ref))) if ref > 0 else np.inf
-    fitted_c = float(np.exp(intercept) / ref) if ref > 0 else np.inf
-    return DecayMeasurement(
-        part=part,
-        times=times,
-        norms=norms,
-        claimed_exponent=float(claimed_exponent),
-        fitted_exponent=float(slope),
-        fitted_constant=fitted_c,
-        attained_constant=attained,
-        reference_norm=float(ref),
-        super_polynomial=bool(slope < claimed_exponent - 2.0),
-    )
+    claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),
+               "stilde": -0.75}
+    out = {}
+    for series, (part, exponent) in zip(norms, claimed.items()):
+        mask = series > 1e-290
+        if fit_window is not None or (mask & window).sum() >= 2:
+            mask &= window
+        if mask.sum() >= 2:
+            slope = np.polyfit(np.log1p(times[mask]), np.log(series[mask]), 1)[0]
+        else:
+            slope = np.nan
+        envelope = (1.0 + times) ** exponent
+        out[part] = DecayMeasurement(
+            times=times,
+            norms=series,
+            claimed_exponent=float(exponent),
+            fitted_exponent=float(slope),
+            attained_constant=(float(np.max(series / (envelope * ref)))
+                               if ref > 0 else np.inf),
+            reference_norm=float(ref),
+            super_polynomial=bool(slope < exponent - 2.0),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

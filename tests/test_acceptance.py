@@ -196,17 +196,16 @@ def test_acceptance_08_linear_decay_rates(engine4, engine8, engine16,
     consts = {"sp": {}, "stilde": {}}
     slopes = {}
     for eng in (engine4, engine8, engine16, engine32, engine64):
-        datum = _unit_mass_spike(eng)
+        measures = semigroup.measure_decay(eng, _unit_mass_spike(eng), times)
         for part in ("sp", "stilde"):
-            meas = semigroup.measure_decay(eng, datum, times, part=part)
-            consts[part][eng.n_period] = meas.attained_constant
+            consts[part][eng.n_period] = measures[part].attained_constant
             if eng.n_period == 64:
-                slopes[part] = meas.fitted_exponent
+                slopes[part] = measures[part].fitted_exponent
     datum64 = _unit_mass_spike(engine64)
     slopes["sp_dx"] = semigroup.measure_decay(
-        engine64, datum64, times, part="sp", l=1).fitted_exponent
+        engine64, datum64, times, l=1)["sp"].fitted_exponent
     slopes["sp_dt"] = semigroup.measure_decay(
-        engine64, datum64, times, part="sp", m=1).fitted_exponent
+        engine64, datum64, times, m=1)["sp"].fitted_exponent
     spread = {part: max(vals.values()) / min(vals.values())
               for part, vals in consts.items()}
     checks = {

@@ -135,10 +135,11 @@ def test_profile_file_round_trips(profile_file):
     assert prof.amplitude() == pytest.approx(np.sqrt(0.91), abs=1e-8)
 
 
-def test_profile_unknown_model_is_a_usage_error(tmp_path):
+def test_profile_unknown_model_is_a_usage_error(tmp_path, capsys):
     code = main(["profile", "--model", "nosuch", "--out",
                  str(tmp_path / "x.json")])
     assert code == 64
+    assert "known: ['brusselator', 'nagumo', 'rgl']" in capsys.readouterr().err
 
 
 def test_profile_bad_param_syntax_is_a_usage_error(tmp_path):
@@ -511,6 +512,7 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         "gap": ["--profile", prof, "--N", "2,4"],
         "linear-decay": ["--profile", prof, "--N", "4", "--tmax", "20",
                          "--samples", "6"],
+        "sum-bounds": ["--d", "1", "--N", "4,8", "--tmax", "100"],
     }
     for name, argv in runs.items():
         assert main([name, *argv, "--out-dir", str(tmp_path / name)]) == 0
@@ -524,6 +526,7 @@ def test_manifests_carry_stages(profile_file, tmp_path):
                          "outputs"},
         "simulate": {"stability_scan", "engine_build", "evolution",
                      "extraction", "outputs"},
+        "sum-bounds": {"lattice_sums", "outputs"},
     }
     # N = 4: the engine decomposes its fibers j = 0, 1, 2
     engine_fibers = {"spectrum": 0, "gap": 0, "linear-decay": 3,
@@ -532,8 +535,12 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         stages = read_json(tmp_path / name / "manifest.json")["stages"]
         assert set(stages["seconds"]) == names, name
         assert all(s >= 0.0 for s in stages["seconds"].values())
-        assert stages["fibers"]["store"] > 0, name
-        assert stages["fibers"]["engine"] == engine_fibers[name], name
+        if name == "sum-bounds":
+            # the lattice sums decompose no Bloch fiber
+            assert stages["fibers"] == {}
+        else:
+            assert stages["fibers"]["store"] > 0, name
+            assert stages["fibers"]["engine"] == engine_fibers[name], name
         # the mean time step, where the command counts its steps
         assert ("evolution_step_us" in stages) == (name == "simulate"), name
     manifest = read_json(tmp_path / "simulate" / "manifest.json")

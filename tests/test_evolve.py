@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetrain import evolve, fourier, grids, semigroup
+from wavetrain import evolve, grids, semigroup
 from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -18,7 +18,6 @@ from wavetrain.evolve import (
     default_snapshot_times,
     envelope_slope,
     extract_modulation_duhamel,
-    extract_modulation_projection,
     fd_weights,
     modulation_frame,
     modulation_trace,
@@ -30,7 +29,6 @@ from wavetrain.evolve import (
     run_experiment,
     stable_dt_limit,
     time_derivative,
-    translated_profile_data,
     write_snapshot,
 )
 
@@ -412,7 +410,7 @@ def test_chi_ramp_gates_the_phase(small_run):
 def test_translation_is_pure_phase(rgl_profile, engine4):
     # starting from phi(x - s), the projection reads off gamma ~ N s
     s = 0.01
-    shifted = translated_profile_data(rgl_profile, 4, engine4.m_x, s)
+    shifted = grids.from_profile(rgl_profile, 4, engine4.m_x, s)
     base = grids.from_profile(rgl_profile, 4, engine4.m_x)
     init = grids.GridFunction(4, shifted.values - base.values)
     res = run_experiment(rgl_profile, 4, engine4, t_max=3.0, dt=0.01,
@@ -422,14 +420,6 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
     frame = modulation_frame(res, len(res.times) - 1)
     assert grids.norm_l2(frame.psi) <= 1e-4
     assert grids.norm_linf(frame.v) <= 1e-4
-
-
-@pytest.mark.parametrize("shift", [-1.3, 0.4, 17.25])
-def test_translated_profile_data_matches_direct_synthesis(rgl_profile, shift):
-    got = translated_profile_data(rgl_profile, 3, 65, shift)
-    direct = fourier.synth(rgl_profile.coeffs, grids.grid_points(3, 65) + shift)
-    assert got.n_period == 3
-    np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-13)
 
 
 def test_spectral_tail_weights_the_rfft_half():
@@ -509,11 +499,11 @@ def test_nonlinear_residual_scales_quadratically(rgl_profile, engine4):
 
 
 def test_projection_extraction_full_trajectory(small_run):
-    frames = extract_modulation_projection(small_run)
-    assert len(frames) == len(small_run.times)
-    assert frames[0].gamma == 0.0
+    trace = modulation_trace(small_run)
+    assert trace.warp_ok.all() and trace.v_vals.shape[0] == len(small_run.times)
+    assert trace.gamma[0] == 0.0
     # v is the perturbation in the comoving frame; it stays small
-    assert all(grids.norm_linf(f.v) < 1e-3 for f in frames)
+    assert np.max(np.abs(trace.v_vals)) < 1e-3
 
 
 def test_duhamel_agrees_with_projection_for_small_data(rgl_profile, engine4):
@@ -725,7 +715,7 @@ def test_crossover_fit_on_a_linear_relaxation(rgl_profile, engine4):
     res = run_experiment(rgl_profile, 4, engine4, t_max=64.0, dt=0.01,
                          seed=0, amplitude=1e-2, band=4)
     gam_inf = res.gamma_raw[-1]
-    shifted = translated_profile_data(rgl_profile, 4, res.m_x, gam_inf / 4)
+    shifted = grids.from_profile(rgl_profile, 4, res.m_x, gam_inf / 4)
     h1 = np.array([grids.norm_h(grids.GridFunction(
         4, res.snapshots[i].values - shifted.values), 1)
         for i in range(len(res.times))])

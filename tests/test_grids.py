@@ -243,6 +243,15 @@ def test_from_profile_tiles_one_cell_exactly(rgl_profile):
     np.testing.assert_allclose(gf.values, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("shift", [-1.3, 0.4, 17.25])
+def test_from_profile_samples_the_shifted_wave(rgl_profile, shift):
+    from wavetrain.fourier import synth
+    got = from_profile(rgl_profile, 3, 65, shift)
+    direct = synth(rgl_profile.coeffs, grid_points(3, 65) + shift)
+    assert got.n_period == 3
+    np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-13)
+
+
 def test_from_profile_rejects_coarse_grids(rgl_profile):
     # below 2M + 1 = 9, the modes of rgl's Hill truncation M = 4
     with pytest.raises(ValueError, match="modes"):

@@ -221,7 +221,7 @@ def test_remainder_decays_at_the_subharmonic_gap(engine4, rgl_profile, rng):
 def test_measure_decay_flags_exponential_parts(engine4, rng):
     v = random_field(engine4, rng)
     times = np.geomspace(0.5, 40.0, 24)
-    dm = measure_decay(engine4, v, times, part="stilde", fit_window=(5.0, 40.0))
+    dm = measure_decay(engine4, v, times, fit_window=(5.0, 40.0))["stilde"]
     assert dm.super_polynomial
     assert np.isfinite(dm.attained_constant)
 
@@ -229,10 +229,31 @@ def test_measure_decay_flags_exponential_parts(engine4, rng):
 def test_measure_decay_fits_the_phase_exponent(engine16, rng):
     v = random_field(engine16, rng)
     times = np.geomspace(1.0, 25.0, 30)
-    dm = measure_decay(engine16, v, times, part="sp", fit_window=(2.0, 25.0))
+    dm = measure_decay(engine16, v, times, fit_window=(2.0, 25.0))["sp"]
     assert dm.claimed_exponent == -0.25
     assert dm.fitted_exponent < 0.0
     assert np.isfinite(dm.attained_constant) and dm.attained_constant > 0
+
+
+def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
+                                                         monkeypatch):
+    v = random_field(engine8, rng)
+    times = np.array([0.0, 0.7, 5.0, 30.0])
+    transform, calls = grids.bloch_transform, []
+
+    def counted(gf):
+        calls.append(gf)
+        return transform(gf)
+
+    monkeypatch.setattr(grids, "bloch_transform", counted)
+    measures = measure_decay(engine8, v, times, l=1, m=1)
+    assert len(calls) == 1
+    for i, t in enumerate(times):
+        parts = engine8.decompose(v, t)
+        for part, field in (("total", parts.total), ("mean", parts.mean_phase),
+                            ("sp", engine8.sp_scalar(v, t, l=1, m=1)),
+                            ("stilde", parts.stilde)):
+            assert measures[part].norms[i] == grids.norm_l2(field), (part, t)
 
 
 def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, stability,
@@ -251,8 +272,7 @@ def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, stability,
         size = grids.norm_l1(grids.quadrature_samples(
             v, fourier_band(4, engine.m_x)))
         consts[engine.m_x] = measure_decay(
-            engine, v, times, part="total",
-            reference_norm=size).attained_constant
+            engine, v, times, reference_norm=size)["total"].attained_constant
     assert sorted(consts) == [17, 65, 129]
     assert consts[17] == pytest.approx(consts[65], rel=1e-10)
     assert consts[129] == pytest.approx(consts[65], rel=1e-10)
