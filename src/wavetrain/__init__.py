@@ -51,7 +51,7 @@ _EXPORTS = {
         "profile_residual", "rgl_analytic", "save_profile", "solve_profile",
     ),
     "semigroup": (
-        "CutoffSpec", "DecayMeasurement", "SemigroupEngine", "SemigroupParts",
+        "CutoffSpec", "DecayMeasurement", "SemigroupEngine",
         "continuum_envelope", "crossover_probe", "default_cutoff",
         "lattice_sum", "measure_decay", "sum_bound_report",
     ),

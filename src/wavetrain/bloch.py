@@ -68,7 +68,7 @@ def reaction_coeffs(profile, span):
     m = profile.m_f
     grid = 2 * (m + span + 1)
     phi = profile.on_grid(grid)
-    return fourier.matrix_field_coeffs(profile.model.df(phi), span)
+    return fourier.grid_coeffs(profile.model.df(phi), span)
 
 
 def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):

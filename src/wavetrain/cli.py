@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -644,8 +645,9 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     def is_int(x):
         return isinstance(x, int) and not isinstance(x, bool)
 
+    # JSON Infinity and NaN parse as floats
     def is_number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+        return is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
     known_top = {"model", "profile", "N", "m_x", "dt", "t_max", "scheme", "K",
                  "snapshot", "perturbation", "extraction", "output_dir"}
@@ -697,9 +699,9 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     if m_x is not None and not (is_int(m_x) and m_x >= 3 and m_x % 2 == 1):
         bad("'m_x' must be an odd integer >= 3")
     if not (is_number(resolved["dt"]) and resolved["dt"] > 0):
-        bad("'dt' must be positive")
+        bad("'dt' must be a positive finite number")
     if not (is_number(resolved["t_max"]) and resolved["t_max"] > 0):
-        bad("'t_max' must be positive")
+        bad("'t_max' must be a positive finite number")
     if resolved["t_max"] <= 10.0:
         bad("'t_max' must exceed 10 so the phase limit has a fit window")
     if resolved["scheme"] not in evolve._SCHEMES:
@@ -711,7 +713,7 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     if p["shape"] not in ("fourier", "bump"):
         bad(f"perturbation shape must be 'fourier' or 'bump', got {p['shape']!r}")
     if not (is_number(p["amplitude"]) and p["amplitude"] >= 0):
-        bad("perturbation amplitude must be >= 0")
+        bad("perturbation amplitude must be a finite number >= 0")
     if not (is_int(p["seed"]) and 0 <= p["seed"] < 2 ** 128):
         bad("perturbation seed must be an integer in [0, 2**128)")
     if p["band"] is not None and not (is_int(p["band"]) and p["band"] >= 0):

@@ -340,8 +340,8 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
                               t=t)
         times.append(t)
         snaps.append(grids.GridFunction(n_period, vals.copy()))
-        inners.append(engine.critical_inner(
-            grids.GridFunction(n_period, vals - base.values)))
+        inners.append(engine.amplitudes(engine.fibers(
+            grids.GridFunction(n_period, vals - base.values))))
         tails.append(_spectral_tail(u_hat.T, stepper.P))
         if not tails[-1] <= SNAPSHOT_TAIL_TOL:
             raise ResolutionError(
@@ -602,11 +602,12 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     ExtractionDivergenceError.
 
     The Duhamel integrals e^{L(t_i - t_0)} v_0 + int_{t_0}^{t_i} e^{L(t_i - s)}
-    f(s) ds use the trapezoid rule on the snapshot grid, accumulated by the
-    exact recurrence of :func:`_trapezoid_prefixes`: once on the critical
-    amplitudes <adj_xi, .> (which give gamma and psi) and once on the stored
-    Bloch fibers, where ``SemigroupEngine._split`` reads the remainder S~ off
-    the accumulated fibers and amplitudes.  A sweep thus costs T Bloch
+    f(s) ds use the trapezoid rule on the snapshot grid, accumulated on the
+    engine's stored Bloch fibers by the exact recurrence of
+    :func:`_trapezoid_prefixes` with ``SemigroupEngine.apply`` as the
+    propagator.  Each accumulated fiber set gives the critical amplitudes
+    (``SemigroupEngine.amplitudes``, whence gamma and psi) and, through
+    ``SemigroupEngine.split``, the remainder S~.  A sweep thus costs T Bloch
     transforms, T - 1 fiber propagations and at most 3T Bloch syntheses for
     T snapshots, not the O(T^2) of summing every prefix from scratch.
 
@@ -630,8 +631,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
 
     base = grids.from_profile(prof, N, m_x)
     v0 = grids.GridFunction(N, result.snapshots[0].values - base.values)
-    fibers0 = eng._fibers(v0)
-    inner0 = eng._critical_inner(fibers0)
+    fibers0 = eng.fibers(v0)
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
@@ -639,8 +639,8 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     v_vals, psi_vals = trace.v_vals, trace.psi_vals
 
     def integrals(gamma, psi_vals, v_vals):
-        """Duhamel integrals of the current sources: the critical amplitudes
-        (T, N) and the propagated stored fibers (T, N//2+1, dim)."""
+        """Duhamel integrals of the current sources: the propagated stored
+        fibers (T, N//2+1, dim) and their critical amplitudes (T, N)."""
         gamma_t = time_derivative(times, gamma)
         psi_t_vals = time_derivative(times, psi_vals)
         fibers = np.empty((T,) + fibers0.shape, dtype=complex)
@@ -652,21 +652,20 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
             res = nonlinear_residual(
                 prof, N, frame, grids.GridFunction(N, psi_t_vals[s][:, None]),
                 gamma_t[s])
-            fibers[s] = eng._fibers(res.source)
-        s_inner = np.stack([eng._critical_inner(f) for f in fibers])
-        return (_trapezoid_prefixes(times, inner0, s_inner, eng.crit_lam),
-                _trapezoid_prefixes(times, fibers0, fibers, eng._propagate))
+            fibers[s] = eng.fibers(res.source)
+        full = _trapezoid_prefixes(times, fibers0, fibers, eng.apply)
+        return full, np.stack([eng.amplitudes(f) for f in full])
 
-    def v_update(amps, full, psi_vals_ref, v_vals_ref):
+    def v_update(full, amps, psi_vals_ref, v_vals_ref):
         new_v = np.zeros_like(v_vals)
         for i in range(T):
-            total, _, _, rem = eng._split(full[i], amps[i, :eng.n_half])
             if chi[i] < 1.0:
-                new_v[i] += (1.0 - chi[i]) * eng._assemble(total).values
+                new_v[i] += (1.0 - chi[i]) * eng.field(full[i]).values
             if chi[i] > 0.0:
+                rem = eng.split(full[i], amps[i])[2]
                 psix = grids.derivative(
                     grids.GridFunction(N, psi_vals_ref[i][:, None])).values
-                new_v[i] += chi[i] * (eng._assemble(rem).values
+                new_v[i] += chi[i] * (eng.field(rem).values
                                       + psix * v_vals_ref[i])
         return new_v
 
@@ -675,12 +674,12 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     iterations = 0
     for sweep in range(1, max_iter + 1):
         iterations = sweep
-        amps, full = integrals(gamma, psi_vals, v_vals)
+        full, amps = integrals(gamma, psi_vals, v_vals)
         new_inner = chi[:, None] * amps
         new_gamma = chi * amps[:, 0].real
         new_psi = np.stack([eng.synthesize_phase(new_inner[i]).values[:, 0]
                             for i in range(T)])
-        new_v = v_update(amps, full, new_psi, v_vals)
+        new_v = v_update(full, amps, new_psi, v_vals)
 
         dpsi = np.sqrt(np.sum((new_psi - psi_vals) ** 2, axis=1) / m_x)
         delta = float(np.max(np.abs(new_gamma - gamma) + dpsi))

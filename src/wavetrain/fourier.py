@@ -45,31 +45,22 @@ def synth_grid(coeffs, grid_size, deriv=0):
 
 
 def grid_coeffs(values, m):
-    """Fourier coefficients -m..m of samples on a uniform periodic grid."""
+    """Fourier coefficients -m..m of samples on a uniform periodic grid.
+
+    ``values`` has shape (G, ...), a vector- or matrix-valued function at
+    each of the G points; the result has shape (2m+1, ...).
+    """
     g = values.shape[0]
     if g < 2 * m + 1:
         raise ValueError(f"{g} samples cannot resolve modes up to {m}")
     spec = np.fft.fft(values, axis=0) / g
     ell = modes(m)
-    return spec[ell % g, :]
+    return spec[ell % g]
 
 
 def deriv_coeffs(coeffs, order=1):
     ell = modes(trunc_order(coeffs))
     return ((TWO_PI * 1j * ell) ** order)[:, None] * coeffs
-
-
-def matrix_field_coeffs(field_values, m):
-    """Coefficients -m..m of a matrix-valued function sampled on a uniform grid.
-
-    ``field_values`` has shape (G, n, n); returns (2m+1, n, n) complex.
-    """
-    g = field_values.shape[0]
-    if g < 2 * m + 1:
-        raise ValueError(f"{g} samples cannot resolve modes up to {m}")
-    spec = np.fft.fft(field_values, axis=0) / g
-    ell = modes(m)
-    return spec[ell % g, ...]
 
 
 def operator_matrix(ells, xi, a2, a1, that, react_scale=1.0):

@@ -152,7 +152,7 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25):
         if rnorm < tol:
             break
 
-        that = fourier.matrix_field_coeffs(model.df(phi), 2 * m)
+        that = fourier.grid_coeffs(model.df(phi), 2 * m)
         jac = np.zeros((dim + 1, dim + 1), dtype=complex)
         jac[:dim, :dim] = fourier.operator_matrix(ell, 0.0, kk * kk, kk * cc, that)
         if solve_for == "c":

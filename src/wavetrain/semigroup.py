@@ -68,17 +68,6 @@ def default_cutoff(profile, stability=None, scan=128):
 # ---------------------------------------------------------------------------
 # engine
 
-@dataclass
-class SemigroupParts:
-    """One decomposition snapshot: the three pieces and their sum."""
-
-    t: float
-    total: grids.GridFunction
-    mean_phase: grids.GridFunction
-    sp_field: grids.GridFunction        # phi' times the scalar s_p
-    stilde: grids.GridFunction
-
-
 class SemigroupEngine:
     """Fiberwise-diagonalized semigroup for one profile and period multiple N.
 
@@ -88,14 +77,20 @@ class SemigroupEngine:
     the default from the Hill truncation) at the floor(N/2)+1 lattice
     slots j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps (for even
     N slot N/2 is -pi, built from the +pi decomposition), and fills the
-    xi < 0 half by conjugation when it assembles a result. On the fibers
-    inside the cutoff support it follows the critical branch in the
+    xi < 0 half by conjugation when ``field`` synthesizes a result. On the
+    fibers inside the cutoff support it follows the critical branch in the
     phi'-anchored gauge, with adjoints from the rows of V^-1; on lattices
     coarser than the branch step the references come from the profile's
     fiber store, zero-padded onto the engine's modes. Per-fiber
     arrays have leading size N//2+1; ``frequencies``, ``rho``, ``crit_lam``
     and ``critical`` cover all N frequencies. Fibers whose eigenvector
     matrix fails ||V||_F ||V^-1||_F <= ``cond_limit`` propagate by expm.
+
+    The operations act on the stored fibers: ``fibers`` transforms a real
+    field, ``apply`` propagates, ``amplitudes`` reads the critical
+    amplitudes, ``split`` separates the mean phase, the phase field and S~,
+    and ``field`` synthesizes the result. So e^{Lt} v is
+    ``field(apply(fibers(v), t))``.
     """
 
     def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None,
@@ -172,10 +167,11 @@ class SemigroupEngine:
         """delta_N of the engine's lattice, from its own eigenvalues."""
         return bloch.lattice_gap(list(self.eigvals))[0]
 
-    # -- basic plumbing ------------------------------------------------------
+    # -- fiber-space operations ---------------------------------------------
 
-    def _fibers(self, v):
-        """The stored (xi >= 0) half of the Bloch transform of the real v."""
+    def fibers(self, v):
+        """The stored (xi >= 0) half of the Bloch transform of the real v,
+        shape (N//2+1, dim)."""
         if v.n_period != self.n_period or v.m_x != self.m_x:
             raise ValueError(
                 f"grid mismatch: engine is (N={self.n_period}, m_x={self.m_x}), "
@@ -185,7 +181,7 @@ class SemigroupEngine:
         coeffs = grids.bloch_transform(v).coeffs[:self.n_half]
         return coeffs.reshape(self.n_half, self.dim)
 
-    def _assemble(self, half):
+    def field(self, half):
         """The real field with stored fibers ``half``, conjugated onto xi < 0."""
         N = self.n_period
         full = np.empty((N, self.dim), dtype=complex)
@@ -194,8 +190,8 @@ class SemigroupEngine:
         return grids.bloch_inverse(grids.BlochCoefficients(
             N, full.reshape(N, self.m_x, self.n), was_real=True))
 
-    def _propagate(self, half, t):
-        """e^{L_xi t} on every stored fiber."""
+    def apply(self, half, t):
+        """e^{L_xi t} on every stored fiber (expm where V is ill-conditioned)."""
         out = (self.right @ (np.exp(self.eigvals * t)[:, :, None]
                              * (self.right_inv @ half[:, :, None])))[:, :, 0]
         if self._expm:
@@ -204,33 +200,29 @@ class SemigroupEngine:
                 out[j] = scipy.linalg.expm(mat * t) @ half[j]
         return out
 
-    def _inner(self, half):
-        """<adj_xi, fiber> on the stored fibers (0 where no adjoint is kept)."""
-        return (np.conj(self.crit_adj)[:, None, :] @ half[:, :, None])[:, 0, 0]
-
-    def _critical_inner(self, half):
-        """``critical_inner`` of the field with stored fibers ``half``."""
+    def amplitudes(self, half):
+        """Critical amplitudes <adj_xi, fiber> of the stored fibers ``half`` on
+        all N frequencies, NaN off the critical ones; entry 0 is the
+        translation content of the field."""
         H = self.n_half
+        inner = (np.conj(self.crit_adj)[:, None, :] @ half[:, :, None])[:, 0, 0]
         out = np.full(self.n_period, np.nan + 0j)
-        out[:H] = np.where(self.critical[:H], self._inner(half), np.nan)
+        out[:H] = np.where(self.critical[:H], inner, np.nan)
         out[self.n_period - self._mirror] = np.conj(out[self._mirror])
         return out
 
-    def _phase_factors(self, amp):
-        """rho times the critical amplitudes ``amp``, 0 off the critical fibers."""
+    def split(self, full, amp):
+        """The mean-phase, phase-field and remainder S~ fibers of the stored
+        fibers ``full``, given their critical amplitudes ``amp`` (for a fiber
+        propagated over t, e^{lambda_c t} times the datum's amplitudes).
+        The three sum to ``full``."""
         H = self.n_half
-        return np.where(self.critical[:H], self.rho[:H] * amp, 0.0)
-
-    # -- public operations ---------------------------------------------------
-
-    def apply(self, v, t):
-        """e^{Lt} v on the grid."""
-        return self._assemble(self._propagate(self._fibers(v), t))
-
-    def critical_inner(self, v):
-        """Per-frequency critical projections <adj_xi, (B v)(xi, .)>, NaN off
-        the critical frequencies; entry 0 is the translation content of v."""
-        return self._critical_inner(self._fibers(v))
+        factors = np.where(self.critical[:H], self.rho[:H] * amp[:H], 0.0)
+        mean_f = np.zeros_like(full)
+        mean_f[0] = factors[0] * self.crit_phi[0]
+        sp_f = factors[:, None] * self.phi_slots
+        sp_f[0] = 0.0
+        return mean_f, sp_f, full - mean_f - sp_f
 
     def synthesize_phase(self, inner, t=0.0, l=0, m=0):
         """Plane-wave synthesis of the scalar phase field from critical
@@ -247,53 +239,22 @@ class SemigroupEngine:
         bc = grids.BlochCoefficients(self.n_period, fibers, was_real=True)
         return grids.bloch_inverse(bc)
 
-    def sp_scalar(self, v, t, l=0, m=0):
-        """The scalar field d_x^l d_t^m s_p(t) v (plane-wave synthesis)."""
-        return self.synthesize_phase(self.critical_inner(v), t=t, l=l, m=m)
-
-    def _split(self, full, amp):
-        """Propagated stored fibers ``full``, their mean-phase and phase-field
-        parts from their critical amplitudes ``amp`` (e^{lambda_c t} <adj_xi,
-        fiber> for a fiber propagated over t), and the remainder
-        S~ = total - mean - phase field."""
-        factors = self._phase_factors(amp)
-        mean_f = np.zeros_like(full)
-        mean_f[0] = factors[0] * self.crit_phi[0]
-        sp_f = factors[:, None] * self.phi_slots
-        sp_f[0] = 0.0
-        return full, mean_f, sp_f, full - mean_f - sp_f
-
-    def _evolve(self, half, t):
-        """``_split`` of e^{Lt} on the stored fibers ``half``."""
-        amp = np.exp(self.crit_lam[:self.n_half] * t) * self._inner(half)
-        return self._split(self._propagate(half, t), amp)
-
-    def decompose(self, v, t):
-        """Split e^{Lt} v into mean-phase, critical phase field, and remainder.
-
-        The pieces satisfy mean + sp_field + stilde = apply(v, t) exactly in
-        the discretization (same eigendecompositions throughout).
-        """
-        return SemigroupParts(float(t), *map(self._assemble,
-                                             self._evolve(self._fibers(v), t)))
-
-    def stilde(self, v, t):
-        """The remainder S~(t) v alone, as ``decompose(v, t).stilde``."""
-        return self._assemble(self._evolve(self._fibers(v), t)[3])
-
     def stilde_parts(self, v, t):
-        """Split S~ further: high-frequency, low-frequency complement, critical
-        correction (eigenfunction minus phi')."""
-        half = self._fibers(v)
-        inner = self._inner(half)
-        rho = self.rho[:self.n_half, None]
-        hf = (1.0 - rho) * self._propagate(half, t)
-        lf = rho * self._propagate(half - inner[:, None] * self.crit_phi, t)
-        amp = np.exp(self.crit_lam[:self.n_half] * t) * inner
-        corr = (self._phase_factors(amp)[:, None]
-                * (self.crit_phi - self.phi_slots))
+        """Split S~(t) v further: high-frequency, low-frequency complement,
+        critical correction (eigenfunction minus phi')."""
+        H = self.n_half
+        crit = self.critical[:H]
+        half = self.fibers(v)
+        amp = self.amplitudes(half)[:H]
+        rho = self.rho[:H, None]
+        hf = (1.0 - rho) * self.apply(half, t)
+        lf = rho * self.apply(
+            half - np.where(crit, amp, 0.0)[:, None] * self.crit_phi, t)
+        factors = np.where(crit, self.rho[:H] * np.exp(self.crit_lam[:H] * t)
+                           * amp, 0.0)
+        corr = factors[:, None] * (self.crit_phi - self.phi_slots)
         corr[0] = 0.0
-        return (self._assemble(hf), self._assemble(lf), self._assemble(corr))
+        return (self.field(hf), self.field(lf), self.field(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +299,16 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
     if fit_window is not None and not window.any():
         raise ValueError(f"no samples inside fit window [{lo}, {hi}]")
 
-    half = engine._fibers(v)
-    inner = engine._critical_inner(half)
-    H = engine.n_half
+    half = engine.fibers(v)
+    inner = engine.amplitudes(half)
     norms = np.empty((4, times.size))
     for i, t in enumerate(times):
-        total, mean, _, rem = engine._split(
-            engine._propagate(half, t), np.exp(engine.crit_lam[:H] * t) * inner[:H])
+        total = engine.apply(half, t)
+        mean, _, rem = engine.split(total, np.exp(engine.crit_lam * t) * inner)
         sp = engine.synthesize_phase(inner, t=t, l=l, m=m)
-        norms[:, i] = [grids.norm_l2(engine._assemble(total)),
-                       grids.norm_l2(engine._assemble(mean)), grids.norm_l2(sp),
-                       grids.norm_l2(engine._assemble(rem))]
+        norms[:, i] = [grids.norm_l2(engine.field(total)),
+                       grids.norm_l2(engine.field(mean)), grids.norm_l2(sp),
+                       grids.norm_l2(engine.field(rem))]
     ref = grids.norm_l1(v) if reference_norm is None else reference_norm
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),

@@ -337,6 +337,31 @@ def test_simulate_rejects_short_horizon(profile_file, tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 65
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "t_max", float("inf")),
+    ("perturbation", "amplitude", float("inf")),
+    ("extraction", "chi", [0.5, float("inf")]),
+    ("extraction", "tol", float("inf")),
+])
+def test_simulate_rejects_non_finite_numbers(profile_file, tmp_path, capsys,
+                                             monkeypatch, section, key, value):
+    from wavetrain import bloch
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the stability scan ran")
+
+    monkeypatch.setattr(bloch, "verify_diffusive_stability", no_scan)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg.json", profile_file, out)
+    config = json.loads(cfg.read_text())
+    (config if section is None else config[section])[key] = value
+    cfg.write_text(json.dumps(config))
+    assert "Infinity" in cfg.read_text()
+    assert main(["simulate", "--config", str(cfg)]) == 65
+    assert "config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_unknown_config_keys(profile_file, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", profile_file, tmp_path / "o",
                        typo_key=1)

@@ -575,6 +575,55 @@ def test_duhamel_makes_linearly_many_syntheses(rgl_profile, engine4,
     assert 0 < len(calls) <= 3 * T * (tr.iterations + 1)
 
 
+@pytest.fixture(scope="module")
+def acceptance10_run(rgl_profile, engine16):
+    res = run_experiment(rgl_profile, 16, engine16, t_max=20.0, dt=0.01,
+                         seed=7, amplitude=1e-5, band=16, normalize="sup")
+    return res, modulation_trace(res)
+
+
+def test_duhamel_amplitudes_match_the_scalar_recurrence(acceptance10_run,
+                                                        monkeypatch):
+    # the critical amplitudes read off the accumulated fibers equal the
+    # trapezoid recurrence run on the amplitudes themselves: adj_xi is a
+    # left eigenvector, so <adj_xi, e^{L_xi h} f> = e^{lambda_c h} <adj_xi, f>
+    res, trace = acceptance10_run
+    eng = res.engine
+    prefixes, worst = evolve._trapezoid_prefixes, []
+
+    def compared(times, init, f, step):
+        out = prefixes(times, init, f, step)
+        fiber = np.stack([eng.amplitudes(x) for x in out])
+        scalar = prefixes(times, eng.amplitudes(init),
+                          np.stack([eng.amplitudes(x) for x in f]),
+                          eng.crit_lam)
+        assert np.array_equal(np.isnan(fiber), np.isnan(scalar))
+        ok = ~np.isnan(scalar)
+        worst.append(np.max(np.abs(fiber[ok] - scalar[ok]))
+                     / np.max(np.abs(scalar[ok])))
+        return out
+
+    monkeypatch.setattr(evolve, "_trapezoid_prefixes", compared)
+    tr = extract_modulation_duhamel(res, tol=1e-8, trace=trace)
+    assert len(worst) == tr.iterations + 1
+    assert max(worst) <= 1e-12
+
+
+def test_duhamel_propagates_once_per_step_and_sweep(acceptance10_run,
+                                                    monkeypatch):
+    res, trace = acceptance10_run
+    eng = res.engine
+    calls = []
+
+    def counted(half, t):
+        calls.append(t)
+        return semigroup.SemigroupEngine.apply(eng, half, t)
+
+    monkeypatch.setattr(eng, "apply", counted)
+    tr = extract_modulation_duhamel(res, tol=1e-8, trace=trace)
+    assert len(calls) == (res.times.size - 1) * (tr.iterations + 1)
+
+
 def test_trapezoid_prefixes_match_the_explicit_sum():
     rng = np.random.Generator(np.random.Philox(key=5))
     times = 1.5 + np.cumsum(rng.uniform(0.05, 0.6, 30))     # nonuniform

@@ -31,6 +31,25 @@ def random_field(engine, rng, scale=1.0):
     return grids.GridFunction(engine.n_period, vals)
 
 
+def on_grid(engine, v, t):
+    """e^{Lt} v on the grid, through the engine's fiber operations."""
+    return engine.field(engine.apply(engine.fibers(v), t))
+
+
+def parts_on_grid(engine, v, t):
+    """e^{Lt} v and its mean-phase, phase-field and S~ parts on the grid."""
+    half = engine.fibers(v)
+    full = engine.apply(half, t)
+    amp = np.exp(engine.crit_lam * t) * engine.amplitudes(half)
+    return [engine.field(f) for f in (full, *engine.split(full, amp))]
+
+
+def phase_on_grid(engine, v, t, l=0, m=0):
+    """The scalar field d_x^l d_t^m s_p(t) v."""
+    return engine.synthesize_phase(engine.amplitudes(engine.fibers(v)), t=t,
+                                   l=l, m=m)
+
+
 def test_cutoff_weight_shape():
     spec = CutoffSpec(0.8)
     assert spec.weight(0.0) == 1.0
@@ -81,7 +100,7 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
     assert engine.frequencies.shape == engine.rho.shape == (n,)
     v = random_field(engine, rng)
     with pytest.raises(ValueError, match="real"):
-        engine.apply(grids.GridFunction(n, v.values + 0j), 1.0)
+        engine.fibers(grids.GridFunction(n, v.values + 0j))
 
     # reference: expm of the Bloch matrix at every one of the N frequencies,
     # the xi < 0 ones included, which the engine never assembles
@@ -94,13 +113,13 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
         ref = grids.bloch_inverse(grids.BlochCoefficients(
             n, ref_fibers.reshape(n, engine.m_x, engine.n))).values
         scale = np.max(np.abs(ref))
-        for out in (engine.apply(v, t), engine.decompose(v, t).total):
-            assert np.max(np.abs(out.values - ref)) <= 1e-11 * scale, t
+        out = on_grid(engine, v, t)
+        assert np.max(np.abs(out.values - ref)) <= 1e-11 * scale, t
 
 
 def test_apply_at_time_zero_is_the_identity(engine4, rng):
     v = random_field(engine4, rng)
-    out = engine4.apply(v, 0.0)
+    out = on_grid(engine4, v, 0.0)
     assert np.max(np.abs(out.values - v.values)) <= 1e-12 * np.max(np.abs(v.values))
 
 
@@ -108,8 +127,8 @@ def test_semigroup_law(engine4, rng):
     v = random_field(engine4, rng)
     for s in (0.5, 2.0):
         for t in (0.5, 2.0):
-            once = engine4.apply(v, s + t)
-            twice = engine4.apply(engine4.apply(v, s), t)
+            once = on_grid(engine4, v, s + t)
+            twice = on_grid(engine4, on_grid(engine4, v, s), t)
             defect = grids.norm_l2(grids.GridFunction(
                 4, twice.values - once.values))
             assert defect <= 1e-8 * max(grids.norm_l2(v), 1.0), (s, t)
@@ -118,7 +137,7 @@ def test_semigroup_law(engine4, rng):
 def test_profile_derivative_is_stationary(engine4, rgl_profile):
     dphi = phi_prime_field(rgl_profile, 4, engine4.m_x)
     for t in (1.0, 10.0):
-        drift = engine4.apply(dphi, t)
+        drift = on_grid(engine4, dphi, t)
         err = grids.norm_l2(grids.GridFunction(4, drift.values - dphi.values))
         assert err <= 1e-8, t
 
@@ -126,14 +145,9 @@ def test_profile_derivative_is_stationary(engine4, rgl_profile):
 def test_decomposition_sums_back_to_the_full_action(engine8, rng):
     v = random_field(engine8, rng)
     for t in (0.0, 0.7, 5.0):
-        parts = engine8.decompose(v, t)
-        recon = (parts.mean_phase.values + parts.sp_field.values
-                 + parts.stilde.values)
-        assert np.max(np.abs(recon - parts.total.values)) <= 1e-11
-        direct = engine8.apply(v, t)
-        assert np.max(np.abs(parts.total.values - direct.values)) <= 1e-11
-        np.testing.assert_array_equal(engine8.stilde(v, t).values,
-                                      parts.stilde.values)
+        total, mean, sp_field, stilde = parts_on_grid(engine8, v, t)
+        recon = mean.values + sp_field.values + stilde.values
+        assert np.max(np.abs(recon - total.values)) <= 1e-11
 
 
 def test_expm_fallback_matches_the_eigendecomposition(
@@ -143,14 +157,14 @@ def test_expm_fallback_matches_the_eigendecomposition(
     # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails cond_limit = 1
     forced = SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability,
                              cond_limit=1.0)
-    assert sorted(forced._expm) == list(range(forced.n_half))
+    assert not forced.diagonalizable.any()
     assert _engine_health(forced)["expm_fibers"] == [
         float(xi) for xi in forced.frequencies[:forced.n_half]]
     v = random_field(forced, rng)
     for t in (0.5, 5.0):
-        for got, ref in ((forced.apply(v, t), engine4.apply(v, t)),
-                         (forced.decompose(v, t).stilde,
-                          engine4.decompose(v, t).stilde)):
+        for got, ref in ((on_grid(forced, v, t), on_grid(engine4, v, t)),
+                         (parts_on_grid(forced, v, t)[3],
+                          parts_on_grid(engine4, v, t)[3])):
             err = np.linalg.norm(got.values - ref.values)
             assert err <= 1e-10 * np.linalg.norm(ref.values), t
 
@@ -159,7 +173,7 @@ def test_mean_phase_coefficient_of_the_derivative_is_the_period(
         engine4, engine16, rgl_profile):
     for engine, n in ((engine4, 4), (engine16, 16)):
         dphi = phi_prime_field(rgl_profile, n, engine.m_x)
-        coeff = engine.critical_inner(dphi)[0].real
+        coeff = engine.amplitudes(engine.fibers(dphi))[0].real
         assert coeff == pytest.approx(n, rel=1e-8)
 
 
@@ -168,7 +182,8 @@ def test_translated_profile_projects_onto_the_phase(engine4, rgl_profile):
     s = 1e-6
     x = grids.grid_points(4, engine4.m_x)
     diff = rgl_profile(x - s) - rgl_profile(x)
-    coeff = engine4.critical_inner(grids.GridFunction(4, diff))[0].real
+    coeff = engine4.amplitudes(engine4.fibers(
+        grids.GridFunction(4, diff)))[0].real
     assert coeff == pytest.approx(-s * 4, rel=1e-4)
 
 
@@ -182,25 +197,25 @@ def test_high_frequency_data_has_no_phase_part(engine8):
     fibers[j, 1, 0] = 1.0
     fibers[(8 - j) % 8, -1, 0] = 1.0      # conjugate partner slot
     v = grids.bloch_inverse(grids.BlochCoefficients(8, fibers))
-    sp = engine8.sp_scalar(v, 1.0)
+    sp = phase_on_grid(engine8, v, 1.0)
     assert grids.norm_l2(sp) <= 1e-13
-    parts = engine8.decompose(v, 1.0)
-    assert grids.norm_l2(parts.sp_field) <= 1e-13
-    assert grids.norm_l2(parts.mean_phase) <= 1e-13
+    _, mean, sp_field, _ = parts_on_grid(engine8, v, 1.0)
+    assert grids.norm_l2(sp_field) <= 1e-13
+    assert grids.norm_l2(mean) <= 1e-13
 
 
 def test_phase_scalar_derivative_multipliers(engine8, rng):
     # d_x of the synthesized phase equals the l = 1 synthesis
     v = random_field(engine8, rng)
-    sp = engine8.sp_scalar(v, 2.0, l=0)
-    sp_x = engine8.sp_scalar(v, 2.0, l=1)
+    sp = phase_on_grid(engine8, v, 2.0, l=0)
+    sp_x = phase_on_grid(engine8, v, 2.0, l=1)
     np.testing.assert_allclose(grids.derivative(sp).values, sp_x.values,
                                atol=1e-10)
     # d_t brings down lambda: compare with a finite difference in t
     h = 1e-5
-    sp_t = engine8.sp_scalar(v, 2.0, m=1)
-    fd = (engine8.sp_scalar(v, 2.0 + h).values
-          - engine8.sp_scalar(v, 2.0 - h).values) / (2 * h)
+    sp_t = phase_on_grid(engine8, v, 2.0, m=1)
+    fd = (phase_on_grid(engine8, v, 2.0 + h).values
+          - phase_on_grid(engine8, v, 2.0 - h).values) / (2 * h)
     np.testing.assert_allclose(sp_t.values, fd, atol=1e-7)
 
 
@@ -211,10 +226,9 @@ def test_remainder_decays_at_the_subharmonic_gap(engine4, rgl_profile, rng):
     delta = subharmonic_spectrum(rgl_profile, 4).delta
     v = random_field(engine4, rng)
     t0, t1 = 40.0, 80.0
-    parts0 = engine4.decompose(v, t0)
-    parts1 = engine4.decompose(v, t1)
-    rate = -np.log(grids.norm_l2(parts1.stilde)
-                   / grids.norm_l2(parts0.stilde)) / (t1 - t0)
+    stilde0 = parts_on_grid(engine4, v, t0)[3]
+    stilde1 = parts_on_grid(engine4, v, t1)[3]
+    rate = -np.log(grids.norm_l2(stilde1) / grids.norm_l2(stilde0)) / (t1 - t0)
     assert rate == pytest.approx(delta, rel=0.10)
 
 
@@ -249,10 +263,10 @@ def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
     measures = measure_decay(engine8, v, times, l=1, m=1)
     assert len(calls) == 1
     for i, t in enumerate(times):
-        parts = engine8.decompose(v, t)
-        for part, field in (("total", parts.total), ("mean", parts.mean_phase),
-                            ("sp", engine8.sp_scalar(v, t, l=1, m=1)),
-                            ("stilde", parts.stilde)):
+        total, mean, _, stilde = parts_on_grid(engine8, v, t)
+        for part, field in (("total", total), ("mean", mean),
+                            ("sp", phase_on_grid(engine8, v, t, l=1, m=1)),
+                            ("stilde", stilde)):
             assert measures[part].norms[i] == grids.norm_l2(field), (part, t)
 
 
