@@ -6,7 +6,7 @@ stability, decomposes the linear semigroup on N-periodic functions into
 phase, critically damped, and exponentially damped parts, and runs nonlinear
 simulations with modulation (phase/translation) extraction.
 
-Submodules load on first use: ``wavetrain.bloch_spectrum`` imports
+Submodules load on first use: ``wavetrain.subharmonic_spectrum`` imports
 ``wavetrain.bloch``, and a command that never touches the time stepper never
 loads ``wavetrain.evolve``.
 """
@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bloch": (
         "CriticalCurve", "HillTruncation", "StabilityReport",
-        "SubharmonicSpectrum", "assemble_bloch", "bloch_spectrum",
-        "critical_curve", "critical_mode_data", "gap_sequence", "grid_modes",
+        "SubharmonicSpectrum", "assemble_bloch", "critical_curve",
+        "critical_mode_data", "gap_sequence", "grid_modes",
         "subharmonic_spectrum", "verify_diffusive_stability",
     ),
     "errors": (

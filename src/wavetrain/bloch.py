@@ -86,17 +86,6 @@ def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):
     return BlochMatrix(float(xi), ells, mat)
 
 
-def bloch_spectrum(bm, vectors=False):
-    """Eigenvalues sorted by descending real part; optional unit eigenvectors."""
-    if vectors:
-        lam, vecs = np.linalg.eig(bm.entries)
-        order = np.argsort(-lam.real)
-        vecs = vecs[:, order]
-        return lam[order], vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    lam = np.linalg.eigvals(bm.entries)
-    return lam[np.argsort(-lam.real)]
-
-
 def pad_modes(vec, n, m_x):
     """A mode-major vector on the 2m+1 modes |l| <= m (FFT wrap order),
     zero-padded onto the m_x >= 2m+1 cell modes of ``grids.cell_modes``."""
@@ -175,18 +164,18 @@ def adjoint_vector(matrix, lam, v):
     return np.linalg.solve(border.conj().T, rhs)[:dim]
 
 
-def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None):
+def follow_branch(matrix, lam, vecs, ref, phi_vec):
     """Continue the critical branch of ``ref`` into the fiber (lam, vecs).
 
     Picks the eigenvector with the largest normalized overlap with ``ref``,
     gauges it to <phi', v> = ||phi'||^2, takes the adjoint with <adj, v> = 1
-    from the matching row of ``vecs_inv`` (or by a bordered solve without
-    it), and refines lambda_c by the two-sided Rayleigh quotient, which is
-    exact to second order in the vector errors; the dense eigensolver alone
-    is only good to eps * ||matrix||. Returns (index, lambda_c, v, adj,
-    margin), the margin being the best minus the runner-up overlap. Raises
-    BranchTrackingError when the runner-up also reaches BRANCH_OVERLAP_FLOOR or
-    when v is orthogonal to phi'.
+    by the bordered solve of ``adjoint_vector``, and refines lambda_c by the
+    two-sided Rayleigh quotient, which is exact to second order in the
+    vector errors; the dense eigensolver alone is only good to
+    eps * ||matrix||. Returns (index, lambda_c, v, adj, margin), the margin
+    being the best minus the runner-up overlap. Raises BranchTrackingError
+    when the runner-up also reaches BRANCH_OVERLAP_FLOOR or when v is
+    orthogonal to phi'.
     """
     overlaps = np.abs(ref.conj() @ vecs) / (np.linalg.norm(vecs, axis=0)
                                              * np.linalg.norm(ref))
@@ -203,10 +192,7 @@ def follow_branch(matrix, lam, vecs, ref, phi_vec, vecs_inv=None):
         raise BranchTrackingError("critical eigenvector is orthogonal to phi'; "
                                   "gauge undefined")
     v = v * (np.vdot(phi_vec, phi_vec) / s)
-    if vecs_inv is None:
-        adj = adjoint_vector(matrix, lam[idx], v)
-    else:
-        adj = np.conj(vecs_inv[idx]) / np.conj(vecs_inv[idx] @ v)
+    adj = adjoint_vector(matrix, lam[idx], v)
     lam_c = np.vdot(adj, matrix @ v) / np.vdot(adj, v)
     return idx, lam_c, v, adj, float(overlaps[idx] - runner_up)
 
@@ -235,6 +221,34 @@ class _Fiber:
     def lam_c(self):
         return complex(np.nan, np.nan) if self.index is None else complex(
             self.lam[self.index])
+
+    def conjugate(self, flip):
+        """The fiber at -xi: L_{-xi} = P conj(L_xi) P for the l -> -l
+        permutation ``flip`` of ``conjugate_index``."""
+        return _Fiber(np.conj(self.lam), self.index, np.conj(self.vec)[flip],
+                      None if self.adj is None else np.conj(self.adj)[flip],
+                      self.margin)
+
+
+def decompose_fiber(matrix, ref, phi_vec):
+    """Eigendecompose one Bloch fiber and follow the critical branch of
+    ``ref`` into it (see ``follow_branch``).
+
+    Returns (fiber, V): the eigenvalues Re-descending with lambda_c refined,
+    and the unit eigenvectors V in the same order. Where the branch is lost
+    the fiber's index is None and its vec is ``ref``.
+    """
+    lam, vecs = np.linalg.eig(matrix)
+    order = np.argsort(-lam.real)
+    lam, vecs = lam[order], vecs[:, order]
+    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    try:
+        idx, lam_c, vec, adj, margin = follow_branch(matrix, lam, vecs, ref,
+                                                     phi_vec)
+    except BranchTrackingError:
+        return _Fiber(lam, None, ref, None, np.nan), vecs
+    lam[idx] = lam_c
+    return _Fiber(lam, idx, vec, adj, margin), vecs
 
 
 class _BranchWalker:
@@ -274,11 +288,8 @@ class _BranchWalker:
         """The fiber at xi = base * j / n."""
         q = Fraction(int(j), int(n))
         if q < 0:
-            pos = self.fiber(-q.numerator, q.denominator, base)
-            flip = self._flip
-            return _Fiber(np.conj(pos.lam), pos.index, np.conj(pos.vec)[flip],
-                          None if pos.adj is None else np.conj(pos.adj)[flip],
-                          pos.margin)
+            return self.fiber(-q.numerator, q.denominator, base).conjugate(
+                self._flip)
         key = self._key(q, base)
         if key in self._fibers:
             return self._fibers[key]
@@ -299,15 +310,8 @@ class _BranchWalker:
 
     def _decompose(self, xi, ref):
         bm = assemble_bloch(self.profile, xi, ells=self.ells, that=self.that)
-        lam, vecs = bloch_spectrum(bm, vectors=True)
         self.decomposed += 1
-        try:
-            idx, lam_c, vec, adj, margin = follow_branch(
-                bm.entries, lam, vecs, ref, self.phi_vec)
-        except BranchTrackingError:
-            return _Fiber(lam, None, ref, None, np.nan)
-        lam[idx] = lam_c
-        return _Fiber(lam, idx, vec, adj, margin)
+        return decompose_fiber(bm.entries, ref, self.phi_vec)[0]
 
     def mode_at(self, xi):
         """Gauge-fixed critical data at one frequency, adjoint included."""

@@ -8,7 +8,8 @@ reproduce all CSV/JSON payloads bit-for-bit (manifest timing fields
 excepted).
 
 Exit codes: 0 success, 2 solver failure, 64 usage error, 65 validation
-error, 66 unreadable input, 70 blow-up, 71 Duhamel extraction failure.
+error (and any other package error, such as a lost critical branch), 66
+unreadable input, 70 blow-up, 71 Duhamel extraction failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     PhaseWarpError,
     ProfileConvergenceError,
     ResolutionError,
+    WavetrainError,
 )
 from .models import _FACTORIES, make_model
 
@@ -577,17 +579,12 @@ def cmd_sum_bounds(args, argv):
 
     times = np.unique(np.concatenate(
         [[0.0], np.geomspace(1e-2, args.tmax, 240)]))
-    rows = []
     with manifest.stage("lattice_sums"):
-        for n in n_values:
-            for r in r_values:
-                sums = semigroup.lattice_sum(n, r, times, d=args.d)
-                ratios = sums * (1.0 + times) ** (r + 0.5)
-                for t, s, ratio in zip(times, sums, ratios):
-                    rows.append((str(n), _fmt(r), _fmt(t), _fmt(s),
-                                 _fmt(ratio)))
         report_rows = semigroup.sum_bound_report(n_values, r_values, times,
                                                  d=args.d)
+        rows = [(str(row.n_period), _fmt(row.r), _fmt(t), _fmt(s), _fmt(ratio))
+                for row in report_rows
+                for t, s, ratio in zip(times, row.sums, row.ratios)]
         global_c = max(row.attained_constant for row in report_rows)
         probes = {}
         for n in n_values:
@@ -854,7 +851,7 @@ def cmd_simulate(args, argv):
             manifest.add_output(out_dir, du_path)
             manifest.counts["duhamel_sweeps"] = du.iterations
 
-    delta_n = engine.spectral_gap()
+    delta_n = bloch.subharmonic_spectrum(prof, n_period).delta
     checks = evolve.run_checks(
         result, trace, delta_n,
         duhamel=du if cfg["extraction"]["mode"] == "both" else None)
@@ -994,6 +991,9 @@ def main(argv=None):
     except ExtractionDivergenceError as exc:
         print(f"extraction divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except WavetrainError as exc:
+        print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

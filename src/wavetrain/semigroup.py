@@ -25,9 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, grids
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, BranchTrackingError
 
 TWO_PI = 2.0 * np.pi
+
+# Fibers whose eigenvector matrix has ||V||_F ||V^-1||_F above COND_LIMIT
+# propagate by expm instead of through V.
+COND_LIMIT = 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +76,19 @@ class SemigroupEngine:
     """Fiberwise-diagonalized semigroup for one profile and period multiple N.
 
     The engine takes real fields only, so the fiber at -xi is the conjugate
-    of the one at xi under the l -> -l flip. It eigendecomposes the dense
-    Bloch block (odd per-cell mode count m_x; ``bloch.grid_modes`` derives
-    the default from the Hill truncation) at the floor(N/2)+1 lattice
-    slots j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps (for even
-    N slot N/2 is -pi, built from the +pi decomposition), and fills the
-    xi < 0 half by conjugation when ``field`` synthesizes a result. On the
-    fibers inside the cutoff support it follows the critical branch in the
-    phi'-anchored gauge, with adjoints from the rows of V^-1; on lattices
-    coarser than the branch step the references come from the profile's
-    fiber store, zero-padded onto the engine's modes. Per-fiber
-    arrays have leading size N//2+1; ``frequencies``, ``rho``, ``crit_lam``
-    and ``critical`` cover all N frequencies. Fibers whose eigenvector
-    matrix fails ||V||_F ||V^-1||_F <= ``cond_limit`` propagate by expm.
+    of the one at xi under the l -> -l flip. It decomposes the dense Bloch
+    block (odd per-cell mode count m_x; ``bloch.grid_modes`` derives the
+    default from the Hill truncation) at the floor(N/2)+1 lattice slots
+    j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps, by
+    ``bloch.decompose_fiber`` (for even N slot N/2 is -pi, the conjugate of
+    the +pi fiber), and fills the xi < 0 half by conjugation when ``field``
+    synthesizes a result. Each fiber follows the critical branch in the
+    phi'-anchored gauge from the profile's fiber store at the same
+    frequency, zero-padded onto the engine's modes; a branch lost inside the
+    cutoff support raises BranchTrackingError. Per-fiber arrays have leading
+    size N//2+1; ``frequencies``, ``rho``, ``crit_lam`` and ``critical``
+    cover all N frequencies. Fibers whose eigenvector matrix fails
+    ||V||_F ||V^-1||_F <= COND_LIMIT propagate by expm.
 
     The operations act on the stored fibers: ``fibers`` transforms a real
     field, ``apply`` propagates, ``amplitudes`` reads the critical
@@ -93,8 +97,7 @@ class SemigroupEngine:
     ``field(apply(fibers(v), t))``.
     """
 
-    def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None,
-                 cond_limit=1e10):
+    def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None):
         if m_x is not None and m_x % 2 == 0:
             raise ValueError(f"m_x must be odd, got {m_x}")
         self.profile = profile
@@ -124,48 +127,40 @@ class SemigroupEngine:
         self.crit_lam = np.full(N, np.nan + 0j)
         self.crit_phi = np.zeros((H, self.dim), dtype=complex)
         self.crit_adj = np.zeros((H, self.dim), dtype=complex)
-        self._expm = {}             # j -> Bloch matrix of a fiber failing cond_limit
+        self._expm = {}             # j -> Bloch matrix of a fiber failing COND_LIMIT
 
-        # branch references: the profile's fiber store at the same frequency
         store = bloch.fiber_store(profile)
         for j in range(H):
             # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
-            mat = bloch.assemble_bloch(profile, abs(self.frequencies[j]),
-                                       ells=self.ells, that=self.that).entries
-            lam, V = np.linalg.eig(mat)
+            xi = abs(self.frequencies[j])
+            mat = bloch.assemble_bloch(profile, xi, ells=self.ells,
+                                       that=self.that).entries
+            ref = bloch.pad_modes(store.fiber(j, N).vec, self.n, self.m_x)
+            fib, V = bloch.decompose_fiber(mat, ref, self.phi_slots)
+            if fib.index is None and self.rho[j] > 0.0:
+                raise BranchTrackingError(
+                    f"critical branch lost at xi = {xi:.6g} inside the "
+                    f"cutoff support |xi| < {cutoff.xi_1:.6g}")
+            if 2 * j == N:      # even N keeps -pi: conjugate the +pi fiber
+                fib, V, mat = (fib.conjugate(flip), np.conj(V)[flip],
+                               np.conj(mat)[flip][:, flip])
             try:
                 V_inv = np.linalg.inv(V)
                 cond = np.linalg.norm(V) * np.linalg.norm(V_inv)
             except np.linalg.LinAlgError:
-                V_inv, cond = None, np.inf
-            ok = cond <= cond_limit
-            if not ok:
+                cond = np.inf
+            if not cond <= COND_LIMIT:
                 V_inv = np.full_like(V, np.nan)
-            crit = (np.nan + 0j, np.zeros(self.dim), np.zeros(self.dim))
-            if self.rho[j] > 0.0:
-                ref = bloch.pad_modes(store.fiber(j, N).vec, self.n, self.m_x)
-                idx, lam_c, vec, adj, _ = bloch.follow_branch(
-                    mat, lam, V, ref, self.phi_slots, V_inv if ok else None)
-                lam[idx] = lam_c
-                crit = (lam_c, vec, adj)
-            if 2 * j == N:      # even N keeps -pi: conjugate the +pi fiber
-                mat, lam, V, V_inv = (np.conj(mat)[flip][:, flip], np.conj(lam),
-                                      np.conj(V)[flip], np.conj(V_inv)[:, flip])
-                crit = (np.conj(crit[0]), np.conj(crit[1])[flip],
-                        np.conj(crit[2])[flip])
-            self.eigvals[j], self.right[j], self.right_inv[j] = lam, V, V_inv
-            self.eigvec_cond[j] = cond
-            self.crit_lam[j], self.crit_phi[j], self.crit_adj[j] = crit
-            if not ok:
                 self._expm[j] = mat
-        self.diagonalizable = self.eigvec_cond <= cond_limit
+            self.eigvals[j], self.right[j], self.right_inv[j] = fib.lam, V, V_inv
+            self.eigvec_cond[j] = cond
+            if fib.index is not None:
+                self.crit_lam[j] = fib.lam_c
+                self.crit_phi[j], self.crit_adj[j] = fib.vec, fib.adj
+        self.diagonalizable = self.eigvec_cond <= COND_LIMIT
         self.crit_lam[N - self._mirror] = np.conj(self.crit_lam[self._mirror])
         # the frequencies that carry a critical projection
         self.critical = (self.rho > 0.0) & np.isfinite(self.crit_lam.real)
-
-    def spectral_gap(self):
-        """delta_N of the engine's lattice, from its own eigenvalues."""
-        return bloch.lattice_gap(list(self.eigvals))[0]
 
     # -- fiber-space operations ---------------------------------------------
 
@@ -238,23 +233,6 @@ class SemigroupEngine:
                              * lam ** m * np.exp(lam * t) * inner[sel])
         bc = grids.BlochCoefficients(self.n_period, fibers, was_real=True)
         return grids.bloch_inverse(bc)
-
-    def stilde_parts(self, v, t):
-        """Split S~(t) v further: high-frequency, low-frequency complement,
-        critical correction (eigenfunction minus phi')."""
-        H = self.n_half
-        crit = self.critical[:H]
-        half = self.fibers(v)
-        amp = self.amplitudes(half)[:H]
-        rho = self.rho[:H, None]
-        hf = (1.0 - rho) * self.apply(half, t)
-        lf = rho * self.apply(
-            half - np.where(crit, amp, 0.0)[:, None] * self.crit_phi, t)
-        factors = np.where(crit, self.rho[:H] * np.exp(self.crit_lam[:H] * t)
-                           * amp, 0.0)
-        corr = factors[:, None] * (self.crit_phi - self.phi_slots)
-        corr[0] = 0.0
-        return (self.field(hf), self.field(lf), self.field(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +351,8 @@ class SumBoundRow:
     r: float
     attained_constant: float    # sup_t sum * (1+t)^{r+1/2}
     sup_time: float
+    sums: np.ndarray            # the lattice sum at each time
+    ratios: np.ndarray          # sums * (1+t)^{r+1/2}
 
 
 def sum_bound_report(n_values, r_values, times, d=1.0):
@@ -390,7 +370,7 @@ def sum_bound_report(n_values, r_values, times, d=1.0):
             ratios = vals * (1.0 + times) ** (r + 0.5)
             i = int(np.argmax(ratios))
             rows.append(SumBoundRow(int(n), float(r), float(ratios[i]),
-                                    float(times[i])))
+                                    float(times[i]), vals, ratios))
     return rows
 
 

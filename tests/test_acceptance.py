@@ -284,7 +284,8 @@ def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
                                 normalize="sup")
     trace = evolve.modulation_trace(res)
     tr = evolve.extract_modulation_duhamel(res, tol=tol, trace=trace)
-    agreement = evolve.run_checks(res, trace, engine16.spectral_gap(),
+    delta = bloch.subharmonic_spectrum(rgl_profile, 16).delta
+    agreement = evolve.run_checks(res, trace, delta,
                                   duhamel=tr)["route_agreement"]
     ok = agreement["value"] <= 1e-3 and tr.v2_defect <= 10.0 * tol
     _verdict(10, ok,
@@ -306,7 +307,8 @@ def test_acceptance_10_fingerprints_hold_on_the_storage_grid(
                                     normalize="sup")
         tr = evolve.extract_modulation_duhamel(res, tol=tol)
         prints[engine.m_x] = (evolve.phase_convergence(res).gamma_inf,
-                              engine.spectral_gap(), tr.v2_defect)
+                              bloch.lattice_gap(list(engine.eigvals))[0],
+                              tr.v2_defect)
     assert sorted(prints) == [17, 65]
     (g17, d17, v17), (g65, d65, v65) = prints[17], prints[65]
     assert abs(g17 - g65) <= 1e-8 * abs(g65)

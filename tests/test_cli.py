@@ -202,6 +202,47 @@ def test_gap_files_when_out_dir_given(profile_file, tmp_path):
     assert {rec["N"] for rec in report["records"]} == {2, 4}
 
 
+def test_simulate_reports_the_delta_n_that_gap_prints(profile_file, tmp_path):
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path / "cfg.json", profile_file, out, N=16,
+                       t_max=20.0)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["gap", "--profile", str(profile_file), "--N", "16",
+                 "--out-dir", str(tmp_path / "gap")]) == 0
+    gap = read_json(tmp_path / "gap" / "gap_report.json")["records"][0]
+    assert read_json(out / "report.json")["delta_N"] == gap["delta_N"]
+
+
+@pytest.fixture(scope="module")
+def brusselator_file(brusselator_profile, tmp_path_factory):
+    from wavetrain.profiles import save_profile
+
+    path = tmp_path_factory.mktemp("bru") / "bru.json"
+    save_profile(brusselator_profile, path)
+    return path
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--scan", "16"],
+                                     ["linear-decay", "--N", "4"]])
+def test_a_lost_critical_branch_is_a_validation_error(brusselator_file,
+                                                      tmp_path, capsys,
+                                                      command):
+    code = main([command[0], "--profile", str(brusselator_file), *command[1:],
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "BranchTrackingError: critical branch lost" in err[0]
+
+
+def test_a_degenerate_profile_is_a_validation_error(tmp_path, capsys):
+    code = main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                 "--param", "amplitude=0", "--out", str(tmp_path / "x.json")])
+    assert code == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "DegenerateProfileError" in err[0]
+
+
 def test_linear_decay_run(profile_file, tmp_path):
     out = tmp_path / "dec"
     code = main(["linear-decay", "--profile", str(profile_file), "--N", "8",

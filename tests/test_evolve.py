@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetrain import evolve, grids, semigroup
+from wavetrain import bloch, evolve, grids, semigroup
 from wavetrain.errors import (
     BlowUpError,
     ExtractionDivergenceError,
@@ -740,7 +740,7 @@ def test_run_checks_leave_the_residual_checks_unjudged_after_a_warp_failure(
     res = run_experiment(rgl_profile, 4, engine4, t_max=12.0, dt=0.01,
                          seed=3, amplitude=1e-5)
     trace = modulation_trace(res)
-    delta = engine4.spectral_gap()
+    delta = bloch.subharmonic_spectrum(rgl_profile, 4).delta
     clean = evolve.run_checks(res, trace, delta)
     assert clean["zeta"]["pass"] is True and clean["damping"]["pass"] is True
     warp_ok = trace.warp_ok.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from wavetrain import bloch, grids
+from wavetrain import bloch, grids, semigroup
 from wavetrain.errors import AdmissibilityError
 from wavetrain.evolve import fourier_band, random_perturbation
 from wavetrain.semigroup import (
@@ -117,6 +117,26 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
         assert np.max(np.abs(out.values - ref)) <= 1e-11 * scale, t
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_engine_on_the_store_modes_holds_the_store_fibers(
+        rgl_profile, cutoff, stability, n):
+    # on the store's own 2M+1 modes the engine decomposes the store's
+    # matrices, so the two hold the same fibers bit for bit, the -pi slot
+    # (the conjugate of the +pi fiber) included
+    store = bloch.fiber_store(rgl_profile)
+    engine = SemigroupEngine(rgl_profile, n, m_x=2 * store.m + 1,
+                             cutoff=cutoff, stability=stability)
+    assert engine.m_x == 9
+    assert engine.frequencies[n // 2] == -np.pi
+    for j in range(engine.n_half):
+        fib = store.fiber(grids.cell_modes(n)[j], n)
+        assert fib.index is not None, j
+        np.testing.assert_array_equal(engine.eigvals[j], fib.lam)
+        assert engine.crit_lam[j] == fib.lam_c, j
+        np.testing.assert_array_equal(engine.crit_phi[j], fib.vec)
+        np.testing.assert_array_equal(engine.crit_adj[j], fib.adj)
+
+
 def test_apply_at_time_zero_is_the_identity(engine4, rng):
     v = random_field(engine4, rng)
     out = on_grid(engine4, v, 0.0)
@@ -151,12 +171,12 @@ def test_decomposition_sums_back_to_the_full_action(engine8, rng):
 
 
 def test_expm_fallback_matches_the_eigendecomposition(
-        engine4, rgl_profile, cutoff, stability, rng):
+        engine4, rgl_profile, cutoff, stability, rng, monkeypatch):
     from wavetrain.cli import _engine_health
 
-    # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails cond_limit = 1
-    forced = SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability,
-                             cond_limit=1.0)
+    # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails COND_LIMIT = 1
+    monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
+    forced = SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability)
     assert not forced.diagonalizable.any()
     assert _engine_health(forced)["expm_fibers"] == [
         float(xi) for xi in forced.frequencies[:forced.n_half]]
@@ -349,8 +369,9 @@ def test_stilde_high_frequency_part_decays_at_the_cutoff_rate(
     # data placed beyond the cutoff decays at least at the delta_0 rate
     # associated with frequencies |xi| >= xi_1 / 2
     v = random_field(engine8, rng)
-    hf0, _, _ = engine8.stilde_parts(v, 2.0)
-    hf1, _, _ = engine8.stilde_parts(v, 6.0)
+    rho = engine8.rho[:engine8.n_half, None]
+    hf0, hf1 = (engine8.field((1 - rho) * engine8.apply(engine8.fibers(v), t))
+                for t in (2.0, 6.0))
     rate = -np.log(grids.norm_l2(hf1) / grids.norm_l2(hf0)) / 4.0
     floor = min(stability.delta_0.values())
     assert rate >= 0.9 * floor
