@@ -32,13 +32,14 @@ _EXPORTS = {
         "crossover_fit", "damping_check", "default_snapshot_times",
         "envelope_slope", "extract_modulation_duhamel", "modulation_frame",
         "modulation_trace", "nonlinear_residual", "phase_convergence",
-        "random_perturbation", "read_snapshot", "recomposition_error",
-        "run_checks", "run_experiment", "write_snapshot",
+        "random_perturbation", "read_snapshot", "run_checks",
+        "run_experiment", "write_snapshot",
     ),
     "fourier": (),
     "grids": (
         "BlochCoefficients", "GridFunction", "bloch_inverse",
-        "bloch_transform", "derivative", "from_callable", "frequency_lattice",
+        "bloch_transform", "derivative", "derivative_values",
+        "from_callable", "frequency_lattice",
         "from_profile", "grid_points", "inner_l2", "norm_h", "norm_l1",
         "norm_l2", "norm_linf", "resample",
     ),

@@ -281,13 +281,20 @@ def norm_h(gf, s):
     return float(np.sqrt(total))
 
 
+def derivative_values(values, n_period, order=1):
+    """Spectral x-derivative of N-periodic samples on the point axis of a
+    (..., P, n) array: every (P, n) slice is differentiated on its own."""
+    P = values.shape[-2]
+    c = np.fft.fft(values, axis=-2)
+    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
+    c = c * (1j * omega[:, None]) ** order
+    vals = np.fft.ifft(c, axis=-2)
+    if np.isrealobj(values):
+        vals = vals.real
+    return vals
+
+
 def derivative(gf, order=1):
     """Spectral derivative on the grid."""
-    P = gf.n_points
-    c = np.fft.fft(gf.values, axis=0)
-    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / gf.n_period
-    c = c * (1j * omega[:, None]) ** order
-    vals = np.fft.ifft(c, axis=0)
-    if np.isrealobj(gf.values):
-        vals = vals.real
-    return GridFunction(gf.n_period, vals)
+    return GridFunction(gf.n_period,
+                        derivative_values(gf.values, gf.n_period, order))

@@ -348,14 +348,18 @@ def test_simulate_reports_an_unreachable_crossover_unjudged(profile_file,
     assert report["duhamel"]["v2_defect"] <= 1e-7
 
 
-def test_simulate_is_deterministic(profile_file, tmp_path):
+@pytest.mark.parametrize("mode", ["projection", "both"])
+def test_simulate_is_deterministic(profile_file, tmp_path, mode):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"sim_{tag}"
         cfg = write_config(tmp_path / f"cfg_{tag}.json", profile_file, out)
-        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--extract", mode]) == 0
         outs.append(out)
-    for name in ("trace.csv", "report.json"):
+    names = ["trace.csv", "report.json"]
+    if mode == "both":
+        names.append("trace_duhamel.csv")
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     snaps0 = sorted(os.listdir(outs[0] / "snapshots"))
     assert snaps0 == sorted(os.listdir(outs[1] / "snapshots"))
@@ -467,9 +471,17 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path):
     config = json.loads(cfg.read_text())
     config["perturbation"]["amplitude"] = 0.0
     cfg.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--extract", "both"]) == 0
     report = read_json(out / "report.json")
     assert report["phase"]["pass"] is True
+    # both routes read rounding noise: judged on absolute differences
+    assert report["route_agreement"]["pass"] is True
+    assert report["route_agreement"]["absolute"] <= 1e-12
+    assert report["crossover"]["pass"] is None
+    assert report["crossover"]["reason"] == "zero perturbation"
+    checks = [v for v in report.values() if isinstance(v, dict) and "pass" in v]
+    assert len(checks) == 7
+    assert not any(check["pass"] is False for check in checks)
 
 
 @pytest.mark.parametrize("case, code", [

@@ -1,6 +1,7 @@
 """Time stepping, modulation extraction, and trajectory diagnostics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from wavetrain.evolve import (
     quintic_smoothstep,
     random_perturbation,
     read_snapshot,
-    recomposition_error,
     run_experiment,
     stable_dt_limit,
     time_derivative,
@@ -417,9 +417,9 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
                          amplitude=0.0, initial=init,
                          snapshot_times=[0.0, 2.0, 3.0])
     assert res.gamma_raw[-1] == pytest.approx(4 * s, rel=1e-2)
-    frame = modulation_frame(res, len(res.times) - 1)
-    assert grids.norm_l2(frame.psi) <= 1e-4
-    assert grids.norm_linf(frame.v) <= 1e-4
+    psi, v = modulation_frame(res, len(res.times) - 1)
+    assert grids.norm_l2(grids.GridFunction(4, psi)) <= 1e-4
+    assert grids.norm_linf(grids.GridFunction(4, v)) <= 1e-4
 
 
 def test_spectral_tail_weights_the_rfft_half():
@@ -453,49 +453,128 @@ def test_derivative_direction_is_pure_phase(rgl_profile, engine4):
     res = run_experiment(rgl_profile, 4, engine4, t_max=2.0, dt=0.01,
                          amplitude=0.0, initial=init, snapshot_times=[0.0, 2.0])
     assert res.gamma_raw[0] == pytest.approx(4 * eps, rel=1e-6)
-    psi0 = res.psi_field(0)
-    assert grids.norm_l2(psi0) <= 1e-10
+    psi0, _ = modulation_frame(res, 0)
+    assert grids.norm_l2(grids.GridFunction(4, psi0)) <= 1e-10
 
 
 def test_recomposition_inverts_the_warp(rgl_profile, engine4):
+    # the inverse warp point of each grid node y solves the fixed point
+    # x = y + gamma/N + psi(x); then phi(x) + v(x) must return u(y), up to
+    # the interpolation error of the composed fields
     res = run_experiment(rgl_profile, 4, engine4, t_max=5.0, dt=0.01,
                          seed=9, amplitude=1e-4)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
-        frame = modulation_frame(res, i)
-        assert recomposition_error(res, frame, i) <= 1e-6
+        psi, v = (grids.GridFunction(4, f) for f in modulation_frame(res, i))
+        u = res.snapshots[i]
+        y = u.x
+        g = res.gamma[i] / 4
+        x = y + g
+        for _ in range(50):
+            x_new = y + g + psi.interp(x)[:, 0]
+            shift = np.max(np.abs(x_new - x))
+            x = x_new
+            if shift < 1e-14:
+                break
+        err = np.max(np.abs(v.interp(x) + rgl_profile(x) - u.values))
+        assert err <= 1e-6 * np.max(np.abs(u.values))
 
 
-def test_modulation_frame_rejects_steep_phases(rgl_profile, engine4, small_run):
-    # force an absurd phase amplitude through the optional override
+def test_modulation_frame_rejects_steep_phases(small_run):
+    # an absurd phase amplitude at snapshot 10
     inner = np.zeros(4, dtype=complex)
     inner[1] = 40.0
     inner[3] = np.conj(inner[1])
-    with pytest.raises(PhaseWarpError, match="psi_x"):
-        modulation_frame(small_run, 10, inner=inner)
-    # the trace records such a snapshot as a NaN row instead of raising
     steep = small_run.inner.copy()
     steep[10] = inner / small_run.chi[10]
-    tr = modulation_trace(dataclasses.replace(small_run, inner=steep))
+    run = dataclasses.replace(small_run, inner=steep)
+    with pytest.raises(PhaseWarpError, match="psi_x"):
+        modulation_frame(run, 10)
+    # the trace records such a snapshot as a NaN row instead of raising
+    tr = modulation_trace(run)
     assert np.flatnonzero(~tr.warp_ok).tolist() == [10]
     assert np.isnan(tr.v_h[10]) and np.isnan(tr.psi_vals[10]).all()
     assert np.isfinite(np.delete(tr.v_h, 10)).all()
 
 
 def test_nonlinear_residual_scales_quadratically(rgl_profile, engine4):
-    # Q collects the beyond-linear part of f along the wave: halving the
+    # every term of the source is quadratic in (gamma, psi, v): halving the
     # perturbation should quarter it
     norms = {}
     for eps in (1e-3, 5e-4):
         res = run_experiment(rgl_profile, 4, engine4, t_max=4.0, dt=0.01,
                              seed=13, amplitude=eps, normalize="sup")
-        i = len(res.times) - 1
-        frame = modulation_frame(res, i)
-        gamma_t = float(np.gradient(res.gamma, res.times)[i])
-        rf = nonlinear_residual(rgl_profile, 4, frame, psi_t=0.0,
-                                gamma_t=gamma_t)
-        norms[eps] = grids.norm_l2(rf.q_term)
+        tr = modulation_trace(res)
+        source = nonlinear_residual(res, tr.gamma, tr.psi_vals, tr.v_vals)
+        assert source.shape == tr.v_vals.shape
+        norms[eps] = grids.norm_l2(grids.GridFunction(4, source[-1]))
     ratio = norms[1e-3] / norms[5e-4]
     assert ratio == pytest.approx(4.0, rel=0.25)
+
+
+def _snapshot_source(profile, n_period, psi, v, psi_t, gamma_t):
+    """Reference: the source at one snapshot as the frame-by-frame code
+    assembled it, on (P, n) GridFunctions, in its order of operations."""
+    k, c, model = profile.k, profile.c, profile.model
+    base = grids.from_profile(profile, n_period, v.shape[0] // n_period)
+    phi = base.values
+    phip = grids.derivative(base).values
+    vx = grids.derivative(grids.GridFunction(n_period, v)).values
+    psix = grids.derivative(grids.GridFunction(n_period, psi[:, None])).values
+    fv = model.f(phi + v) - model.f(phi)
+    dfv = np.einsum("xij,xj->xi", model.df(phi), v)
+    q_vals = (1.0 - psix) * (fv - dfv)
+    denom = 1.0 - psix
+    r_vals = (-psi_t[:, None] * v - (gamma_t / n_period) * v + c * psix * v
+              + k * grids.derivative(grids.GridFunction(n_period,
+                                                        psix * v)).values
+              + k * (psix / denom) * vx
+              + k * (psix ** 2 / denom) * phip)
+    r_x = grids.derivative(grids.GridFunction(n_period, r_vals)).values
+    return (q_vals + k * r_x) / k
+
+
+def test_nonlinear_residual_matches_the_per_snapshot_formulas(small_run):
+    # one batched call must give every snapshot's source bit for bit
+    tr = modulation_trace(small_run)
+    source = nonlinear_residual(small_run, tr.gamma, tr.psi_vals, tr.v_vals)
+    gamma_t = time_derivative(small_run.times, tr.gamma)
+    psi_t = time_derivative(small_run.times, tr.psi_vals)
+    assert np.max(np.abs(source)) > 0.0
+    for s in range(len(small_run.times)):
+        want = _snapshot_source(small_run.profile, 4, tr.psi_vals[s],
+                                tr.v_vals[s], psi_t[s], gamma_t[s])
+        assert np.array_equal(source[s], want)
+
+
+def test_nonlinear_residual_names_the_first_singular_snapshot(small_run):
+    # psi_x = 2 cos(pi x / 2) added at snapshots 10 and 20 of a valid trace
+    tr = modulation_trace(small_run)
+    x = grids.grid_points(4, small_run.m_x)
+    psi = tr.psi_vals.copy()
+    psi[[10, 20]] += 4.0 / np.pi * np.sin(np.pi * x / 2)
+    t = re.escape(f"t = {small_run.times[10]:.3f};")
+    with pytest.raises(PhaseWarpError, match=rf"max psi_x = 2\.\d+ >= 1 at {t}"):
+        nonlinear_residual(small_run, tr.gamma, psi, tr.v_vals)
+
+
+def test_duhamel_sweeps_evaluate_the_source_once_each(small_run, monkeypatch):
+    # one batched source per sweep plus one for the defect, on the phi the
+    # run sampled: the extraction samples phi on the grid no more
+    calls = {"nonlinear_residual": 0, "from_profile": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evolve, "nonlinear_residual")
+    counted(grids, "from_profile")
+    trace = extract_modulation_duhamel(small_run)
+    assert calls == {"nonlinear_residual": trace.iterations + 1,
+                     "from_profile": 0}
 
 
 def test_projection_extraction_full_trajectory(small_run):

@@ -13,6 +13,7 @@ from wavetrain.grids import (
     cell_modes,
     cell_norms_sq,
     derivative,
+    derivative_values,
     from_callable,
     from_profile,
     grid_points,
@@ -232,6 +233,14 @@ def test_spectral_derivative_of_a_harmonic():
     d2 = derivative(wave, order=2)
     np.testing.assert_allclose(d2.values[:, 0], -omega ** 2 * np.sin(
         omega * grid_points(n_period, m_x)), atol=1e-12)
+    # a (T, P, n) stack differentiates each (P, n) slice on its own, bit
+    # for bit as one GridFunction
+    rng = np.random.default_rng(1)
+    stack = rng.standard_normal((3, n_period * m_x, 2))
+    got = derivative_values(stack, n_period)
+    for vals, want in zip(stack, got):
+        assert np.array_equal(derivative(GridFunction(n_period, vals)).values,
+                              want)
 
 
 def test_from_profile_tiles_one_cell_exactly(rgl_profile):
