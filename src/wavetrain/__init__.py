@@ -38,7 +38,7 @@ _EXPORTS = {
     "fourier": (),
     "grids": (
         "BlochCoefficients", "GridFunction", "bloch_inverse",
-        "bloch_transform", "derivative", "derivative_values",
+        "bloch_transform", "derivative_values",
         "from_callable", "frequency_lattice",
         "from_profile", "grid_points", "inner_l2", "norm_h", "norm_l1",
         "norm_l2", "norm_linf", "resample",

@@ -29,6 +29,12 @@ TWO_PI = 2.0 * np.pi
 # constants by it), so that a band-limited field has one size on every grid
 PERTURBATION_QUADRATURE = 65
 
+# multiple of its rounding level up to which a series carries no slope.  On
+# the reference run (rgl q = 0.3, N = 16, l1_sobolev 1e-2, seed 0) every
+# |gamma_t| sample of 10 <= t <= N^2/10 lies within 2.6 times the level
+# eps max|u| / h, while ||v||_{H^3} ends 1e8 times above eps max|u|.
+ROUNDING_FLOOR = 100.0
+
 
 @dataclass
 class GridFunction:
@@ -292,9 +298,3 @@ def derivative_values(values, n_period, order=1):
     if np.isrealobj(values):
         vals = vals.real
     return vals
-
-
-def derivative(gf, order=1):
-    """Spectral derivative on the grid."""
-    return GridFunction(gf.n_period,
-                        derivative_values(gf.values, gf.n_period, order))

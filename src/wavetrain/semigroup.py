@@ -266,7 +266,9 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
 
     The default fit window is [10, N^2/10] (transient and crossover excluded);
     when that window holds fewer than two samples the whole series is used.
-    An explicitly empty window raises ValueError.
+    An explicitly empty window raises ValueError.  Fits leave out samples at
+    or below grids.ROUNDING_FLOOR eps max ||e^{Lt} v|| (rounding, not decay);
+    a part left with fewer than two samples fits NaN.
     """
     times = np.asarray(times, dtype=float)
     if fit_window is None:
@@ -291,9 +293,10 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),
                "stilde": -0.75}
+    floor = grids.ROUNDING_FLOOR * np.finfo(float).eps * np.max(norms[0])
     out = {}
     for series, (part, exponent) in zip(norms, claimed.items()):
-        mask = series > 1e-290
+        mask = series > floor
         if fit_window is not None or (mask & window).sum() >= 2:
             mask &= window
         if mask.sum() >= 2:

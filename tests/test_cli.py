@@ -76,12 +76,16 @@ def _cold_python(*args, cwd):
 
 def test_commands_start_without_scipy(tmp_path):
     prof = str(tmp_path / "q03.json")
+    # the time step's transforms stay on numpy's pocketfft: a cold
+    # scipy.fft import would cost simulate about 0.3 s
+    cfg = write_config(tmp_path / "cfg.json", prof, tmp_path / "sim")
     runs = [
         ["-c", "import wavetrain.cli"],
         ["-m", "wavetrain", "profile", "--model", "rgl", "--param", "q=0.3",
          "--out", prof],
         ["-m", "wavetrain", "spectrum", "--profile", prof, "--scan", "16",
          "--out-dir", str(tmp_path / "spec")],
+        ["-m", "wavetrain", "simulate", "--config", str(cfg)],
     ]
     for args in runs:
         proc, modules = _cold_python(*args, cwd=tmp_path)

@@ -294,26 +294,47 @@ def _bump_state(profile, n_period, m_x):
         [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
 
 
-@pytest.mark.parametrize("scheme", ["imex"])
-def test_steppers_reproduce_the_point_major_formulas_bitwise(rgl_profile,
-                                                             scheme):
-    # the state layout must not change a single bit of a trajectory; the
-    # rgl wave stands still (c = 0), so its symbol is real
-    n_period, m_x, dt = 4, 65, 0.01
-    values = _bump_state(rgl_profile, n_period, m_x)
-    stepper = evolve._SCHEMES[scheme](rgl_profile, n_period, m_x, dt)
+@pytest.mark.parametrize("scheme, wave, n_period, m_x", [
+    # even P, real symbol (the rgl wave stands still, c = 0)
+    pytest.param("imex", "rgl", 4, 65, id="imex"),
+    # odd P: the other forward FFT kernel
+    pytest.param("imex", "rgl", 3, 33, id="imex-odd_P"),
+    # |c| > 1: a complex symbol
+    pytest.param("imex", "brusselator", 2, 33, id="imex-brusselator"),
+])
+def test_steppers_reproduce_the_point_major_formulas_bitwise(
+        request, scheme, wave, n_period, m_x):
+    # neither the state layout nor the FFT kernels the stepper calls may
+    # change a single bit of a trajectory
+    profile = request.getfixturevalue(f"{wave}_profile")
+    dt = 0.01
+    values = _bump_state(profile, n_period, m_x)
+    stepper = evolve._SCHEMES[scheme](profile, n_period, m_x, dt)
     u_hat = stepper.to_hat(values)
     assert u_hat.shape == (2, n_period * m_x // 2 + 1)
     for _ in range(50):
         u_hat = stepper.step(u_hat)
     # every FFT and reaction sum of a step runs on the contiguous axis
     assert u_hat.flags.c_contiguous
-    want = _point_major_steps(rgl_profile, n_period, m_x, dt, values, 50)
+    want = _point_major_steps(profile, n_period, m_x, dt, values, 50)
     assert np.max(np.abs(want - values)) > 1e-2
     assert np.array_equal(stepper.to_grid(u_hat).T, want)
     # folding 1/k, dt and 1/den into the coefficients moves only rounding
-    unfolded = _unfolded_steps(rgl_profile, n_period, m_x, dt, values, 50)
+    unfolded = _unfolded_steps(profile, n_period, m_x, dt, values, 50)
     assert np.max(np.abs(want - unfolded)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_period, m_x", [(4, 17), (3, 33)])
+def test_stepper_transforms_are_numpys_bitwise(rgl_profile, n_period, m_x):
+    # the stepper calls the pocketfft kernels behind np.fft directly, on
+    # even and odd P
+    stepper = ImexStepper(rgl_profile, n_period, m_x, 0.01)
+    values = _bump_state(rgl_profile, n_period, m_x)
+    u_hat = stepper.to_hat(values)
+    assert u_hat.flags.c_contiguous
+    assert np.array_equal(u_hat, np.fft.rfft(values, axis=0).T)
+    assert np.array_equal(stepper.to_grid(u_hat),
+                          np.fft.irfft(u_hat, n=stepper.P, axis=-1))
 
 
 def test_imex_steps_do_not_touch_returned_states(rgl_profile):
@@ -517,19 +538,22 @@ def _snapshot_source(profile, n_period, psi, v, psi_t, gamma_t):
     k, c, model = profile.k, profile.c, profile.model
     base = grids.from_profile(profile, n_period, v.shape[0] // n_period)
     phi = base.values
-    phip = grids.derivative(base).values
-    vx = grids.derivative(grids.GridFunction(n_period, v)).values
-    psix = grids.derivative(grids.GridFunction(n_period, psi[:, None])).values
+
+    def dx(vals):
+        return grids.derivative_values(vals, n_period)
+
+    phip = dx(phi)
+    vx = dx(v)
+    psix = dx(psi[:, None])
     fv = model.f(phi + v) - model.f(phi)
     dfv = np.einsum("xij,xj->xi", model.df(phi), v)
     q_vals = (1.0 - psix) * (fv - dfv)
     denom = 1.0 - psix
     r_vals = (-psi_t[:, None] * v - (gamma_t / n_period) * v + c * psix * v
-              + k * grids.derivative(grids.GridFunction(n_period,
-                                                        psix * v)).values
+              + k * dx(psix * v)
               + k * (psix / denom) * vx
               + k * (psix ** 2 / denom) * phip)
-    r_x = grids.derivative(grids.GridFunction(n_period, r_vals)).values
+    r_x = dx(r_vals)
     return (q_vals + k * r_x) / k
 
 

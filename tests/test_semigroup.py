@@ -229,8 +229,8 @@ def test_phase_scalar_derivative_multipliers(engine8, rng):
     v = random_field(engine8, rng)
     sp = phase_on_grid(engine8, v, 2.0, l=0)
     sp_x = phase_on_grid(engine8, v, 2.0, l=1)
-    np.testing.assert_allclose(grids.derivative(sp).values, sp_x.values,
-                               atol=1e-10)
+    np.testing.assert_allclose(grids.derivative_values(sp.values, sp.n_period),
+                               sp_x.values, atol=1e-10)
     # d_t brings down lambda: compare with a finite difference in t
     h = 1e-5
     sp_t = phase_on_grid(engine8, v, 2.0, m=1)
@@ -310,6 +310,22 @@ def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, stability,
     assert sorted(consts) == [17, 65, 129]
     assert consts[17] == pytest.approx(consts[65], rel=1e-10)
     assert consts[129] == pytest.approx(consts[65], rel=1e-10)
+
+
+def test_measure_decay_leaves_rounding_out_of_its_fits(engine4):
+    # linear-decay --N 4 --l 1 --m 1: the default window [10, N^2/10] is
+    # empty at N = 4, so the whole series is fitted, and S~ ends at rounding
+    times = np.geomspace(0.1, 500.0, 60)
+    v = random_perturbation(4, engine4.m_x, 2, seed=0, amplitude=1.0,
+                            normalize="l1")
+    measures = measure_decay(engine4, v, times, l=1, m=1)
+    floor = (grids.ROUNDING_FLOOR * np.finfo(float).eps
+             * np.max(measures["total"].norms))
+    series = measures["stilde"].norms
+    above = series > floor
+    assert 2 <= above.sum() < times.size
+    want = np.polyfit(np.log1p(times[above]), np.log(series[above]), 1)[0]
+    assert measures["stilde"].fitted_exponent == want
 
 
 def test_measure_decay_rejects_an_empty_window(engine4, rng):
