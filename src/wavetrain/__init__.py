@@ -18,7 +18,7 @@ _EXPORTS = {
     "bloch": (
         "CriticalCurve", "HillTruncation", "StabilityReport",
         "SubharmonicSpectrum", "assemble_bloch", "critical_curve",
-        "critical_mode_data", "gap_sequence", "grid_modes",
+        "critical_mode_data", "grid_modes",
         "subharmonic_spectrum", "verify_diffusive_stability",
     ),
     "errors": (
@@ -38,10 +38,9 @@ _EXPORTS = {
     "fourier": (),
     "grids": (
         "BlochCoefficients", "GridFunction", "bloch_inverse",
-        "bloch_transform", "derivative_values",
-        "from_callable", "frequency_lattice",
-        "from_profile", "grid_points", "inner_l2", "norm_h", "norm_l1",
-        "norm_l2", "norm_linf", "resample",
+        "bloch_transform", "derivative_values", "frequency_lattice",
+        "from_profile", "grid_points", "norm_h", "norm_l1", "norm_l2",
+        "norm_linf", "resample",
     ),
     "models": (
         "ReactionModel", "brusselator", "make_model", "nagumo",

@@ -71,12 +71,11 @@ def reaction_coeffs(profile, span):
     return fourier.grid_coeffs(profile.model.df(phi), span)
 
 
-def assemble_bloch(profile, xi, m_f=None, ells=None, that=None):
-    """Build the dense matrix of L_xi on modes ``ells`` (default |l| <= m_f in
-    FFT wrap order)."""
+def assemble_bloch(profile, xi, ells=None, that=None):
+    """Build the dense matrix of L_xi on modes ``ells`` (default the profile's
+    storage modes |l| <= m_f, in FFT wrap order)."""
     if ells is None:
-        m = profile.m_f if m_f is None else m_f
-        ells = grids.cell_modes(2 * m + 1)
+        ells = grids.cell_modes(2 * profile.m_f + 1)
     ells = np.asarray(ells)
     if that is None:
         span = int(np.abs(ells[:, None] - ells[None, :]).max())
@@ -95,19 +94,19 @@ def pad_modes(vec, n, m_x):
     return out.reshape(-1)
 
 
-def _nearest_eigenvalue(matrix, shift, iters=3):
+def _nearest_eigenvalue(matrix, shift):
     """The eigenvalue of ``matrix`` nearest ``shift``, by inverse iteration.
 
-    Each step solves (matrix - shift) y = x for the unit vector x, so
-    shift + 1 / <x, y> converges to the nearest eigenvalue at the ratio of
-    the nearest to the next-nearest distance from ``shift``. The start
-    vector is a fixed pseudo-random one.
+    Each of three steps solves (matrix - shift) y = x for the unit vector
+    x, so shift + 1 / <x, y> converges to the nearest eigenvalue at the
+    ratio of the nearest to the next-nearest distance from ``shift``. The
+    start vector is a fixed pseudo-random one.
     """
     dim = matrix.shape[0]
     shifted = matrix - shift * np.eye(dim)
     x = np.random.default_rng(0).standard_normal(dim).astype(complex)
     mu = complex(shift)
-    for _ in range(iters):
+    for _ in range(3):
         x /= np.linalg.norm(x)
         try:
             y = np.linalg.solve(shifted, x)
@@ -252,7 +251,7 @@ def decompose_fiber(matrix, ref, phi_vec):
 
 
 class _BranchWalker:
-    """The Bloch fibers of one profile at one mode count, each decomposed once.
+    """The Bloch fibers of a profile at its Hill truncation, decomposed once.
 
     A fiber xi = base * q >= 0 is keyed on the reduced fraction q. Base 2*pi
     gives the N-periodic lattice xi = 2*pi*j/N, so nested lattices share
@@ -273,7 +272,7 @@ class _BranchWalker:
         self._flip = conjugate_index(self.ells.size, profile.n)
         self._fibers = {}
         self.decomposed = 0         # fibers eigendecomposed so far
-        self.hill = None            # HillTruncation when m is the derived one
+        self.hill = None            # HillTruncation of m, set by fiber_store
 
     def refined(self, n, base=TWO_PI):
         """Smallest n * 2^p with lattice steps base / (n 2^p) <= BRANCH_MAX_STEP."""
@@ -365,36 +364,32 @@ def _two_truncation_deviation(store):
     return dev / scale if scale > 0.0 else dev
 
 
-def fiber_store(profile, m_f=None):
-    """The fiber store of ``profile`` at mode count m_f, cached on the profile.
+def fiber_store(profile):
+    """The fiber store of ``profile`` at its Hill truncation, cached on it.
 
-    Without m_f the store uses the profile's Hill truncation, derived once:
-    the smallest M whose Df(phi) coefficients beyond |l| = M are at most
-    HILL_TAIL_TOL of the largest, raised to HILL_MIN_MODES and capped at
-    ``profile.m_f``. Its ``hill`` holds the evidence. Raises
-    ResolutionError when the rightmost eigenvalues of L_0 and L_pi at M and
-    2M differ by more than HILL_CHECK_TOL relative.
+    The mode count M is derived once: the smallest M whose Df(phi)
+    coefficients beyond |l| = M are at most HILL_TAIL_TOL of the largest,
+    raised to HILL_MIN_MODES and capped at ``profile.m_f``. The store's
+    ``hill`` holds the evidence. Raises ResolutionError, and caches nothing,
+    when the rightmost eigenvalues of L_0 and L_pi at M and 2M differ by
+    more than HILL_CHECK_TOL relative.
     """
-    stores = profile._fiber_stores
-    if m_f is None:
-        if None not in stores:
-            tails = _coefficient_tails(profile)
-            m = min(max(int(np.argmax(tails <= HILL_TAIL_TOL)),
-                        HILL_MIN_MODES), profile.m_f)
-            store = fiber_store(profile, m)
-            check = _two_truncation_deviation(store)
-            if not check <= HILL_CHECK_TOL:
-                raise ResolutionError(
-                    f"Hill truncation m = {m} (profile m_f = {profile.m_f}) "
-                    f"is under-resolved: the rightmost eigenvalues at m and "
-                    f"2m differ by {check:.2e} relative (limit "
-                    f"{HILL_CHECK_TOL:g}); solve the profile with more modes")
-            store.hill = HillTruncation(m, float(tails[m]), check)
-            stores[None] = store
-        return stores[None]
-    if m_f not in stores:
-        stores[m_f] = _BranchWalker(profile, m_f)
-    return stores[m_f]
+    store = profile._fiber_store
+    if store is None:
+        tails = _coefficient_tails(profile)
+        m = min(max(int(np.argmax(tails <= HILL_TAIL_TOL)), HILL_MIN_MODES),
+                profile.m_f)
+        store = _BranchWalker(profile, m)
+        check = _two_truncation_deviation(store)
+        if not check <= HILL_CHECK_TOL:
+            raise ResolutionError(
+                f"Hill truncation m = {m} (profile m_f = {profile.m_f}) "
+                f"is under-resolved: the rightmost eigenvalues at m and "
+                f"2m differ by {check:.2e} relative (limit "
+                f"{HILL_CHECK_TOL:g}); solve the profile with more modes")
+        store.hill = HillTruncation(m, float(tails[m]), check)
+        profile._fiber_store = store
+    return store
 
 
 def grid_modes(profile, m_x=None):
@@ -435,14 +430,14 @@ def grid_modes(profile, m_x=None):
 
 
 def decomposed_fibers(profile):
-    """Fibers eigendecomposed so far by the fiber stores of ``profile``."""
-    stores = {id(store): store for store in profile._fiber_stores.values()}
-    return sum(store.decomposed for store in stores.values())
+    """Fibers eigendecomposed so far by the fiber store of ``profile``."""
+    store = profile._fiber_store
+    return 0 if store is None else store.decomposed
 
 
-def critical_mode_data(profile, xi, m_f=None):
+def critical_mode_data(profile, xi):
     """Track the critical branch from 0 to xi and return its gauge-fixed data."""
-    return fiber_store(profile, m_f).mode_at(xi)
+    return fiber_store(profile).mode_at(xi)
 
 
 @dataclass
@@ -457,13 +452,13 @@ class CriticalCurve:
     fit_residual: float
 
 
-def critical_curve(profile, xi_max=0.25, samples=17, m_f=None):
+def critical_curve(profile, xi_max=0.25, samples=17):
     """Track lambda_c on |xi| <= xi_max and fit i*a*xi - d*xi^2."""
     if samples < 3 or samples % 2 == 0:
         raise ValueError("samples must be an odd number >= 3 so the grid contains 0")
     if not 0.0 < xi_max <= np.pi:
         raise ValueError(f"xi_max must lie in (0, pi], got {xi_max}")
-    store = fiber_store(profile, m_f)
+    store = fiber_store(profile)
     half = samples // 2
     pos = np.array([store.fiber(i, half, xi_max).lam_c
                     for i in range(half + 1)])
@@ -505,13 +500,13 @@ class StabilityReport:
     failures: list = field(default_factory=list)
     scan: int = 0
     m_f: int = 0
-    hill: HillTruncation | None = None   # set when m_f is the derived truncation
+    hill: HillTruncation | None = None   # evidence for m_f, the Hill truncation
     tol_zero: float = 0.0
     branch_lost: list = field(default_factory=list)   # scan xi where lambda_c was lost
     min_overlap_margin: float = np.nan                  # over the followed scan fibers
 
 
-def verify_diffusive_stability(profile, scan=256, m_f=None, xi_fit=0.25):
+def verify_diffusive_stability(profile, scan=256, xi_fit=0.25):
     """Check the three spectral stability conditions over a Bloch-frequency scan.
 
     (a) spectrum of every L_xi in {Re < 0} apart from the translation zero,
@@ -523,7 +518,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, xi_fit=0.25):
     """
     if scan < 8:
         raise ValueError(f"scan must be >= 8, got {scan}")
-    store = fiber_store(profile, m_f)
+    store = fiber_store(profile)
     half = (scan + 1) // 2
     xis = grids.frequency_lattice(scan)[:half]
     fibers = [store.fiber(j, scan) for j in grids.cell_modes(scan)[:half]]
@@ -601,7 +596,7 @@ def verify_diffusive_stability(profile, scan=256, m_f=None, xi_fit=0.25):
         if mask.any():
             delta_0[float(xi0)] = float(-scan_top[mask].max())
 
-    curve = critical_curve(profile, xi_max=xi_fit, m_f=m_f)
+    curve = critical_curve(profile, xi_max=xi_fit)
 
     verdict = cond_negative and cond_quadratic and cond_simple
     return StabilityReport(
@@ -661,9 +656,9 @@ def lattice_gap(eigenvalues):
     return -top, where, zero_defect
 
 
-def subharmonic_spectrum(profile, n_period, m_f=None):
+def subharmonic_spectrum(profile, n_period):
     """Eigenvalues of L_xi for all xi in the N-periodic Bloch lattice."""
-    store = fiber_store(profile, m_f)
+    store = fiber_store(profile)
     freqs = grids.frequency_lattice(n_period)
     fibers = [store.fiber(j, n_period) for j in grids.cell_modes(n_period)]
     eigs = [fib.lam for fib in fibers]
@@ -678,8 +673,3 @@ def subharmonic_spectrum(profile, n_period, m_f=None):
         zero_defect=zero_defect,
     )
 
-
-def gap_sequence(profile, n_values, m_f=None):
-    """delta_N for each N in ``n_values`` (nested lattices share their fibers)."""
-    return {int(n): subharmonic_spectrum(profile, int(n), m_f=m_f).delta
-            for n in n_values}

@@ -140,7 +140,7 @@ class _Manifest:
                                   + time.perf_counter() - t0)
 
     def count_fibers(self, profile, engines=()):
-        """Record the fibers decomposed by the profile's stores and by the
+        """Record the fibers decomposed by the profile's store and by the
         engines."""
         from . import bloch
 
@@ -205,13 +205,13 @@ def _parse_params(pairs):
     return out
 
 
-def _parse_int_list(text, name, minimum=1):
+def _parse_int_list(text, name):
     try:
         vals = [int(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
         raise _CliError(EXIT_USAGE, f"{name} expects integers, got {text!r}")
-    if not vals or any(v < minimum for v in vals):
-        raise _CliError(EXIT_USAGE, f"{name} entries must be >= {minimum}")
+    if not vals or any(v < 1 for v in vals):
+        raise _CliError(EXIT_USAGE, f"{name} entries must be >= 1")
     return vals
 
 

@@ -47,6 +47,9 @@ DT_LIMIT_SAMPLES = 256
 # up to 1e-4.
 SNAPSHOT_TAIL_TOL = 1e-9
 
+# fixed-point sweeps extract_modulation_duhamel makes before it gives up
+DUHAMEL_MAX_SWEEPS = 25
+
 
 # ---------------------------------------------------------------------------
 # stepper
@@ -418,24 +421,24 @@ def fd_weights(nodes, x0, order):
     return C[:, order]
 
 
-def time_derivative(times, values, order=1, stencil=5):
+def time_derivative(times, values):
     """Differentiate sampled traces on a nonuniform time grid.
 
     ``values`` has leading axis aligned with ``times``; interior points use
-    centered stencils, the ends one-sided ones.
+    centered five-point stencils, the ends one-sided ones.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values)
     T = times.size
-    stencil = min(int(stencil), T)
-    if T < 2 or stencil < 2:
+    stencil = min(5, T)
+    if T < 2:
         raise ValueError(f"need at least 2 samples, got {T}")
     out = np.empty_like(values, dtype=float)
     half = stencil // 2
     for i in range(T):
         lo = min(max(i - half, 0), T - stencil)
         sl = slice(lo, lo + stencil)
-        w = fd_weights(times[sl], times[i], order)
+        w = fd_weights(times[sl], times[i], 1)
         out[i] = np.tensordot(w, values[sl], axes=(0, 0))
     return out
 
@@ -549,7 +552,7 @@ def _trapezoid_prefixes(times, init, f, step):
     return np.stack(out)
 
 
-def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
+def extract_modulation_duhamel(result, tol=1e-8, trace=None):
     """Fixed-point solve of the integral equations for gamma, psi, and v.
 
     The iteration starts from the projection extraction in ``trace`` (a
@@ -625,7 +628,7 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
     update_norms = []
     converged = False
     iterations = 0
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, DUHAMEL_MAX_SWEEPS + 1):
         iterations = sweep
         full, amps = integrals(gamma, psi_vals, v_vals)
         new_inner = chi[:, None] * amps
@@ -649,8 +652,8 @@ def extract_modulation_duhamel(result, tol=1e-8, max_iter=25, trace=None):
                 iterations=sweep, update_norms=update_norms)
     if not converged:
         raise ExtractionDivergenceError(
-            f"no fixed point within {max_iter} sweeps (last update "
-            f"{update_norms[-1]:.3e})", iterations=max_iter,
+            f"no fixed point within {DUHAMEL_MAX_SWEEPS} sweeps (last update "
+            f"{update_norms[-1]:.3e})", iterations=DUHAMEL_MAX_SWEEPS,
             update_norms=update_norms)
 
     # consistency: substitute the converged trace back into the equations
@@ -815,7 +818,7 @@ class PhaseReport:
     unshifted_misfit: float
 
 
-def phase_convergence(result, fit_fraction=0.25):
+def phase_convergence(result):
     """Extrapolate gamma(t) -> gamma_inf and test the rigid-shift picture.
 
     gamma_inf is the final value plus a tail correction from the fitted
@@ -834,7 +837,7 @@ def phase_convergence(result, fit_fraction=0.25):
 
     gamma_inf = float(gam[-1])
     tail_power = np.nan
-    late = (times >= max(10.0, times[-1] * (1.0 - fit_fraction))) \
+    late = (times >= max(10.0, times[-1] * 0.75)) \
         & (np.abs(gamma_t) > 0)
     if late.sum() >= 3:
         p, _ = np.polyfit(np.log1p(times[late]), np.log(np.abs(gamma_t[late])), 1)
@@ -843,7 +846,7 @@ def phase_convergence(result, fit_fraction=0.25):
             # integrate the fitted c (1+t)^{-p} model beyond the horizon
             gamma_inf += float(gamma_t[-1] * (1.0 + times[-1]) / (tail_power - 1.0))
 
-    mask = times >= max(times[-1] * (1.0 - fit_fraction), 1.0)
+    mask = times >= max(times[-1] * 0.75, 1.0)
     if mask.sum() < 3:
         mask = times >= times[max(0, times.size - 4)]
     A = np.stack([np.ones(mask.sum()), times[mask] ** -0.5], axis=1)
@@ -901,7 +904,7 @@ class CrossoverFit:
     exp_side: str = "late"
 
 
-def crossover_fit(times, values, min_side=3):
+def crossover_fit(times, values):
     """Split values(t) at the knee minimizing the two-segment fit error.
 
     Both orientations are tried (power then exponential, and the reverse);
@@ -912,8 +915,8 @@ def crossover_fit(times, values, min_side=3):
     keep = (times > 0) & (values > 0)
     t, v = times[keep], values[keep]
     T = t.size
-    if T < 2 * min_side + 1:
-        raise ValueError(f"need at least {2 * min_side + 1} usable samples, got {T}")
+    if T < 7:
+        raise ValueError(f"need at least 7 usable samples, got {T}")
     lt, lv = np.log(t), np.log(v)
 
     def seg_fit(abscissa, sl):
@@ -922,7 +925,7 @@ def crossover_fit(times, values, min_side=3):
         return -p[0], float(r @ r)
 
     best = (np.inf, None, None, None, "late")
-    for kk in range(min_side, T - min_side + 1):
+    for kk in range(3, T - 2):
         left, right = slice(None, kk), slice(kk, None)
         pw, e1 = seg_fit(lt, left)
         rate, e2 = seg_fit(t, right)

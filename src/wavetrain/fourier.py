@@ -58,9 +58,9 @@ def grid_coeffs(values, m):
     return spec[ell % g]
 
 
-def deriv_coeffs(coeffs, order=1):
+def deriv_coeffs(coeffs):
     ell = modes(trunc_order(coeffs))
-    return ((TWO_PI * 1j * ell) ** order)[:, None] * coeffs
+    return (TWO_PI * 1j * ell)[:, None] * coeffs
 
 
 def operator_matrix(ells, xi, a2, a1, that, react_scale=1.0):

@@ -124,12 +124,6 @@ def grid_points(n_period, m_x):
     return np.arange(m_x * n_period) / m_x
 
 
-def from_callable(fn, n_period, m_x):
-    """Sample a callable of x into a GridFunction."""
-    vals = np.asarray(fn(grid_points(n_period, m_x)))
-    return GridFunction(n_period, vals)
-
-
 def from_profile(profile, n_period, m_x, shift=0.0):
     """Sample phi(x + shift) exactly by synthesizing one cell and tiling it.
 
@@ -229,18 +223,8 @@ def bloch_inverse(bc):
     return GridFunction(N, vals)
 
 
-def cell_norms_sq(bc):
-    """||(B g)(xi_j, .)||^2_{L2(0,1)} for each frequency j."""
-    return np.sum(np.abs(bc.coeffs) ** 2, axis=(1, 2))
-
-
 # ---------------------------------------------------------------------------
-# norms and inner products on [0, N)
-
-def inner_l2(f, g):
-    """<f, g> = integral over [0, N) of conj(f) . g (exact for band-limited data)."""
-    return complex(np.vdot(f.values, g.values)) * f.spacing
-
+# norms on [0, N)
 
 def norm_l2(gf):
     return float(np.sqrt(np.sum(np.abs(gf.values) ** 2) * gf.spacing))

@@ -12,6 +12,7 @@ found as Fourier coefficients on modes -M..M together with one free scalar
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ _SCHEMA_VERSION = 1
 # scipy.linalg.solve warns
 _RCOND_MIN = np.finfo(float).eps
 
+_CONSTANT_STATE_L2 = 1e-6          # ||phi'||_{L2(0,1)} of a constant state
+
 
 @dataclass
 class WaveProfile:
@@ -46,9 +49,9 @@ class WaveProfile:
     coeffs: np.ndarray            # (2*m_f+1, n) complex, Hermitian
     residual_norm: float
     info: dict = field(default_factory=dict)
-    # Bloch-fiber stores per mode count (see bloch.fiber_store)
-    _fiber_stores: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    # the Bloch-fiber store at the Hill truncation (see bloch.fiber_store)
+    _fiber_store: object = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n(self):
@@ -64,9 +67,9 @@ class WaveProfile:
         """L2(0,1) norm of phi'."""
         return float(np.linalg.norm(fourier.deriv_coeffs(self.coeffs)))
 
-    def amplitude(self, samples=512):
+    def amplitude(self):
         """Max of |phi(x)| (Euclidean across components) on a fine grid."""
-        vals = self.on_grid(max(samples, 4 * self.m_f + 4))
+        vals = self.on_grid(max(512, 4 * self.m_f + 4))
         return float(np.sqrt((vals * vals).sum(axis=1)).max())
 
 
@@ -187,7 +190,7 @@ def solve_profile(model, guess, k, c, solve_for="c", tol=1e-10, max_iter=25):
     prof = WaveProfile(model, m, kk, cc, coeffs, rnorm,
                        info={"newton_residuals": history, "newton_rcond": rconds,
                              "solve_for": solve_for})
-    if prof.derivative_l2() < 1e-6:
+    if prof.derivative_l2() < _CONSTANT_STATE_L2:
         raise DegenerateProfileError("converged to a constant state")
     if prof.k <= 0.0:
         raise ProfileConvergenceError(f"converged to nonpositive k = {prof.k:.3e}",
@@ -201,7 +204,7 @@ def profile_residual(profile):
     return float(np.linalg.norm(res))
 
 
-def continue_profile(profile, param, target, steps, tol=1e-10, max_iter=25):
+def continue_profile(profile, param, target, steps):
     """Walk ``param`` from its current value to ``target`` in ``steps`` Newton solves.
 
     ``param`` is one of "k", "c", "q" (rgl shorthand for k = q/(2 pi)) or a model
@@ -232,16 +235,13 @@ def continue_profile(profile, param, target, steps, tol=1e-10, max_iter=25):
         try:
             if param in ("k", "q"):
                 kk = val / TWO_PI if param == "q" else val
-                nxt = solve_profile(model, prev.coeffs, kk, prev.c, solve_for="c",
-                                    tol=tol, max_iter=max_iter)
+                nxt = solve_profile(model, prev.coeffs, kk, prev.c, solve_for="c")
             elif param == "c":
-                nxt = solve_profile(model, prev.coeffs, prev.k, val, solve_for="k",
-                                    tol=tol, max_iter=max_iter)
+                nxt = solve_profile(model, prev.coeffs, prev.k, val, solve_for="k")
             else:
                 stepped = make_model(model.id, {**model.params, param: val})
                 nxt = solve_profile(stepped, prev.coeffs, prev.k, prev.c,
-                                    solve_for=profile.info.get("solve_for", "c"),
-                                    tol=tol, max_iter=max_iter)
+                                    solve_for=profile.info.get("solve_for", "c"))
                 model = stepped
         except (ProfileConvergenceError, DegenerateProfileError) as exc:
             raise ContinuationError(
@@ -275,19 +275,40 @@ def save_profile(profile, path):
         fh.write("\n")
 
 
+def _finite(val):
+    return type(val) in (int, float) and math.isfinite(val)     # bools refused
+
+
+def _require(ok, key, rule):
+    if not ok:
+        raise ValueError(f"profile field {key!r} must be {rule}")
+
+
 def load_profile(path):
+    """Read a profile written by ``save_profile``: ValueError names a
+    malformed field, DegenerateProfileError refuses a constant state."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("schema_version") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported profile schema {payload.get('schema_version')!r}")
     model = make_model(payload["model_id"], payload["params"])
-    m = payload["m_f"]
-    n = payload["n"]
+    m, n, k, lists = (payload[key] for key in ("m_f", "n", "k", "coeffs"))
+    _require(type(m) is int and m >= 1, "m_f", "an integer >= 1")
+    _require(type(n) is int and type(lists) is list and n == len(lists) >= 1,
+             "n", "an integer >= 1 counting the coefficient lists")
+    _require(_finite(k) and k > 0.0, "k", "a finite number > 0")
+    for key in ("c", "residual_norm"):
+        _require(_finite(payload[key]), key, "a finite number")
+    _require(all(type(pairs) is list and len(pairs) == 2 * m + 1
+                 and all(type(pair) is list and len(pair) == 2
+                         and all(map(_finite, pair)) for pair in pairs)
+                 for pairs in lists),
+             "coeffs", "n lists of 2 m_f + 1 pairs of finite numbers")
     coeffs = np.empty((2 * m + 1, n), dtype=complex)
-    for comp in range(n):
-        pairs = payload["coeffs"][comp]
-        if len(pairs) != 2 * m + 1:
-            raise ValueError("coefficient list length does not match m_f")
+    for comp, pairs in enumerate(lists):
         coeffs[:, comp] = [re + 1j * im for re, im in pairs]
-    return WaveProfile(model, m, payload["k"], payload["c"], coeffs,
+    prof = WaveProfile(model, m, k, payload["c"], coeffs,
                        payload["residual_norm"], info={"loaded_from": str(path)})
+    if prof.derivative_l2() < _CONSTANT_STATE_L2:
+        raise DegenerateProfileError(f"profile {path} is a constant state")
+    return prof

@@ -57,10 +57,10 @@ class CutoffSpec:
         return w if w.shape else float(w)
 
 
-def default_cutoff(profile, stability=None, scan=128):
+def default_cutoff(profile, stability=None):
     """Cutoff radius from the separation of the critical branch."""
     if stability is None:
-        stability = bloch.verify_diffusive_stability(profile, scan=scan)
+        stability = bloch.verify_diffusive_stability(profile, scan=128)
     xi_1 = stability.xi_1
     if xi_1 <= 0.0:
         raise AdmissibilityError(
@@ -385,21 +385,20 @@ class CrossoverReport:
     predicted_rate: float       # 2 d (2 pi / N)^2
 
 
-def crossover_probe(n_period, d=1.0, r=0, times=None, factor=2.0):
-    """Locate the finite-N crossover from power-law to exponential decay."""
-    if times is None:
-        tmax = 20.0 * n_period ** 2
-        times = np.geomspace(1e-2, tmax, 400)
-    times = np.asarray(times, dtype=float)
+def crossover_probe(n_period, d=1.0, r=0):
+    """Locate the finite-N crossover from power-law to exponential decay:
+    on 400 geometric times up to 20 N^2, the first time after the agreement
+    window where the continuum envelope exceeds the lattice sum twice over."""
+    times = np.geomspace(1e-2, 20.0 * n_period ** 2, 400)
     sums = lattice_sum(n_period, r, times, d=d)
     env = continuum_envelope(r, times, d=d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(sums > 0, env / sums, np.inf)
     # at small t the line integral overshoots the bounded lattice sum, so the
     # departure is the first excursion after the agreement window
-    agree = np.nonzero(ratio < factor)[0]
+    agree = np.nonzero(ratio < 2.0)[0]
     if agree.size:
-        later = np.nonzero((np.arange(times.size) > agree[-1]) & (ratio >= factor))[0]
+        later = np.nonzero((np.arange(times.size) > agree[-1]) & (ratio >= 2.0))[0]
         t_star = float(times[later[0]]) if later.size else float(times[-1])
     else:
         t_star = float(times[-1])

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from wavetrain import bloch
 from wavetrain.bloch import (
     assemble_bloch,
     critical_curve,
     critical_mode_data,
     fiber_store,
-    gap_sequence,
     grid_modes,
     pad_modes,
     subharmonic_spectrum,
@@ -128,24 +128,23 @@ def test_subharmonic_spectrum_at_the_coperiodic_frequency(rgl_profile):
 
 
 def test_gap_sequence_matches_reference_values(rgl_profile):
-    gaps = gap_sequence(rgl_profile, [1, 2, 4, 8])
     for n, expected in GAPS_Q03.items():
-        assert gaps[n] == pytest.approx(expected, rel=1e-6), f"N = {n}"
+        assert subharmonic_spectrum(rgl_profile, n).delta == pytest.approx(
+            expected, rel=1e-6), f"N = {n}"
 
 
 def test_gap_sequence_is_nonincreasing(rgl_profile):
-    gaps = gap_sequence(rgl_profile, [2, 4, 8, 16])
-    vals = [gaps[n] for n in (2, 4, 8, 16)]
+    vals = [subharmonic_spectrum(rgl_profile, n).delta for n in (2, 4, 8, 16)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_gaps_scale_like_the_critical_curvature(rgl_profile):
     # For large N the gap is governed by the parabolic tip:
     # delta_N ~ d (2 pi / N)^2.
-    gaps = gap_sequence(rgl_profile, [32, 64])
     for n in (32, 64):
         predicted = D_Q03 * (2 * np.pi / n) ** 2
-        assert gaps[n] == pytest.approx(predicted, rel=0.10), f"N = {n}"
+        assert subharmonic_spectrum(rgl_profile, n).delta == pytest.approx(
+            predicted, rel=0.10), f"N = {n}"
 
 
 def test_critical_branch_is_tracked_across_the_lattice(rgl_profile):
@@ -186,7 +185,9 @@ def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
         counted(name)
 
     # nested lattices N = 2..64 share the 33 fibers 2 pi j / 64, 0 <= j <= 32
-    gap_sequence(_fresh_profile(), [2, 4, 8, 16, 32, 64])
+    prof = _fresh_profile()
+    for n in (2, 4, 8, 16, 32, 64):
+        subharmonic_spectrum(prof, n)
     assert 0 < calls["eig"] + calls["eigvals"] <= 33
 
     # the engine decomposes its xi >= 0 fibers once and conjugates the rest
@@ -221,7 +222,8 @@ def test_fiber_eigensolves_use_one_blas(monkeypatch):
         monkeypatch.setattr(sla, name, refuse)
     prof = _fresh_profile(m_f=16)
     stability = verify_diffusive_stability(prof, scan=16)
-    gap_sequence(prof, [2, 4, 8])
+    for n in (2, 4, 8):
+        subharmonic_spectrum(prof, n)
     semigroup.SemigroupEngine(prof, 4, stability=stability)
 
 
@@ -250,24 +252,28 @@ def _nagumo_profile(m_f):
                            *rgl_analytic(0.7, m_f=32), solve_for="c"), 8),
     (lambda: _nagumo_profile(32), 31),
 ], ids=["rgl_q03", "rgl_q07", "nagumo"])
-def test_derived_truncation_reproduces_the_storage_truncation(make, most_modes):
-    derived, full = make(), make()
+def test_derived_truncation_reproduces_the_storage_truncation(
+        make, most_modes, monkeypatch):
+    n_values = (2, 4, 8, 16, 32, 64)
+    derived = make()
     report = verify_diffusive_stability(derived, scan=128)
-    ref = verify_diffusive_stability(full, scan=128, m_f=32)
+    gaps = [subharmonic_spectrum(derived, n).delta for n in n_values]
+    # the reference: the same rule with its floor raised to the storage size
+    monkeypatch.setattr(bloch, "HILL_MIN_MODES", 32)
+    full = make()
+    ref = verify_diffusive_stability(full, scan=128)
+    gaps_full = [subharmonic_spectrum(full, n).delta for n in n_values]
     assert report.hill.modes == report.m_f <= most_modes
     assert report.hill.tail <= 1e-13
     assert report.hill.check <= 1e-9
-    assert ref.hill is None and ref.m_f == 32
+    assert ref.hill.modes == ref.m_f == 32
     assert report.verdict == ref.verdict
     assert report.xi_1 == ref.xi_1
     assert report.curve.d == pytest.approx(ref.curve.d, rel=1e-10)
     assert report.max_nonzero_real == pytest.approx(ref.max_nonzero_real,
                                                     rel=1e-10)
-    n_values = (2, 4, 8, 16, 32, 64)
-    gaps = gap_sequence(derived, n_values)
-    gaps_full = gap_sequence(full, n_values, m_f=32)
-    for n in n_values:
-        assert gaps[n] == pytest.approx(gaps_full[n], rel=1e-10), f"N = {n}"
+    for n, gap, gap_full in zip(n_values, gaps, gaps_full):
+        assert gap == pytest.approx(gap_full, rel=1e-10), f"N = {n}"
 
 
 def test_under_resolved_profile_raises(tmp_path, capsys):
@@ -279,12 +285,47 @@ def test_under_resolved_profile_raises(tmp_path, capsys):
         fiber_store(prof)
     with pytest.raises(ResolutionError):
         verify_diffusive_stability(prof, scan=16)
-    # an explicit truncation overrides the rule
-    assert fiber_store(prof, 4).m == 4
     path = tmp_path / "nagumo4.json"
     save_profile(prof, path)
     code = main(["spectrum", "--profile", str(path), "--scan", "16",
                  "--out-dir", str(tmp_path / "spec")])
+    assert code == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "under-resolved" in err[0]
+
+
+def _engine(prof):
+    from wavetrain.semigroup import SemigroupEngine
+    return SemigroupEngine(prof, 8)
+
+
+@pytest.mark.parametrize("read", [
+    lambda prof: verify_diffusive_stability(prof, scan=16),
+    lambda prof: subharmonic_spectrum(prof, 8),
+    critical_curve,
+    grid_modes,
+    _engine,
+], ids=["verify_diffusive_stability", "subharmonic_spectrum",
+        "critical_curve", "grid_modes", "SemigroupEngine"])
+def test_no_reader_of_the_store_skips_the_hill_check(read):
+    # the store caches nothing when the check fails, so each reader of a
+    # fresh under-resolved profile meets it
+    with pytest.raises(ResolutionError, match="under-resolved"):
+        read(_nagumo_profile(4))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--N", "2,4"],
+    ["linear-decay", "--N", "8", "--tmax", "20", "--samples", "6"],
+], ids=["gap", "linear-decay"])
+def test_commands_refuse_an_under_resolved_profile(argv, tmp_path, capsys):
+    from wavetrain.cli import main
+    from wavetrain.profiles import save_profile
+
+    path = tmp_path / "nagumo4.json"
+    save_profile(_nagumo_profile(4), path)
+    code = main([*argv, "--profile", str(path), "--out-dir",
+                 str(tmp_path / "out")])
     assert code == 65
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "under-resolved" in err[0]

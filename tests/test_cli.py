@@ -185,6 +185,42 @@ def test_missing_profile_file_is_an_input_error(tmp_path):
     assert code == 66
 
 
+def _constant_state(payload):
+    # only the mean mode l = 0 of each component survives
+    for comp in payload["coeffs"]:
+        for i, pair in enumerate(comp):
+            if i != payload["m_f"]:
+                pair[:] = [0.0, 0.0]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda p: p.update(n=3), 66),
+    (lambda p: p.update(n=True), 66),
+    (lambda p: p.update(k="abc"), 66),
+    (lambda p: p.update(k=float("nan")), 66),
+    (lambda p: p.update(k=-0.05), 66),
+    (lambda p: p.update(c=float("inf")), 66),
+    (lambda p: p.update(residual_norm=None), 66),
+    (lambda p: p["coeffs"][0][31].__setitem__(0, float("nan")), 66),
+    (lambda p: p["coeffs"][1][0].append(0.0), 66),
+    (lambda p: p.update(m_f=0), 66),
+    (lambda p: p.update(m_f=32.0), 66),
+    (_constant_state, 65),
+], ids=["n_mismatch", "bool_n", "text_k", "nan_k", "negative_k", "inf_c",
+        "null_residual", "nan_coeff", "triple_coeff", "zero_m_f",
+        "float_m_f", "constant_state"])
+def test_malformed_profile_file_exits_with_its_code(profile_file, tmp_path,
+                                                   capsys, edit, code):
+    payload = read_json(profile_file)
+    edit(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["spectrum", "--profile", str(path), "--scan", "16",
+                 "--out-dir", str(tmp_path / "s")]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+
+
 def test_gap_table_on_stdout(profile_file, capsys):
     code = main(["gap", "--profile", str(profile_file), "--N", "1,4"])
     assert code == 0
