@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "errors": (
         "AdmissibilityError", "BlowUpError", "BranchTrackingError",
-        "ContinuationError", "DegenerateProfileError",
+        "ContinuationError", "DegenerateProfileError", "DiagonalizationError",
         "ExtractionDivergenceError", "ModelParameterError", "PhaseWarpError",
         "ProfileConvergenceError", "ResolutionError", "WavetrainError",
     ),
@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "fourier": (),
     "grids": (
-        "BlochCoefficients", "GridFunction", "bloch_inverse",
+        "GridFunction", "bloch_inverse",
         "bloch_transform", "derivative_values", "frequency_lattice",
         "from_profile", "grid_points", "norm_h", "norm_l1", "norm_l2",
         "norm_linf", "resample",

@@ -46,6 +46,10 @@ BRANCH_MAX_STEP = 0.15
 STABILITY_TOL_ZERO = 1e-8
 STABILITY_ANGLE_TOL = 1e-6
 
+# Points of the critical curve's fit on |xi| <= xi_max (odd, so the grid
+# holds xi = 0 for the second difference).
+CURVE_SAMPLES = 17
+
 
 # ---------------------------------------------------------------------------
 # operator assembly
@@ -452,10 +456,10 @@ class CriticalCurve:
     fit_residual: float
 
 
-def critical_curve(profile, xi_max=0.25, samples=17):
-    """Track lambda_c on |xi| <= xi_max and fit i*a*xi - d*xi^2."""
-    if samples < 3 or samples % 2 == 0:
-        raise ValueError("samples must be an odd number >= 3 so the grid contains 0")
+def critical_curve(profile, xi_max=0.25):
+    """Track lambda_c at CURVE_SAMPLES points of |xi| <= xi_max and fit
+    i*a*xi - d*xi^2."""
+    samples = CURVE_SAMPLES
     if not 0.0 < xi_max <= np.pi:
         raise ValueError(f"xi_max must lie in (0, pi], got {xi_max}")
     store = fiber_store(profile)
@@ -499,8 +503,7 @@ class StabilityReport:
     max_nonzero_real: float
     failures: list = field(default_factory=list)
     scan: int = 0
-    m_f: int = 0
-    hill: HillTruncation | None = None   # evidence for m_f, the Hill truncation
+    hill: HillTruncation | None = None   # the Hill truncation and its evidence
     tol_zero: float = 0.0
     branch_lost: list = field(default_factory=list)   # scan xi where lambda_c was lost
     min_overlap_margin: float = np.nan                  # over the followed scan fibers
@@ -613,7 +616,6 @@ def verify_diffusive_stability(profile, scan=256, xi_fit=0.25):
         max_nonzero_real=float(max_nonzero_real),
         failures=failures,
         scan=scan,
-        m_f=store.m,
         hill=store.hill,
         tol_zero=STABILITY_TOL_ZERO,
         branch_lost=branch_lost,

@@ -50,15 +50,15 @@ _SCHEMA_VERSIONS = {
     "manifest": 1,
     "profile": 1,
     "spectrum_csv": 1,
-    "stability_report": 1,
+    "stability_report": 2,
     "gap_report": 1,
     "decay_csv": 1,
-    "decay_fit": 1,
+    "decay_fit": 2,
     "sum_csv": 1,
     "sum_summary": 1,
     "trace_csv": 1,
     "snapshot_blob": 1,
-    "experiment_report": 2,
+    "experiment_report": 3,
 }
 
 
@@ -345,7 +345,7 @@ def _stability_payload(report, xi_fit):
                                else report.min_overlap_margin),
         "failures": report.failures,
         "tolerances": {"tol_zero": report.tol_zero, "scan": report.scan,
-                       "m_f": report.m_f, "xi_fit": xi_fit},
+                       "xi_fit": xi_fit},
         **_hill_evidence(report),
     }
 
@@ -450,10 +450,8 @@ def _grid_health(engine, stability):
 
 
 def _engine_health(engine):
-    """The engine's worst eigenvector condition bound and its expm fibers."""
-    return {"max_eigvec_cond": float(np.max(engine.eigvec_cond)),
-            "expm_fibers": [float(engine.frequencies[j]) for j in
-                            np.flatnonzero(~engine.diagonalizable)]}
+    """The engine's worst eigenvector condition bound."""
+    return {"max_eigvec_cond": float(np.max(engine.eigvec_cond))}
 
 
 def cmd_linear_decay(args, argv):
@@ -626,14 +624,9 @@ def _load_config(path):
         raise _CliError(EXIT_IO, f"config {path} is not valid JSON: {exc}")
 
 
-def _validated_simulation_config(raw, profile_flag, extract_flag):
+def _validated_simulation_config(cfg, profile_flag, extract_flag):
     """Fill defaults and validate the experiment configuration document."""
     from . import evolve
-
-    cfg = dict(raw)
-    pert = dict(cfg.get("perturbation") or {})
-    extr = dict(cfg.get("extraction") or {})
-    snap = dict(cfg.get("snapshot") or {})
 
     def bad(msg):
         raise _CliError(EXIT_VALIDATION, f"config: {msg}")
@@ -646,18 +639,28 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     def is_number(x):
         return is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
+    if not isinstance(cfg, dict):
+        bad("the document must be a JSON object")
     known_top = {"model", "profile", "N", "m_x", "dt", "t_max", "scheme", "K",
                  "snapshot", "perturbation", "extraction", "output_dir"}
     for key in cfg:
         if key not in known_top:
             bad(f"unknown key {key!r}")
+    sections = []
     for section, known in (("perturbation", {"shape", "amplitude", "seed",
                                              "band", "normalize"}),
                            ("extraction", {"mode", "cutoff", "chi", "tol"}),
                            ("snapshot", {"dense_until", "stride", "ratio"})):
-        for key in dict(cfg.get(section) or {}):
+        entries = cfg.get(section)
+        if entries is None:
+            entries = {}
+        elif not isinstance(entries, dict):
+            bad(f"{section!r} must be an object")
+        for key in entries:
             if key not in known:
                 bad(f"unknown key {key!r} in {section!r}")
+        sections.append(entries)
+    pert, extr, snap = sections
 
     profile_path = profile_flag or cfg.get("profile")
     if not profile_path:
@@ -665,6 +668,10 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
     out_dir = cfg.get("output_dir")
     if not out_dir:
         bad("missing key 'output_dir'")
+    for key, value in (("model", cfg.get("model")), ("profile", profile_path),
+                       ("output_dir", out_dir)):
+        if value is not None and not isinstance(value, str):
+            bad(f"{key!r} must be a string")
 
     resolved = {
         "model": cfg.get("model"),
@@ -701,7 +708,8 @@ def _validated_simulation_config(raw, profile_flag, extract_flag):
         bad("'t_max' must be a positive finite number")
     if resolved["t_max"] <= 10.0:
         bad("'t_max' must exceed 10 so the phase limit has a fit window")
-    if resolved["scheme"] not in evolve._SCHEMES:
+    if (not isinstance(resolved["scheme"], str)
+            or resolved["scheme"] not in evolve._SCHEMES):
         bad(f"unknown scheme {resolved['scheme']!r} "
             f"(have {sorted(evolve._SCHEMES)})")
     if not is_int(resolved["K"]) or resolved["K"] < 1:

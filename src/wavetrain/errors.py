@@ -36,6 +36,11 @@ class BranchTrackingError(WavetrainError):
     """Eigenvalue branch continuation hit an overlap ambiguity."""
 
 
+class DiagonalizationError(WavetrainError):
+    """A Bloch fiber's eigenvector matrix is too ill-conditioned to propagate
+    through."""
+
+
 class ResolutionError(WavetrainError):
     """A spectral truncation does not resolve the eigenvalues it is used for."""
 

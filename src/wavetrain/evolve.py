@@ -349,8 +349,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
                               t=t)
         times.append(t)
         snaps.append(grids.GridFunction(n_period, vals.copy()))
-        inners.append(engine.amplitudes(engine.fibers(
-            grids.GridFunction(n_period, vals - base.values))))
+        inners.append(engine.amplitudes(engine.fibers(vals - base.values)))
         tails.append(_spectral_tail(u_hat.T, stepper.P))
         if not tails[-1] <= SNAPSHOT_TAIL_TOL:
             raise ResolutionError(
@@ -456,7 +455,7 @@ def modulation_frame(result, i):
     gradient reaches 1/2 and the warp stops being invertible.
     """
     N = result.n_period
-    psi = result.engine.synthesize_phase(result.chi[i] * result.inner[i]).values
+    psi = result.engine.synthesize_phase(result.chi[i] * result.inner[i])
     steep = float(np.max(np.abs(grids.derivative_values(psi, N))))
     if not np.isfinite(steep) or steep >= 0.5:
         raise PhaseWarpError(
@@ -575,9 +574,11 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
     :func:`_trapezoid_prefixes` with ``SemigroupEngine.apply`` as the
     propagator.  Each accumulated fiber set gives the critical amplitudes
     (``SemigroupEngine.amplitudes``, whence gamma and psi) and, through
-    ``SemigroupEngine.split``, the remainder S~.  A sweep thus costs T Bloch
-    transforms, T - 1 fiber propagations and at most 3T Bloch syntheses for
-    T snapshots, not the O(T^2) of summing every prefix from scratch.
+    ``SemigroupEngine.split``, the remainder S~.  The engine acts on the
+    stacked snapshots, so a sweep costs one Bloch transform, T - 1 fiber
+    propagations and three Bloch syntheses of the (T, ...) stacks for T
+    snapshots, not the O(T^2) propagations of summing every prefix from
+    scratch.
 
     The returned trace carries ``v2_defect``: the relative sup-misfit when
     the converged variables are substituted back into the residual equation
@@ -591,13 +592,11 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
         raise PhaseWarpError(
             f"projection phase warp failed at t = {times[~trace.warp_ok][0]:.3f}; "
             "the Duhamel iteration has no starting point")
-    T = times.size
     N = result.n_period
     m_x = result.m_x
     chi = result.chi
 
-    fibers0 = eng.fibers(grids.GridFunction(
-        N, result.snapshots[0].values - result.base.values))
+    fibers0 = eng.fibers(result.snapshots[0].values - result.base.values)
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
@@ -607,22 +606,19 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
     def integrals(gamma, psi_vals, v_vals):
         """Duhamel integrals of the current sources: the propagated stored
         fibers (T, N//2+1, dim) and their critical amplitudes (T, N)."""
-        source = nonlinear_residual(result, gamma, psi_vals, v_vals)
-        fibers = np.stack([eng.fibers(grids.GridFunction(N, src))
-                           for src in source])
+        fibers = eng.fibers(nonlinear_residual(result, gamma, psi_vals, v_vals))
         full = _trapezoid_prefixes(times, fibers0, fibers, eng.apply)
-        return full, np.stack([eng.amplitudes(f) for f in full])
+        return full, eng.amplitudes(full)
 
     def v_update(full, amps, psi_vals_ref, v_vals_ref):
+        # the unmodulated evolution where chi < 1, the remainder where chi > 0
         psix = grids.derivative_values(psi_vals_ref[..., None], N)
         new_v = np.zeros_like(v_vals)
-        for i in range(T):
-            if chi[i] < 1.0:
-                new_v[i] += (1.0 - chi[i]) * eng.field(full[i]).values
-            if chi[i] > 0.0:
-                rem = eng.split(full[i], amps[i])[2]
-                new_v[i] += chi[i] * (eng.field(rem).values
-                                      + psix[i] * v_vals_ref[i])
+        ramp, on = chi < 1.0, chi > 0.0
+        new_v[ramp] += (1.0 - chi[ramp, None, None]) * eng.field(full[ramp])
+        rem = eng.split(full[on], amps[on])[2]
+        new_v[on] += chi[on, None, None] * (eng.field(rem)
+                                            + psix[on] * v_vals_ref[on])
         return new_v
 
     update_norms = []
@@ -633,8 +629,7 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
         full, amps = integrals(gamma, psi_vals, v_vals)
         new_inner = chi[:, None] * amps
         new_gamma = chi * amps[:, 0].real
-        new_psi = np.stack([eng.synthesize_phase(new_inner[i]).values[:, 0]
-                            for i in range(T)])
+        new_psi = eng.synthesize_phase(new_inner)[..., 0]
         new_v = v_update(full, amps, new_psi, v_vals)
 
         dpsi = np.sqrt(np.sum((new_psi - psi_vals) ** 2, axis=1) / m_x)

@@ -74,10 +74,10 @@ class GridFunction:
     def x(self):
         return np.arange(self.n_points) / self.m_x
 
-    def interp(self, points, deriv=0):
-        """Trigonometric interpolation (and differentiation) at arbitrary points.
+    def interp(self, points):
+        """Trigonometric interpolation at arbitrary points.
 
-        Evaluates sum_m c_m (i omega_m)^deriv e^{i m theta}, theta = 2 pi x / N,
+        Evaluates sum_m c_m e^{i m theta}, theta = 2 pi x / N,
         over the P modes m = lo..lo+P-1, lo = -floor(P/2) (fftfreq order, so
         an even P keeps its Nyquist term at -P/2).  Splitting m = lo + a + b*B
         with B = ceil(sqrt(P)) factors every exponential as
@@ -92,9 +92,6 @@ class GridFunction:
         lo = -(P // 2)
         coeffs = np.zeros((B * C, n), dtype=complex)
         coeffs[:P] = np.fft.fftshift(np.fft.fft(self.values, axis=0), axes=0) / P
-        if deriv:
-            omega = TWO_PI * (lo + np.arange(P)) / self.n_period
-            coeffs[:P] *= (1j * omega[:, None]) ** deriv
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         theta = TWO_PI * np.mod(pts, self.n_period) / self.n_period
         # blocks[a, b*n + k] is component k of the coefficient of mode lo + a + bB
@@ -105,9 +102,6 @@ class GridFunction:
         if np.isrealobj(self.values):
             out = out.real
         return out
-
-    def copy(self):
-        return GridFunction(self.n_period, self.values.copy())
 
 
 def _unit_phases(theta, freqs):
@@ -142,36 +136,6 @@ def from_profile(profile, n_period, m_x, shift=0.0):
 # ---------------------------------------------------------------------------
 # Bloch transform
 
-@dataclass
-class BlochCoefficients:
-    """Per-frequency 1-periodic Fourier coefficients of an N-periodic function.
-
-    ``coeffs[j, l, :]`` multiplies e^{i xi_j x} * e^{2 pi i l x} with both the
-    frequency index j and the cell mode l signed in FFT wrap order, so slot
-    (j, l) carries the global mode of frequency xi_j + 2*pi*l exactly.
-    """
-
-    n_period: int
-    coeffs: np.ndarray          # (N, m_x, n) complex
-    was_real: bool = True
-
-    @property
-    def m_x(self):
-        return self.coeffs.shape[1]
-
-    @property
-    def n_components(self):
-        return self.coeffs.shape[2]
-
-    @property
-    def frequencies(self):
-        """Signed Bloch frequencies 2*pi*j/N in FFT wrap order."""
-        return frequency_lattice(self.n_period)
-
-    def copy(self):
-        return BlochCoefficients(self.n_period, self.coeffs.copy(), self.was_real)
-
-
 def cell_modes(m_x):
     """Signed integers 0, 1, ..., -1 in FFT wrap order.
 
@@ -203,24 +167,27 @@ def _mode_slots(n_period, m_x):
                   + cell_modes(m_x)[None, :] * n_period, P)
 
 
-def bloch_transform(gf):
-    """Exact discrete Bloch transform of a grid function."""
-    N = gf.n_period
-    c = np.fft.fft(gf.values, axis=0) / gf.n_points
-    beta = N * c[_mode_slots(N, gf.m_x)]
-    return BlochCoefficients(N, beta, was_real=np.isrealobj(gf.values))
+def bloch_transform(values, n_period):
+    """Exact discrete Bloch transform of N-periodic samples on the point axis
+    of a (..., P, n) array: the (..., N, m_x, n) coefficients whose slot
+    [..., j, l, :] multiplies e^{i xi_j x} e^{2 pi i l x}, with j and l
+    signed in FFT wrap order, so slot (j, l) carries the global mode of
+    frequency xi_j + 2 pi l exactly."""
+    P = values.shape[-2]
+    if P % n_period:
+        raise ValueError(f"{P} samples do not divide into {n_period} cells")
+    c = np.fft.fft(values, axis=-2) / P
+    return n_period * c[..., _mode_slots(n_period, P // n_period), :]
 
 
-def bloch_inverse(bc):
-    """Invert the Bloch transform back to grid samples."""
-    N = bc.n_period
-    P = N * bc.m_x
-    c = np.empty((P, bc.n_components), dtype=complex)
-    c[_mode_slots(N, bc.m_x).reshape(-1)] = bc.coeffs.reshape(P, bc.n_components) / N
-    vals = np.fft.ifft(c * P, axis=0)
-    if bc.was_real:
-        vals = vals.real
-    return GridFunction(N, vals)
+def bloch_inverse(coeffs):
+    """The complex samples, shape (..., P, n), of the (..., N, m_x, n) Bloch
+    coefficients ``coeffs``; a real function is the real part."""
+    *lead, N, m_x, n = coeffs.shape
+    P = N * m_x
+    c = np.empty((*lead, P, n), dtype=complex)
+    c[..., _mode_slots(N, m_x).reshape(-1), :] = coeffs.reshape(*lead, P, n) / N
+    return np.fft.ifft(c * P, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +238,13 @@ def norm_h(gf, s):
     return float(np.sqrt(total))
 
 
-def derivative_values(values, n_period, order=1):
+def derivative_values(values, n_period):
     """Spectral x-derivative of N-periodic samples on the point axis of a
     (..., P, n) array: every (P, n) slice is differentiated on its own."""
     P = values.shape[-2]
     c = np.fft.fft(values, axis=-2)
     omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
-    c = c * (1j * omega[:, None]) ** order
+    c = c * (1j * omega[:, None])
     vals = np.fft.ifft(c, axis=-2)
     if np.isrealobj(values):
         vals = vals.real

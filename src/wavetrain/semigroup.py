@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, grids
-from .errors import AdmissibilityError, BranchTrackingError
+from .errors import AdmissibilityError, BranchTrackingError, DiagonalizationError
 
 TWO_PI = 2.0 * np.pi
 
-# Fibers whose eigenvector matrix has ||V||_F ||V^-1||_F above COND_LIMIT
-# propagate by expm instead of through V.
+# Largest eigenvector bound ||V||_F ||V^-1||_F of a fiber the engine
+# propagates through V; above it the engine refuses the fiber.
 COND_LIMIT = 1e10
 
 
@@ -85,15 +85,17 @@ class SemigroupEngine:
     synthesizes a result. Each fiber follows the critical branch in the
     phi'-anchored gauge from the profile's fiber store at the same
     frequency, zero-padded onto the engine's modes; a branch lost inside the
-    cutoff support raises BranchTrackingError. Per-fiber arrays have leading
-    size N//2+1; ``frequencies``, ``rho``, ``crit_lam`` and ``critical``
-    cover all N frequencies. Fibers whose eigenvector matrix fails
-    ||V||_F ||V^-1||_F <= COND_LIMIT propagate by expm.
+    cutoff support raises BranchTrackingError, and a fiber whose eigenvector
+    matrix fails ||V||_F ||V^-1||_F <= COND_LIMIT raises
+    DiagonalizationError. Per-fiber arrays have leading size N//2+1;
+    ``frequencies``, ``rho``, ``crit_lam`` and ``critical`` cover all N
+    frequencies.
 
-    The operations act on the stored fibers: ``fibers`` transforms a real
-    field, ``apply`` propagates, ``amplitudes`` reads the critical
+    The operations act on the stored fibers of arrays with any leading stack
+    axes: ``fibers`` transforms real (..., P, n) samples into (..., N//2+1,
+    dim) fibers, ``apply`` propagates, ``amplitudes`` reads the critical
     amplitudes, ``split`` separates the mean phase, the phase field and S~,
-    and ``field`` synthesizes the result. So e^{Lt} v is
+    and ``field`` synthesizes the real samples. So e^{Lt} v is
     ``field(apply(fibers(v), t))``.
     """
 
@@ -127,7 +129,6 @@ class SemigroupEngine:
         self.crit_lam = np.full(N, np.nan + 0j)
         self.crit_phi = np.zeros((H, self.dim), dtype=complex)
         self.crit_adj = np.zeros((H, self.dim), dtype=complex)
-        self._expm = {}             # j -> Bloch matrix of a fiber failing COND_LIMIT
 
         store = bloch.fiber_store(profile)
         for j in range(H):
@@ -142,68 +143,68 @@ class SemigroupEngine:
                     f"critical branch lost at xi = {xi:.6g} inside the "
                     f"cutoff support |xi| < {cutoff.xi_1:.6g}")
             if 2 * j == N:      # even N keeps -pi: conjugate the +pi fiber
-                fib, V, mat = (fib.conjugate(flip), np.conj(V)[flip],
-                               np.conj(mat)[flip][:, flip])
+                fib, V = fib.conjugate(flip), np.conj(V)[flip]
             try:
                 V_inv = np.linalg.inv(V)
                 cond = np.linalg.norm(V) * np.linalg.norm(V_inv)
             except np.linalg.LinAlgError:
                 cond = np.inf
             if not cond <= COND_LIMIT:
-                V_inv = np.full_like(V, np.nan)
-                self._expm[j] = mat
+                raise DiagonalizationError(
+                    f"the fiber at xi = {self.frequencies[j]:.6g} has "
+                    f"eigenvector bound ||V|| ||V^-1|| = {cond:.3e} above "
+                    f"{COND_LIMIT:g}")
             self.eigvals[j], self.right[j], self.right_inv[j] = fib.lam, V, V_inv
             self.eigvec_cond[j] = cond
             if fib.index is not None:
                 self.crit_lam[j] = fib.lam_c
                 self.crit_phi[j], self.crit_adj[j] = fib.vec, fib.adj
-        self.diagonalizable = self.eigvec_cond <= COND_LIMIT
         self.crit_lam[N - self._mirror] = np.conj(self.crit_lam[self._mirror])
         # the frequencies that carry a critical projection
         self.critical = (self.rho > 0.0) & np.isfinite(self.crit_lam.real)
 
     # -- fiber-space operations ---------------------------------------------
 
-    def fibers(self, v):
-        """The stored (xi >= 0) half of the Bloch transform of the real v,
-        shape (N//2+1, dim)."""
-        if v.n_period != self.n_period or v.m_x != self.m_x:
+    def fibers(self, values):
+        """The stored (xi >= 0) half of the Bloch transform of the real
+        (..., P, n) samples ``values``, shape (..., N//2+1, dim)."""
+        shape = (self.n_period * self.m_x, self.n)
+        if values.shape[-2:] != shape:
             raise ValueError(
-                f"grid mismatch: engine is (N={self.n_period}, m_x={self.m_x}), "
-                f"function is (N={v.n_period}, m_x={v.m_x})")
-        if np.iscomplexobj(v.values):
+                f"grid mismatch: engine takes (..., {shape[0]}, {shape[1]}) "
+                f"samples (N={self.n_period}, m_x={self.m_x}), got "
+                f"{values.shape}")
+        if np.iscomplexobj(values):
             raise ValueError("the semigroup engine takes real fields only")
-        coeffs = grids.bloch_transform(v).coeffs[:self.n_half]
-        return coeffs.reshape(self.n_half, self.dim)
+        coeffs = grids.bloch_transform(values, self.n_period)
+        return coeffs[..., :self.n_half, :, :].reshape(
+            *values.shape[:-2], self.n_half, self.dim)
 
     def field(self, half):
-        """The real field with stored fibers ``half``, conjugated onto xi < 0."""
+        """The real samples, shape (..., P, n), with stored fibers ``half``,
+        conjugated onto xi < 0."""
         N = self.n_period
-        full = np.empty((N, self.dim), dtype=complex)
-        full[:self.n_half] = half
-        full[N - self._mirror] = np.conj(half[self._mirror][:, self._flip])
-        return grids.bloch_inverse(grids.BlochCoefficients(
-            N, full.reshape(N, self.m_x, self.n), was_real=True))
+        full = np.empty((*half.shape[:-2], N, self.dim), dtype=complex)
+        full[..., :self.n_half, :] = half
+        full[..., N - self._mirror, :] = np.conj(
+            half[..., self._mirror, :][..., self._flip])
+        return grids.bloch_inverse(
+            full.reshape(*full.shape[:-1], self.m_x, self.n)).real
 
     def apply(self, half, t):
-        """e^{L_xi t} on every stored fiber (expm where V is ill-conditioned)."""
-        out = (self.right @ (np.exp(self.eigvals * t)[:, :, None]
-                             * (self.right_inv @ half[:, :, None])))[:, :, 0]
-        if self._expm:
-            import scipy.linalg     # kept off the package's import path
-            for j, mat in self._expm.items():
-                out[j] = scipy.linalg.expm(mat * t) @ half[j]
-        return out
+        """V e^{Lambda t} V^-1, that is e^{L_xi t}, on every stored fiber."""
+        return (self.right @ (np.exp(self.eigvals * t)[:, :, None]
+                              * (self.right_inv @ half[..., None])))[..., 0]
 
     def amplitudes(self, half):
-        """Critical amplitudes <adj_xi, fiber> of the stored fibers ``half`` on
-        all N frequencies, NaN off the critical ones; entry 0 is the
-        translation content of the field."""
+        """Critical amplitudes <adj_xi, fiber> of the stored fibers ``half``
+        on all N frequencies, shape (..., N), NaN off the critical ones;
+        entry 0 is the translation content of the field."""
         H = self.n_half
-        inner = (np.conj(self.crit_adj)[:, None, :] @ half[:, :, None])[:, 0, 0]
-        out = np.full(self.n_period, np.nan + 0j)
-        out[:H] = np.where(self.critical[:H], inner, np.nan)
-        out[self.n_period - self._mirror] = np.conj(out[self._mirror])
+        inner = (np.conj(self.crit_adj)[:, None, :] @ half[..., None])[..., 0, 0]
+        out = np.full((*half.shape[:-2], self.n_period), np.nan + 0j)
+        out[..., :H] = np.where(self.critical[:H], inner, np.nan)
+        out[..., self.n_period - self._mirror] = np.conj(out[..., self._mirror])
         return out
 
     def split(self, full, amp):
@@ -212,27 +213,29 @@ class SemigroupEngine:
         propagated over t, e^{lambda_c t} times the datum's amplitudes).
         The three sum to ``full``."""
         H = self.n_half
-        factors = np.where(self.critical[:H], self.rho[:H] * amp[:H], 0.0)
+        factors = np.where(self.critical[:H], self.rho[:H] * amp[..., :H], 0.0)
         mean_f = np.zeros_like(full)
-        mean_f[0] = factors[0] * self.crit_phi[0]
-        sp_f = factors[:, None] * self.phi_slots
-        sp_f[0] = 0.0
+        mean_f[..., 0, :] = factors[..., 0, None] * self.crit_phi[0]
+        sp_f = factors[..., None] * self.phi_slots
+        sp_f[..., 0, :] = 0.0
         return mean_f, sp_f, full - mean_f - sp_f
 
     def synthesize_phase(self, inner, t=0.0, l=0, m=0):
-        """Plane-wave synthesis of the scalar phase field from critical
-        amplitudes: (1/N) sum_{xi != 0} rho (i xi)^l lambda^m e^{lambda t}
-        inner_xi e^{i xi x}.  Non-finite entries of ``inner`` and
-        non-critical frequencies are skipped."""
+        """Plane-wave synthesis of the scalar phase field, shape (..., P, 1),
+        from critical amplitudes ``inner`` (..., N):
+        (1/N) sum_{xi != 0} rho (i xi)^l lambda^m e^{lambda t} inner_xi
+        e^{i xi x}.  Non-finite entries of ``inner`` and non-critical
+        frequencies are skipped."""
         inner = np.asarray(inner)
-        sel = np.flatnonzero(self.critical & np.isfinite(inner.real))
-        sel = sel[sel != 0]
-        lam = self.crit_lam[sel]
-        fibers = np.zeros((self.n_period, self.m_x, 1), dtype=complex)
-        fibers[sel, 0, 0] = (self.rho[sel] * (1j * self.frequencies[sel]) ** l
-                             * lam ** m * np.exp(lam * t) * inner[sel])
-        bc = grids.BlochCoefficients(self.n_period, fibers, was_real=True)
-        return grids.bloch_inverse(bc)
+        keep = self.critical & np.isfinite(inner.real)
+        keep[..., 0] = False
+        sel = np.nonzero(keep)
+        j = sel[-1]
+        lam = self.crit_lam[j]
+        fibers = np.zeros((*inner.shape, self.m_x, 1), dtype=complex)
+        fibers[(*sel, 0, 0)] = (self.rho[j] * (1j * self.frequencies[j]) ** l
+                                * lam ** m * np.exp(lam * t) * inner[sel])
+        return grids.bloch_inverse(fibers).real
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +282,18 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
     if fit_window is not None and not window.any():
         raise ValueError(f"no samples inside fit window [{lo}, {hi}]")
 
-    half = engine.fibers(v)
+    def l2(values):
+        return grids.norm_l2(grids.GridFunction(engine.n_period, values))
+
+    half = engine.fibers(v.values)
     inner = engine.amplitudes(half)
     norms = np.empty((4, times.size))
     for i, t in enumerate(times):
         total = engine.apply(half, t)
         mean, _, rem = engine.split(total, np.exp(engine.crit_lam * t) * inner)
         sp = engine.synthesize_phase(inner, t=t, l=l, m=m)
-        norms[:, i] = [grids.norm_l2(engine.field(total)),
-                       grids.norm_l2(engine.field(mean)), grids.norm_l2(sp),
-                       grids.norm_l2(engine.field(rem))]
+        norms[:, i] = [l2(engine.field(total)), l2(engine.field(mean)),
+                       l2(sp), l2(engine.field(rem))]
     ref = grids.norm_l1(v) if reference_norm is None else reference_norm
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),

@@ -86,6 +86,10 @@ def test_commands_start_without_scipy(tmp_path):
         ["-m", "wavetrain", "spectrum", "--profile", prof, "--scan", "16",
          "--out-dir", str(tmp_path / "spec")],
         ["-m", "wavetrain", "simulate", "--config", str(cfg)],
+        # the semigroup engine propagates through its eigenbasis alone
+        ["-m", "wavetrain", "linear-decay", "--profile", prof, "--N", "4",
+         "--tmax", "20", "--samples", "8", "--out-dir",
+         str(tmp_path / "decay")],
     ]
     for args in runs:
         proc, modules = _cold_python(*args, cwd=tmp_path)
@@ -221,6 +225,27 @@ def test_malformed_profile_file_exits_with_its_code(profile_file, tmp_path,
     assert len(err) == 1 and "Traceback" not in err[0]
 
 
+@pytest.mark.parametrize("document", [
+    [1, 2],
+    {"perturbation": 5},
+    {"snapshot": "ab"},
+    {"model": 5},
+    {"scheme": ["x"]},
+], ids=["list_document", "number_perturbation", "text_snapshot",
+        "number_model", "list_scheme"])
+def test_mistyped_config_document_exits_65(profile_file, tmp_path, capsys,
+                                           document):
+    # valid JSON of the wrong types: one config line, no traceback
+    path = tmp_path / "cfg.json"
+    if isinstance(document, dict):
+        write_config(path, profile_file, tmp_path / "o", **document)
+    else:
+        path.write_text(json.dumps(document))
+    assert main(["simulate", "--config", str(path)]) == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config: "), err
+
+
 def test_gap_table_on_stdout(profile_file, capsys):
     code = main(["gap", "--profile", str(profile_file), "--N", "1,4"])
     assert code == 0
@@ -293,9 +318,10 @@ def test_linear_decay_run(profile_file, tmp_path):
         assert col in header
     fit = read_json(out / "decay_fit.json")
     assert [rec["N"] for rec in fit["fits"]] == [8]
-    # engine health: every fiber diagonalizes, none falls back to expm
+    # engine health: every fiber diagonalizes well within COND_LIMIT
     assert 1.0 <= fit["fits"][0]["max_eigvec_cond"] < 1e10
-    assert fit["fits"][0]["expm_fibers"] == []
+    assert fit["schema_version"] == 2
+    assert sorted(fit["fits"][0]) == ["N", "max_eigvec_cond", "parts"]
 
 
 def test_linear_decay_short_horizon_is_a_validation_error(profile_file,
@@ -345,6 +371,7 @@ def test_simulate_run_and_outputs(profile_file, tmp_path):
     code = main(["simulate", "--config", str(cfg)])
     assert code == 0
     report = read_json(out / "report.json")
+    assert report["schema_version"] == 3 and "expm_fibers" not in report
     assert report["E0"] == 1e-4
     assert "phase" in report and "zeta" in report and "delta_N" in report
     assert 0.0 <= report["snapshot_tail"] < 1e-20
@@ -675,7 +702,8 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         assert report["hill_check"] <= 1e-9
         assert "stages" not in report
     report = read_json(tmp_path / "spectrum" / "stability_report.json")
-    assert report["tolerances"]["m_f"] == 4
+    assert sorted(report["tolerances"]) == ["scan", "tol_zero", "xi_fit"]
+    assert report["schema_version"] == 2
     # the grid the engines ran on, derived from the Hill truncation
     for name in ("linear-decay", "simulate"):
         health = read_json(tmp_path / name / "manifest.json")["health"]

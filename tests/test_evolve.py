@@ -727,6 +727,32 @@ def test_duhamel_propagates_once_per_step_and_sweep(acceptance10_run,
     assert len(calls) == (res.times.size - 1) * (tr.iterations + 1)
 
 
+def test_duhamel_calls_each_engine_operation_once_per_sweep(
+        acceptance10_run, monkeypatch):
+    # the engine acts on the stacked snapshots: a sweep makes one call of
+    # each operation (two of field), whatever the number of snapshots
+    res, trace = acceptance10_run
+    eng = res.engine
+    calls = {name: 0 for name in ("fibers", "amplitudes", "field",
+                                  "synthesize_phase")}
+
+    def counted(name):
+        method = getattr(semigroup.SemigroupEngine, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(eng, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(eng, name, counted(name))
+    tr = extract_modulation_duhamel(res, tol=1e-8, trace=trace)
+    # sweeps plus the closing resubstitution; fibers also reads v_0
+    passes = tr.iterations + 1
+    assert calls == {"fibers": passes + 1, "amplitudes": passes,
+                     "field": 2 * passes, "synthesize_phase": tr.iterations}
+
+
 def test_trapezoid_prefixes_match_the_explicit_sum():
     rng = np.random.Generator(np.random.Philox(key=5))
     times = 1.5 + np.cumsum(rng.uniform(0.05, 0.6, 30))     # nonuniform

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from wavetrain import bloch, grids, semigroup
-from wavetrain.errors import AdmissibilityError
+from wavetrain import bloch, grids, profiles, semigroup
+from wavetrain.cli import main
+from wavetrain.errors import AdmissibilityError, DiagonalizationError
 from wavetrain.evolve import fourier_band, random_perturbation
 from wavetrain.semigroup import (
     CutoffSpec,
@@ -33,21 +34,23 @@ def random_field(engine, rng, scale=1.0):
 
 def on_grid(engine, v, t):
     """e^{Lt} v on the grid, through the engine's fiber operations."""
-    return engine.field(engine.apply(engine.fibers(v), t))
+    return grids.GridFunction(engine.n_period, engine.field(
+        engine.apply(engine.fibers(v.values), t)))
 
 
 def parts_on_grid(engine, v, t):
     """e^{Lt} v and its mean-phase, phase-field and S~ parts on the grid."""
-    half = engine.fibers(v)
+    half = engine.fibers(v.values)
     full = engine.apply(half, t)
     amp = np.exp(engine.crit_lam * t) * engine.amplitudes(half)
-    return [engine.field(f) for f in (full, *engine.split(full, amp))]
+    return [grids.GridFunction(engine.n_period, engine.field(f))
+            for f in (full, *engine.split(full, amp))]
 
 
 def phase_on_grid(engine, v, t, l=0, m=0):
     """The scalar field d_x^l d_t^m s_p(t) v."""
-    return engine.synthesize_phase(engine.amplitudes(engine.fibers(v)), t=t,
-                                   l=l, m=m)
+    return grids.GridFunction(engine.n_period, engine.synthesize_phase(
+        engine.amplitudes(engine.fibers(v.values)), t=t, l=l, m=m))
 
 
 def test_cutoff_weight_shape():
@@ -84,7 +87,7 @@ def test_engine_rejects_even_cell_grids(rgl_profile, cutoff, stability):
 
 
 def test_all_fibers_diagonalize_cleanly(engine8):
-    assert np.all(engine8.diagonalizable)
+    assert np.all(engine8.eigvec_cond <= semigroup.COND_LIMIT)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -94,24 +97,24 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
                              stability=stability)
     half = n // 2 + 1
     for name in ("eigvals", "right", "right_inv", "crit_phi", "crit_adj",
-                 "diagonalizable", "eigvec_cond"):
+                 "eigvec_cond"):
         assert getattr(engine, name).shape[0] == half, name
     assert not hasattr(engine, "matrices")
     assert engine.frequencies.shape == engine.rho.shape == (n,)
     v = random_field(engine, rng)
     with pytest.raises(ValueError, match="real"):
-        engine.fibers(grids.GridFunction(n, v.values + 0j))
+        engine.fibers(v.values + 0j)
 
     # reference: expm of the Bloch matrix at every one of the N frequencies,
     # the xi < 0 ones included, which the engine never assembles
-    coeffs = grids.bloch_transform(v).coeffs.reshape(n, engine.dim)
+    coeffs = grids.bloch_transform(v.values, n).reshape(n, engine.dim)
     for t in (0.7, 3.0):
         ref_fibers = np.stack([
             sla.expm(t * bloch.assemble_bloch(
                 rgl_profile, xi, ells=engine.ells, that=engine.that).entries)
             @ coeffs[j] for j, xi in enumerate(engine.frequencies)])
-        ref = grids.bloch_inverse(grids.BlochCoefficients(
-            n, ref_fibers.reshape(n, engine.m_x, engine.n))).values
+        ref = grids.bloch_inverse(
+            ref_fibers.reshape(n, engine.m_x, engine.n)).real
         scale = np.max(np.abs(ref))
         out = on_grid(engine, v, t)
         assert np.max(np.abs(out.values - ref)) <= 1e-11 * scale, t
@@ -170,30 +173,49 @@ def test_decomposition_sums_back_to_the_full_action(engine8, rng):
         assert np.max(np.abs(recon - total.values)) <= 1e-11
 
 
-def test_expm_fallback_matches_the_eigendecomposition(
-        engine4, rgl_profile, cutoff, stability, rng, monkeypatch):
-    from wavetrain.cli import _engine_health
-
-    # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails COND_LIMIT = 1
+def test_an_ill_conditioned_fiber_fails_the_engine_build(
+        rgl_profile, cutoff, stability, tmp_path, capsys, monkeypatch):
+    # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails COND_LIMIT = 1;
+    # the first one, xi = 0, is named
     monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
-    forced = SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability)
-    assert not forced.diagonalizable.any()
-    assert _engine_health(forced)["expm_fibers"] == [
-        float(xi) for xi in forced.frequencies[:forced.n_half]]
-    v = random_field(forced, rng)
-    for t in (0.5, 5.0):
-        for got, ref in ((on_grid(forced, v, t), on_grid(engine4, v, t)),
-                         (parts_on_grid(forced, v, t)[3],
-                          parts_on_grid(engine4, v, t)[3])):
-            err = np.linalg.norm(got.values - ref.values)
-            assert err <= 1e-10 * np.linalg.norm(ref.values), t
+    with pytest.raises(DiagonalizationError, match="xi = 0 "):
+        SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability)
+    prof = tmp_path / "q03.json"
+    profiles.save_profile(rgl_profile, prof)
+    assert main(["linear-decay", "--profile", str(prof), "--N", "4",
+                 "--tmax", "20", "--samples", "8",
+                 "--out-dir", str(tmp_path / "decay")]) == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "DiagonalizationError" in err[0], err
+
+
+def test_engine_takes_stacks_bit_for_bit(engine8, rng):
+    # every operation on a (T, ...) stack gives each slice the bits of the
+    # same operation on that slice alone
+    stack = np.stack([random_field(engine8, rng).values for _ in range(3)])
+    half = engine8.fibers(stack)
+    full = engine8.apply(half, 0.7)
+    amps = engine8.amplitudes(full)
+    parts = engine8.split(full, amps)
+    fields = engine8.field(full)
+    phases = engine8.synthesize_phase(amps, t=0.3, l=1, m=1)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(engine8.fibers(stack[i]), half[i])
+        assert np.array_equal(engine8.apply(half[i], 0.7), full[i])
+        assert np.array_equal(engine8.amplitudes(full[i]), amps[i],
+                              equal_nan=True)
+        for got, want in zip(engine8.split(full[i], amps[i]), parts):
+            assert np.array_equal(got, want[i])
+        assert np.array_equal(engine8.field(full[i]), fields[i])
+        assert np.array_equal(
+            engine8.synthesize_phase(amps[i], t=0.3, l=1, m=1), phases[i])
 
 
 def test_mean_phase_coefficient_of_the_derivative_is_the_period(
         engine4, engine16, rgl_profile):
     for engine, n in ((engine4, 4), (engine16, 16)):
         dphi = phi_prime_field(rgl_profile, n, engine.m_x)
-        coeff = engine.amplitudes(engine.fibers(dphi))[0].real
+        coeff = engine.amplitudes(engine.fibers(dphi.values))[0].real
         assert coeff == pytest.approx(n, rel=1e-8)
 
 
@@ -202,8 +224,7 @@ def test_translated_profile_projects_onto_the_phase(engine4, rgl_profile):
     s = 1e-6
     x = grids.grid_points(4, engine4.m_x)
     diff = rgl_profile(x - s) - rgl_profile(x)
-    coeff = engine4.amplitudes(engine4.fibers(
-        grids.GridFunction(4, diff)))[0].real
+    coeff = engine4.amplitudes(engine4.fibers(diff))[0].real
     assert coeff == pytest.approx(-s * 4, rel=1e-4)
 
 
@@ -216,7 +237,7 @@ def test_high_frequency_data_has_no_phase_part(engine8):
     fibers = np.zeros((8, engine8.m_x, engine8.n), dtype=complex)
     fibers[j, 1, 0] = 1.0
     fibers[(8 - j) % 8, -1, 0] = 1.0      # conjugate partner slot
-    v = grids.bloch_inverse(grids.BlochCoefficients(8, fibers))
+    v = grids.GridFunction(8, grids.bloch_inverse(fibers).real)
     sp = phase_on_grid(engine8, v, 1.0)
     assert grids.norm_l2(sp) <= 1e-13
     _, mean, sp_field, _ = parts_on_grid(engine8, v, 1.0)
@@ -275,9 +296,9 @@ def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
     times = np.array([0.0, 0.7, 5.0, 30.0])
     transform, calls = grids.bloch_transform, []
 
-    def counted(gf):
-        calls.append(gf)
-        return transform(gf)
+    def counted(values, n_period):
+        calls.append(values)
+        return transform(values, n_period)
 
     monkeypatch.setattr(grids, "bloch_transform", counted)
     measures = measure_decay(engine8, v, times, l=1, m=1)
@@ -386,8 +407,9 @@ def test_stilde_high_frequency_part_decays_at_the_cutoff_rate(
     # associated with frequencies |xi| >= xi_1 / 2
     v = random_field(engine8, rng)
     rho = engine8.rho[:engine8.n_half, None]
-    hf0, hf1 = (engine8.field((1 - rho) * engine8.apply(engine8.fibers(v), t))
-                for t in (2.0, 6.0))
+    hf0, hf1 = (grids.GridFunction(8, engine8.field(
+        (1 - rho) * engine8.apply(engine8.fibers(v.values), t)))
+        for t in (2.0, 6.0))
     rate = -np.log(grids.norm_l2(hf1) / grids.norm_l2(hf0)) / 4.0
     floor = min(stability.delta_0.values())
     assert rate >= 0.9 * floor
