@@ -97,20 +97,23 @@ def _write_csv(path, header, rows):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+    """``obj`` with numpy arrays and scalars as Python values and every
+    non-finite float as None, so that the dump is strict (RFC 8259) JSON."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -341,8 +344,7 @@ def _stability_payload(report, xi_fit):
         "zero_simplicity": report.zero_simplicity,
         "max_nonzero_real": report.max_nonzero_real,
         "branch_lost": report.branch_lost,
-        "min_overlap_margin": (None if np.isnan(report.min_overlap_margin)
-                               else report.min_overlap_margin),
+        "min_overlap_margin": report.min_overlap_margin,
         "failures": report.failures,
         "tolerances": {"tol_zero": report.tol_zero, "scan": report.scan,
                        "xi_fit": xi_fit},
@@ -495,7 +497,7 @@ def cmd_linear_decay(args, argv):
         # the L1 size v was scaled to, so the constants are the same on
         # every grid
         size = grids.norm_l1(grids.quadrature_samples(
-            v, evolve.fourier_band(n, engine.m_x)))
+            v, n, evolve.fourier_band(n, engine.m_x)), n)
         with manifest.stage("evolution"):
             measures = semigroup.measure_decay(engine, v, times, l=args.l,
                                                m=args.m, reference_norm=size)
@@ -746,7 +748,7 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
 
 
 def cmd_simulate(args, argv):
-    from . import bloch, evolve, semigroup
+    from . import bloch, evolve, grids, semigroup
 
     raw_cfg = _load_config(args.config)
     cfg = _validated_simulation_config(raw_cfg, args.profile, args.extract)
@@ -834,7 +836,8 @@ def cmd_simulate(args, argv):
         snap_dir = _ensure_dir(out_dir / "snapshots")
         for i in range(T):
             path = snap_dir / f"snap_{i:04d}.bin"
-            evolve.write_snapshot(path, result.snapshots[i], times[i])
+            evolve.write_snapshot(path, result.snapshots[i], n_period,
+                                  times[i])
             manifest.add_output(out_dir, path)
 
     du = duhamel_exit = None
@@ -850,8 +853,8 @@ def cmd_simulate(args, argv):
             duhamel_exit = EXIT_DIVERGENCE
         if du is not None:
             du_path = out_dir / "trace_duhamel.csv"
-            psi_l2 = np.sqrt(np.sum(du.psi_vals ** 2, axis=1) / result.m_x)
-            v_l2 = np.sqrt(np.sum(du.v_vals ** 2, axis=(1, 2)) / result.m_x)
+            psi_l2 = grids.norm_l2(du.psi_vals[..., None], n_period)
+            v_l2 = grids.norm_l2(du.v_vals, n_period)
             with manifest.stage("outputs"):
                 _write_csv(du_path, ("t", "gamma", "norm_psi_l2", "norm_v_l2"),
                            [(_fmt(times[i]), _fmt(du.gamma[i]),

@@ -50,6 +50,9 @@ SNAPSHOT_TAIL_TOL = 1e-9
 # fixed-point sweeps extract_modulation_duhamel makes before it gives up
 DUHAMEL_MAX_SWEEPS = 25
 
+# sup-norm of a snapshot above which run_experiment raises BlowUpError
+BLOWUP_LIMIT = 1e6
+
 
 # ---------------------------------------------------------------------------
 # stepper
@@ -146,7 +149,8 @@ def fourier_band(n_period, m_x, band=None):
 
 def random_perturbation(n_period, m_x, n_components, seed, amplitude,
                         band=None, kind="fourier", normalize="sup", k_sob=3):
-    """Smooth random N-periodic field of prescribed size ``amplitude``.
+    """Smooth random N-periodic field of prescribed size ``amplitude``, as
+    (P, n) samples.
 
     Deterministic in ``seed`` (counter-based Philox generator).  "fourier"
     draws Gaussian coefficients on global modes |m| <= band (default 3N),
@@ -181,23 +185,22 @@ def random_perturbation(n_period, m_x, n_components, seed, amplitude,
         vals = shape[:, None] * weights[None, :]
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    gf = grids.GridFunction(n_period, vals)
     if amplitude == 0.0:
-        gf.values[:] = 0.0
-        return gf
-    ref = grids.quadrature_samples(gf, band if kind == "fourier" else None)
+        return np.zeros_like(vals)
+    ref = grids.quadrature_samples(vals, n_period,
+                                   band if kind == "fourier" else None)
     if normalize == "sup":
-        size = grids.norm_linf(ref)
+        size = grids.norm_linf(ref, n_period)
     elif normalize == "l1":
-        size = grids.norm_l1(ref)
+        size = grids.norm_l1(ref, n_period)
     elif normalize == "l1_sobolev":
-        size = grids.norm_l1(ref) + grids.norm_h(ref, k_sob)
+        size = grids.norm_l1(ref, n_period) + grids.norm_h(ref, n_period, k_sob)
     else:
         raise ValueError(f"unknown normalization {normalize!r}")
     if size == 0.0:
         raise ValueError("degenerate random draw with zero amplitude")
-    gf.values *= amplitude / size
-    return gf
+    vals *= amplitude / size
+    return vals
 
 
 def quintic_smoothstep(t, lo=0.5, hi=1.0):
@@ -210,27 +213,28 @@ def quintic_smoothstep(t, lo=0.5, hi=1.0):
 # ---------------------------------------------------------------------------
 # experiment driver
 
-def write_snapshot(path, gf, t):
-    """Store one state snapshot as a little-endian binary blob.
+def write_snapshot(path, values, n_period, t):
+    """Store the (P, n) state ``values`` of period ``n_period`` at time t as
+    a little-endian binary blob.
 
     Layout: three int64 header words (N, m_x, components), one float64 time
     stamp, then the N*m_x by components state row-major as float64.
     """
+    P, n = values.shape
     with open(path, "wb") as fh:
-        head = np.array([gf.n_period, gf.m_x, gf.values.shape[1]], dtype="<i8")
-        head.tofile(fh)
+        np.array([n_period, P // n_period, n], dtype="<i8").tofile(fh)
         np.array([t], dtype="<f8").tofile(fh)
-        np.ascontiguousarray(gf.values, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(values, dtype="<f8").tofile(fh)
 
 
 def read_snapshot(path):
-    """Load a snapshot blob back into (GridFunction, t)."""
+    """Load a snapshot blob back into (values, n_period, t)."""
     with open(path, "rb") as fh:
         head = np.fromfile(fh, dtype="<i8", count=3)
         t = float(np.fromfile(fh, dtype="<f8", count=1)[0])
         vals = np.fromfile(fh, dtype="<f8")
     n_period, m_x, n_comp = (int(h) for h in head)
-    return grids.GridFunction(n_period, vals.reshape(m_x * n_period, n_comp)), t
+    return vals.reshape(m_x * n_period, n_comp), n_period, t
 
 
 def default_snapshot_times(t_max, dense_until=10.0, dense_spacing=0.25,
@@ -256,7 +260,8 @@ def default_snapshot_times(t_max, dense_until=10.0, dense_spacing=0.25,
 
 @dataclass
 class ExperimentResult:
-    """Trajectory record: snapshots of u plus projection traces.
+    """Trajectory record: snapshots of u, shape (T, P, n), plus projection
+    traces.
 
     ``gamma_raw`` and ``inner`` hold the spectral projections of u - phi at
     each snapshot (mean translation content and per-frequency critical
@@ -265,7 +270,7 @@ class ExperimentResult:
     ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
     |m| > P/3 at each snapshot: the resolution the warp interpolation of
     :func:`modulation_frame` relies on.  ``base`` is phi on the run's grid,
-    sampled once for every reader of the run.
+    shape (P, n), sampled once for every reader of the run.
     """
 
     profile: object
@@ -274,8 +279,8 @@ class ExperimentResult:
     m_x: int
     amplitude: float
     times: np.ndarray
-    snapshots: list
-    base: grids.GridFunction
+    snapshots: np.ndarray
+    base: np.ndarray
     gamma_raw: np.ndarray
     inner: np.ndarray
     chi: np.ndarray
@@ -304,13 +309,12 @@ def _spectral_tail(u_hat, n_points):
 def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
                    scheme="imex", seed=0, amplitude=1e-2, band=None,
                    kind="fourier", normalize="l1_sobolev", k_sob=3,
-                   initial=None, snapshot_times=None, blowup_limit=1e6,
-                   chi_interval=(0.5, 1.0)):
+                   initial=None, snapshot_times=None, chi_interval=(0.5, 1.0)):
     """Integrate phi + perturbation and record snapshots with projections.
 
-    ``initial`` overrides the random perturbation (a GridFunction added to
+    ``initial`` overrides the random perturbation ((P, n) samples added to
     phi).  Snapshot times are rounded to whole steps.  Raises BlowUpError
-    when the sup-norm passes ``blowup_limit`` or turns non-finite, and
+    when the sup-norm passes BLOWUP_LIMIT or turns non-finite, and
     ResolutionError at the first snapshot whose ``snapshot_tail`` exceeds
     SNAPSHOT_TAIL_TOL.
     """
@@ -328,9 +332,9 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
                                    k_sob=k_sob)
     else:
         pert = initial
-        if pert.n_period != n_period or pert.m_x != m_x:
+        if pert.shape != base.shape:
             raise ValueError("initial perturbation grid does not match the engine")
-    u = base.values + pert.values
+    u = base + pert
 
     if snapshot_times is None:
         snapshot_times = default_snapshot_times(t_max)
@@ -338,18 +342,18 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
     snap_steps = snap_steps[snap_steps * dt <= t_max + 1e-9]
 
     u_hat = stepper.to_hat(u)
-    times, snaps, inners, tails = [], [], [], []
+    snaps = np.empty((snap_steps.size, *base.shape))
+    times, inners, tails = [], [], []
 
     def record(step_index):
-        vals = stepper.to_grid(u_hat).T
+        snaps[len(times)] = vals = stepper.to_grid(u_hat).T
         sup = float(np.max(np.abs(vals))) if vals.size else 0.0
         t = step_index * dt
-        if not np.isfinite(sup) or sup > blowup_limit:
+        if not np.isfinite(sup) or sup > BLOWUP_LIMIT:
             raise BlowUpError(f"solution reached sup-norm {sup:.3e} at t = {t:.4f}",
                               t=t)
         times.append(t)
-        snaps.append(grids.GridFunction(n_period, vals.copy()))
-        inners.append(engine.amplitudes(engine.fibers(vals - base.values)))
+        inners.append(engine.amplitudes(engine.fibers(vals - base)))
         tails.append(_spectral_tail(u_hat.T, stepper.P))
         if not tails[-1] <= SNAPSHOT_TAIL_TOL:
             raise ResolutionError(
@@ -461,9 +465,9 @@ def modulation_frame(result, i):
         raise PhaseWarpError(
             f"max |psi_x| = {steep:.3f} >= 1/2 at t = {result.times[i]:.3f}; "
             "the coordinate warp is not invertible")
-    u = result.snapshots[i]
-    u_mod = u.interp(u.x - result.gamma[i] / N - psi[:, 0])
-    return psi[:, 0], u_mod - result.base.values
+    u = grids.GridFunction(N, result.snapshots[i])
+    x = grids.grid_points(N, result.m_x)
+    return psi[:, 0], u.interp(x - result.gamma[i] / N - psi[:, 0]) - result.base
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +498,7 @@ def nonlinear_residual(result, gamma, psi_vals, v_vals):
             "the 1/(1 - psi_x) residual factors are singular")
     psit = time_derivative(times, psi_vals)[..., None]
     gamma_t = time_derivative(times, gamma)[:, None, None]
-    phi = result.base.values
+    phi = result.base
     phip = grids.derivative_values(phi, N)
     v = v_vals
     vx = grids.derivative_values(v, N)
@@ -593,10 +597,9 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
             f"projection phase warp failed at t = {times[~trace.warp_ok][0]:.3f}; "
             "the Duhamel iteration has no starting point")
     N = result.n_period
-    m_x = result.m_x
     chi = result.chi
 
-    fibers0 = eng.fibers(result.snapshots[0].values - result.base.values)
+    fibers0 = eng.fibers(result.snapshots[0] - result.base)
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
@@ -632,7 +635,7 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
         new_psi = eng.synthesize_phase(new_inner)[..., 0]
         new_v = v_update(full, amps, new_psi, v_vals)
 
-        dpsi = np.sqrt(np.sum((new_psi - psi_vals) ** 2, axis=1) / m_x)
+        dpsi = grids.norm_l2((new_psi - psi_vals)[..., None], N)
         delta = float(np.max(np.abs(new_gamma - gamma) + dpsi))
         update_norms.append(delta)
         gamma, inner, psi_vals, v_vals = new_gamma, new_inner, new_psi, new_v
@@ -653,8 +656,8 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
 
     # consistency: substitute the converged trace back into the equations
     rhs_v = v_update(*integrals(gamma, psi_vals, v_vals), psi_vals, v_vals)
-    vnorms = np.sqrt(np.sum(v_vals ** 2, axis=(1, 2)) / m_x)
-    dnorms = np.sqrt(np.sum((rhs_v - v_vals) ** 2, axis=(1, 2)) / m_x)
+    vnorms = grids.norm_l2(v_vals, N)
+    dnorms = grids.norm_l2(rhs_v - v_vals, N)
     v2_defect = float(np.max(dnorms) / max(np.max(vnorms), 1e-300))
     return DuhamelTrace(times, gamma, inner, psi_vals, v_vals, iterations,
                         update_norms, v2_defect)
@@ -698,28 +701,24 @@ def modulation_trace(result, k_sob=3):
     times = result.times
     T = times.size
     N = result.n_period
-    P = result.m_x * N
-    psi_vals = np.full((T, P), np.nan)
-    v_vals = np.full((T, P, result.profile.n), np.nan)
-    norms = {name: np.full(T, np.nan) for name in
-             ("v_h", "psi_x_h", "psi_t_h", "v_l2", "psi_x_l2", "psi_t_l2")}
+    psi_vals = np.full(result.snapshots.shape[:2], np.nan)
+    v_vals = np.full(result.snapshots.shape, np.nan)
     warp_ok = np.ones(T, dtype=bool)
     for i in range(T):
         try:
             psi_vals[i], v_vals[i] = modulation_frame(result, i)
         except PhaseWarpError:
             warp_ok[i] = False
-    psi_x_vals = grids.derivative_values(psi_vals[..., None], N)
-    psi_t_vals = time_derivative(times, np.nan_to_num(psi_vals))[..., None]
-    for i in np.flatnonzero(warp_ok):
-        v, psi_x, psi_t = (grids.GridFunction(N, vals[i]) for vals in
-                           (v_vals, psi_x_vals, psi_t_vals))
-        norms["v_h"][i] = grids.norm_h(v, k_sob)
-        norms["psi_x_h"][i] = grids.norm_h(psi_x, k_sob + 1)
-        norms["psi_t_h"][i] = grids.norm_h(psi_t, k_sob)
-        norms["v_l2"][i] = grids.norm_l2(v)
-        norms["psi_x_l2"][i] = grids.norm_l2(psi_x)
-        norms["psi_t_l2"][i] = grids.norm_l2(psi_t)
+    psi_x = grids.derivative_values(psi_vals[..., None], N)
+    psi_t = time_derivative(times, np.nan_to_num(psi_vals))[..., None]
+    norms = {"v_h": grids.norm_h(v_vals, N, k_sob),
+             "psi_x_h": grids.norm_h(psi_x, N, k_sob + 1),
+             "psi_t_h": grids.norm_h(psi_t, N, k_sob),
+             "v_l2": grids.norm_l2(v_vals, N),
+             "psi_x_l2": grids.norm_l2(psi_x, N),
+             "psi_t_l2": grids.norm_l2(psi_t, N)}
+    for series in norms.values():
+        series[~warp_ok] = np.nan
     return ModulationTraceData(
         k_sob=int(k_sob),
         times=times,
@@ -857,7 +856,7 @@ def phase_convergence(result):
 
     def misfit(s):
         ref = grids.from_profile(prof, N, result.m_x, s) if s else result.base
-        return grids.norm_l2(grids.GridFunction(N, u_last.values - ref.values))
+        return grids.norm_l2(u_last - ref, N)
 
     # golden-section around the predicted shift, one cell wide
     lo, hi = sigma - 0.5, sigma + 0.5
@@ -1017,12 +1016,11 @@ def run_checks(result, trace, delta_n, duhamel=None):
     checks = {"phase": _check(
         offset / max(abs(phase.anchor), 1e-300), whole,
         [0.0, tol if tol > 0 else None], ok=tol > 0 or offset < 1e-12,
-        **{k: None if np.isnan(v) else v for k, v in vars(phase).items()})}
+        **vars(phase))}
 
     shifted = grids.from_profile(result.profile, n, result.m_x,
                                  phase.gamma_inf / n)
-    h1 = np.array([grids.norm_h(grids.GridFunction(
-        n, snap.values - shifted.values), 1) for snap in result.snapshots])
+    h1 = grids.norm_h(result.snapshots - shifted, n, 1)
     checks["crossover"] = _crossover_check(times, h1, delta_n)
     if tol == 0:
         # an unperturbed run decays from rounding noise: nothing to judge
@@ -1043,8 +1041,7 @@ def run_checks(result, trace, delta_n, duhamel=None):
         theta=delta_n / 2.0, best_theta=damp.best_theta,
         best_constant=damp.best_constant, violations=damp.violations)
 
-    eps_u = np.finfo(float).eps * max(float(np.max(np.abs(snap.values)))
-                                      for snap in result.snapshots)
+    eps_u = np.finfo(float).eps * float(np.max(np.abs(result.snapshots)))
     t_knee = checks["crossover"].get("t_knee", whole[1])
     checks["v_h_envelope"] = _envelope_check(
         times, trace.v_h, [10.0, t_knee], [None, -0.6], lambda t: eps_u)

@@ -1,7 +1,9 @@
 """Discrete N-periodic functions, their Bloch transform, and norms.
 
 Functions live on a uniform grid of P = m_x * N points covering [0, N), with
-m_x samples per unit cell, stored as arrays of shape (P, n_components).
+m_x samples per unit cell, stored as plain real arrays of shape
+(P, n_components), or stacks (..., P, n_components) of them; the period N
+comes from the caller.  ``GridFunction`` is their trigonometric interpolant.
 
 The Bloch transform of an N-periodic grid function is exact on this grid: the
 global DFT index m splits as m = j + l*N, giving for each admissible frequency
@@ -38,41 +40,14 @@ ROUNDING_FLOOR = 100.0
 
 @dataclass
 class GridFunction:
-    """Samples of an N-periodic vector-valued function on a uniform grid."""
+    """The trigonometric interpolant of N-periodic samples ``values`` (P, n)."""
 
     n_period: int
-    values: np.ndarray      # (P, n), P = m_x * n_period
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2:
-            raise ValueError(f"values must be 1- or 2-dimensional, got shape {vals.shape}")
-        if vals.shape[0] % self.n_period != 0:
-            raise ValueError(
-                f"{vals.shape[0]} samples do not divide into {self.n_period} cells")
-        self.values = vals
+    values: np.ndarray
 
     @property
     def n_points(self):
         return self.values.shape[0]
-
-    @property
-    def n_components(self):
-        return self.values.shape[1]
-
-    @property
-    def m_x(self):
-        return self.values.shape[0] // self.n_period
-
-    @property
-    def spacing(self):
-        return 1.0 / self.m_x
-
-    @property
-    def x(self):
-        return np.arange(self.n_points) / self.m_x
 
     def interp(self, points):
         """Trigonometric interpolation at arbitrary points.
@@ -119,7 +94,8 @@ def grid_points(n_period, m_x):
 
 
 def from_profile(profile, n_period, m_x, shift=0.0):
-    """Sample phi(x + shift) exactly by synthesizing one cell and tiling it.
+    """Sample phi(x + shift), shape (P, n), exactly by synthesizing one cell
+    and tiling it.
 
     The cell carries the coefficients c_l e^{2 pi i l shift} of the ones
     that ``bloch.grid_modes`` keeps on m_x points (it refuses an m_x that
@@ -130,7 +106,7 @@ def from_profile(profile, n_period, m_x, shift=0.0):
     ell = fourier.modes(fourier.trunc_order(coeffs))
     phases = np.exp(TWO_PI * 1j * ell * np.mod(shift, 1.0))
     cell = fourier.synth_grid(phases[:, None] * coeffs, m_x)
-    return GridFunction(n_period, np.tile(cell, (n_period, 1)))
+    return np.tile(cell, (n_period, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,51 +167,56 @@ def bloch_inverse(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# norms on [0, N)
+# norms on [0, N), of the (P, n) samples on the last two axes of an array:
+# a float for one field, an array for a stack of them
 
-def norm_l2(gf):
-    return float(np.sqrt(np.sum(np.abs(gf.values) ** 2) * gf.spacing))
-
-
-def resample(gf, m_x):
-    """The trigonometric interpolant of the real ``gf`` on m_x points per
-    cell; an even grid's Nyquist mode is split evenly between +-P/2.  Below
-    gf.m_x the modes the grid cannot hold are dropped."""
-    n_points = gf.n_period * m_x
-    if n_points == gf.n_points:
-        return gf
-    spec = np.fft.rfft(gf.values, axis=0)
-    if gf.n_points % 2 == 0:
-        spec[-1] *= 0.5
-    vals = np.fft.irfft(spec, n=n_points, axis=0) * (n_points / gf.n_points)
-    return GridFunction(gf.n_period, vals)
+def norm_l2(values, n_period):
+    m_x = values.shape[-2] // n_period
+    return np.sqrt(np.sum(np.abs(values) ** 2, axis=(-2, -1)) * (1.0 / m_x))
 
 
-def quadrature_samples(gf, band=None):
-    """``gf`` where a perturbation's size is measured (``resample``): on
+def resample(values, n_period, m_x):
+    """The trigonometric interpolant of the real samples ``values`` on m_x
+    points per cell; an even grid's Nyquist mode is split evenly between
+    +-P/2.  Below the samples' own m_x the modes the grid cannot hold are
+    dropped."""
+    P = values.shape[-2]
+    n_points = n_period * m_x
+    if n_points == P:
+        return values
+    spec = np.fft.rfft(values, axis=-2)
+    if P % 2 == 0:
+        spec[..., -1, :] *= 0.5
+    return np.fft.irfft(spec, n=n_points, axis=-2) * (n_points / P)
+
+
+def quadrature_samples(values, n_period, band=None):
+    """``values`` where a perturbation's size is measured (``resample``): on
     max(m_x, PERTURBATION_QUADRATURE) points per cell, or for global modes
     |m| <= ``band`` on the fewest odd ones >= that constant that hold them."""
-    fewest = gf.m_x if band is None else -(-2 * (band + 1) // gf.n_period) | 1
-    return resample(gf, max(fewest, PERTURBATION_QUADRATURE))
+    fewest = (values.shape[-2] // n_period if band is None
+              else -(-2 * (band + 1) // n_period) | 1)
+    return resample(values, n_period, max(fewest, PERTURBATION_QUADRATURE))
 
 
-def norm_l1(gf):
+def norm_l1(values, n_period):
     """integral of the pointwise Euclidean magnitude (trapezoid = plain sum)."""
-    return float(np.sum(np.linalg.norm(gf.values, axis=1)) * gf.spacing)
+    m_x = values.shape[-2] // n_period
+    return np.sum(np.linalg.norm(values, axis=-1), axis=-1) * (1.0 / m_x)
 
 
-def norm_linf(gf):
-    return float(np.max(np.linalg.norm(gf.values, axis=1)))
+def norm_linf(values, n_period):
+    return np.max(np.linalg.norm(values, axis=-1), axis=-1)
 
 
-def norm_h(gf, s):
+def norm_h(values, n_period, s):
     """Sobolev norm via global multipliers (1 + omega^2)^{s/2}."""
-    P = gf.n_points
-    c = np.fft.fft(gf.values, axis=0) / P
-    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / gf.n_period
+    P = values.shape[-2]
+    c = np.fft.fft(values, axis=-2) / P
+    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
     weights = (1.0 + omega ** 2) ** s
-    total = np.sum(weights[:, None] * np.abs(c) ** 2) * gf.n_period
-    return float(np.sqrt(total))
+    return np.sqrt(np.sum(weights[:, None] * np.abs(c) ** 2, axis=(-2, -1))
+                   * n_period)
 
 
 def derivative_values(values, n_period):

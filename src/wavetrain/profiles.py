@@ -78,9 +78,10 @@ def rgl_analytic(q, m_f=32):
 
     phi(y) = sqrt(1-q^2) (cos 2 pi y, sin 2 pi y) with k = q/(2 pi), c = 0.
     """
-    if not 0.0 < q * q < 1.0:
+    if not 0.0 < q < 1.0:
         raise ModelParameterError(
-            f"rgl wave train needs 0 < q^2 < 1 (amplitude sqrt(1-q^2)); got q={q}")
+            f"rgl wave train needs 0 < q < 1 (wavenumber k = q/(2 pi) > 0, "
+            f"amplitude sqrt(1-q^2)); got q={q}")
     amp = np.sqrt(1.0 - q * q)
     coeffs = np.zeros((2 * m_f + 1, 2), dtype=complex)
     coeffs[m_f + 1] = amp * np.array([0.5, -0.5j])

@@ -256,8 +256,8 @@ class DecayMeasurement:
 
 def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
                   reference_norm=None):
-    """Track the L2 norms of the parts of e^{Lt} v and fit each log-norm
-    against log(1+t).
+    """Track the L2 norms of the parts of e^{Lt} v, for v real (P, n)
+    samples on the engine's grid, and fit each log-norm against log(1+t).
 
     Returns a DecayMeasurement per part: "total" (e^{Lt} v), "mean" (the
     mean phase), "sp" (the scalar d_x^l d_t^m s_p(t) v) and "stilde" (the
@@ -282,19 +282,18 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
     if fit_window is not None and not window.any():
         raise ValueError(f"no samples inside fit window [{lo}, {hi}]")
 
-    def l2(values):
-        return grids.norm_l2(grids.GridFunction(engine.n_period, values))
-
-    half = engine.fibers(v.values)
+    N = engine.n_period
+    half = engine.fibers(v)
     inner = engine.amplitudes(half)
     norms = np.empty((4, times.size))
     for i, t in enumerate(times):
         total = engine.apply(half, t)
         mean, _, rem = engine.split(total, np.exp(engine.crit_lam * t) * inner)
         sp = engine.synthesize_phase(inner, t=t, l=l, m=m)
-        norms[:, i] = [l2(engine.field(total)), l2(engine.field(mean)),
-                       l2(sp), l2(engine.field(rem))]
-    ref = grids.norm_l1(v) if reference_norm is None else reference_norm
+        norms[:, i] = [grids.norm_l2(engine.field(total), N),
+                       grids.norm_l2(engine.field(mean), N),
+                       grids.norm_l2(sp, N), grids.norm_l2(engine.field(rem), N)]
+    ref = grids.norm_l1(v, N) if reference_norm is None else reference_norm
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),
                "stilde": -0.75}

@@ -101,22 +101,19 @@ def test_acceptance_05_transform_identities(rng):
         m_x = 9
         vals = (rng.standard_normal((n * m_x, 2))
                 + 1j * rng.standard_normal((n * m_x, 2)))
-        gf = grids.GridFunction(n, vals)
         coeffs = grids.bloch_transform(vals, n)
         back = grids.bloch_inverse(coeffs)
         worst_rt = max(worst_rt,
-                       np.max(np.abs(back - gf.values))
-                       / np.max(np.abs(gf.values)))
-        lhs = grids.norm_l2(gf) ** 2
+                       np.max(np.abs(back - vals)) / np.max(np.abs(vals)))
+        lhs = grids.norm_l2(vals, n) ** 2
         rhs = float(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)).sum()) / n
         worst_par = max(worst_par, abs(lhs - rhs) / lhs)
         # a 1-periodic multiplier must act on each frequency separately
         factor = rng.standard_normal(m_x)
-        product = grids.GridFunction(
-            n, gf.values * np.tile(factor, n)[:, None])
+        product = vals * np.tile(factor, n)[:, None]
         per_freq = np.fft.ifft(grids.bloch_transform(vals, n) * m_x, axis=1)
         per_freq_prod = np.fft.ifft(
-            grids.bloch_transform(product.values, n) * m_x, axis=1)
+            grids.bloch_transform(product, n) * m_x, axis=1)
         worst_fac = max(worst_fac, float(np.max(np.abs(
             per_freq_prod - factor[None, :, None] * per_freq))))
     ok = worst_rt <= 1e-12 and worst_par <= 1e-12 and worst_fac <= 1e-10
@@ -128,30 +125,25 @@ def test_acceptance_05_transform_identities(rng):
 
 def _on_grid(engine, v, t):
     """e^{Lt} v on the grid, through the engine's fiber operations."""
-    return grids.GridFunction(engine.n_period, engine.field(
-        engine.apply(engine.fibers(v.values), t)))
+    return engine.field(engine.apply(engine.fibers(v), t))
 
 
 def test_acceptance_06_semigroup_kernel(rgl_profile, engine4, engine16, rng):
     worst_stat = 0.0
     for eng in (engine4, engine16):
         n = eng.n_period
-        dphi = grids.GridFunction(
-            n, rgl_profile(grids.grid_points(n, eng.m_x), deriv=1))
+        dphi = rgl_profile(grids.grid_points(n, eng.m_x), deriv=1)
         for t in (1.0, 10.0):
             moved = _on_grid(eng, dphi, t)
-            worst_stat = max(worst_stat, grids.norm_l2(grids.GridFunction(
-                n, moved.values - dphi.values)))
-    v = grids.GridFunction(16, rng.standard_normal((16 * engine16.m_x,
-                                                    engine16.n)))
-    v = grids.GridFunction(16, v.values / grids.norm_l2(v))
+            worst_stat = max(worst_stat, grids.norm_l2(moved - dphi, n))
+    v = rng.standard_normal((16 * engine16.m_x, engine16.n))
+    v = v / grids.norm_l2(v, 16)
     worst_law = 0.0
     for s in (0.5, 2.0):
         for t in (0.5, 2.0):
             once = _on_grid(engine16, v, s + t)
             twice = _on_grid(engine16, _on_grid(engine16, v, s), t)
-            worst_law = max(worst_law, grids.norm_l2(grids.GridFunction(
-                16, twice.values - once.values)))
+            worst_law = max(worst_law, grids.norm_l2(twice - once, 16))
     ok = worst_stat <= 1e-8 and worst_law <= 1e-8
     _verdict(6, ok,
              f"wave-derivative drift {worst_stat:.1e} over t in {{1, 10}}, "
@@ -194,7 +186,7 @@ def _unit_mass_spike(engine):
     # adjoint translation mode (whose second component peaks at x = 0).
     vals = np.zeros((engine.n_period * engine.m_x, engine.n))
     vals[0, 1] = engine.m_x
-    return grids.GridFunction(engine.n_period, vals)
+    return vals
 
 
 def test_acceptance_08_linear_decay_rates(engine4, engine8, engine16,

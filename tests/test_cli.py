@@ -156,8 +156,10 @@ def test_profile_bad_param_syntax_is_a_usage_error(tmp_path):
     assert code == 64
 
 
-def test_profile_inadmissible_wavenumber_is_a_validation_error(tmp_path, capsys):
-    code = main(["profile", "--model", "rgl", "--param", "q=1.5",
+@pytest.mark.parametrize("q", ["1.5", "-0.3"])
+def test_profile_inadmissible_wavenumber_is_a_validation_error(q, tmp_path,
+                                                               capsys):
+    code = main(["profile", "--model", "rgl", "--param", f"q={q}",
                  "--out", str(tmp_path / "x.json")])
     assert code == 65
     assert "q" in capsys.readouterr().err
@@ -322,6 +324,25 @@ def test_linear_decay_run(profile_file, tmp_path):
     assert 1.0 <= fit["fits"][0]["max_eigvec_cond"] < 1e10
     assert fit["schema_version"] == 2
     assert sorted(fit["fits"][0]) == ["N", "max_eigvec_cond", "parts"]
+
+
+def test_json_payloads_are_strict_when_a_fit_is_nan(profile_file, tmp_path):
+    # at N = 1, 2 the s_p series is zero, so its fitted exponent is NaN: the
+    # payloads carry it as null, and a parser that refuses NaN and Infinity
+    # reads every one of them
+    out = tmp_path / "dec"
+    assert main(["linear-decay", "--profile", str(profile_file), "--N", "1,2",
+                 "--tmax", "50", "--out-dir", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payloads = sorted(out.glob("*.json"))
+    assert [p.name for p in payloads] == ["decay_fit.json", "manifest.json"]
+    for path in payloads:
+        json.loads(path.read_text(), parse_constant=refuse)
+    fits = read_json(out / "decay_fit.json")["fits"]
+    assert [f["parts"]["sp"]["fitted_exponent"] for f in fits] == [None, None]
 
 
 def test_linear_decay_short_horizon_is_a_validation_error(profile_file,

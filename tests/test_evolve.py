@@ -49,25 +49,25 @@ def test_stable_dt_limit_is_positive_and_tight(rgl_profile):
 def test_random_perturbation_is_deterministic():
     a = random_perturbation(4, 65, 2, seed=7, amplitude=1e-3)
     b = random_perturbation(4, 65, 2, seed=7, amplitude=1e-3)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
     c = random_perturbation(4, 65, 2, seed=8, amplitude=1e-3)
-    assert np.any(c.values != a.values)
+    assert np.any(c != a)
 
 
 def test_random_perturbation_normalizations():
     sup = random_perturbation(4, 65, 2, seed=1, amplitude=2.5, normalize="sup")
-    assert grids.norm_linf(sup) == pytest.approx(2.5, rel=1e-12)
+    assert grids.norm_linf(sup, 4) == pytest.approx(2.5, rel=1e-12)
     l1 = random_perturbation(4, 65, 2, seed=1, amplitude=0.5, normalize="l1")
-    assert grids.norm_l1(l1) == pytest.approx(0.5, rel=1e-12)
+    assert grids.norm_l1(l1, 4) == pytest.approx(0.5, rel=1e-12)
     sob = random_perturbation(4, 65, 2, seed=1, amplitude=1e-2,
                               normalize="l1_sobolev", k_sob=3)
-    assert (grids.norm_l1(sob) + grids.norm_h(sob, 3)
+    assert (grids.norm_l1(sob, 4) + grids.norm_h(sob, 4, 3)
             ) == pytest.approx(1e-2, rel=1e-12)
 
 
 def test_random_perturbation_band_limit():
-    gf = random_perturbation(8, 65, 2, seed=2, amplitude=1.0, band=8)
-    spec = np.fft.fft(gf.values, axis=0)
+    vals = random_perturbation(8, 65, 2, seed=2, amplitude=1.0, band=8)
+    spec = np.fft.fft(vals, axis=0)
     # modes live at global frequencies 2 pi m / 8 with |m| <= 8
     mags = np.abs(spec).sum(axis=1)
     live = np.nonzero(mags > 1e-9 * mags.max())[0]
@@ -84,9 +84,9 @@ def test_random_perturbation_is_one_function_on_every_grid(normalize):
     n, band = 16, 16
     coeffs = {}
     for m_x in (17, 65):
-        gf = random_perturbation(n, m_x, 2, seed=7, amplitude=1e-2, band=band,
-                                 normalize=normalize)
-        coeffs[m_x] = np.fft.rfft(gf.values, axis=0)[:band + 1] / (n * m_x)
+        vals = random_perturbation(n, m_x, 2, seed=7, amplitude=1e-2,
+                                   band=band, normalize=normalize)
+        coeffs[m_x] = np.fft.rfft(vals, axis=0)[:band + 1] / (n * m_x)
     scale = np.max(np.abs(coeffs[65]))
     assert np.max(np.abs(coeffs[17] - coeffs[65])) <= 1e-14 * scale
 
@@ -101,9 +101,9 @@ def test_random_perturbation_is_one_function_above_the_quadrature(
     n = 4
     coeffs = {}
     for m_x in (coarse, 129):
-        gf = random_perturbation(n, m_x, 2, seed=2, amplitude=0.4, band=band,
-                                 normalize=normalize)
-        coeffs[m_x] = np.fft.rfft(gf.values, axis=0)[:band + 1] / (n * m_x)
+        vals = random_perturbation(n, m_x, 2, seed=2, amplitude=0.4,
+                                   band=band, normalize=normalize)
+        coeffs[m_x] = np.fft.rfft(vals, axis=0)[:band + 1] / (n * m_x)
     scale = np.max(np.abs(coeffs[coarse]))
     assert np.max(np.abs(coeffs[129] - coeffs[coarse])) <= 1e-14 * scale
 
@@ -111,24 +111,28 @@ def test_random_perturbation_is_one_function_above_the_quadrature(
 def test_random_perturbation_refuses_a_band_beyond_the_grid():
     # P = 4 * 17 = 68 points hold the modes |m| <= 33 below Nyquist
     assert random_perturbation(4, 17, 2, seed=0, amplitude=1.0,
-                               band=33).values.shape == (68, 2)
+                               band=33).shape == (68, 2)
     with pytest.raises(ValueError, match="band 34"):
         random_perturbation(4, 17, 2, seed=0, amplitude=1.0, band=34)
 
 
 def test_zero_amplitude_perturbation_is_zero():
-    gf = random_perturbation(4, 65, 2, seed=0, amplitude=0.0)
-    assert np.all(gf.values == 0.0)
+    vals = random_perturbation(4, 65, 2, seed=0, amplitude=0.0)
+    assert vals.shape == (4 * 65, 2)
+    assert np.all(vals == 0.0)
 
 
 def test_snapshot_round_trip(tmp_path, rng):
-    gf = grids.GridFunction(3, rng.standard_normal((3 * 5, 2)))
+    vals = rng.standard_normal((3 * 5, 2))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, gf, 12.25)
-    back, t = read_snapshot(path)
+    write_snapshot(path, vals, 3, 12.25)
+    assert path.read_bytes() == (np.array([3, 5, 2], dtype="<i8").tobytes()
+                                 + np.array([12.25], dtype="<f8").tobytes()
+                                 + vals.astype("<f8").tobytes())
+    back, n_period, t = read_snapshot(path)
     assert t == 12.25
-    assert back.n_period == 3
-    np.testing.assert_array_equal(back.values, gf.values)
+    assert n_period == 3
+    np.testing.assert_array_equal(back, vals)
 
 
 def test_default_snapshot_times_structure():
@@ -192,8 +196,7 @@ def test_pure_profile_is_stationary(rgl_profile, engine4, scheme):
                          scheme=scheme, amplitude=0.0,
                          snapshot_times=[0.0, 10.0])
     base = grids.from_profile(rgl_profile, 4, engine4.m_x)
-    drift = grids.norm_l2(grids.GridFunction(
-        4, res.snapshots[-1].values - base.values))
+    drift = grids.norm_l2(res.snapshots[-1] - base, 4)
     assert drift <= 1e-10, scheme
 
 
@@ -201,14 +204,14 @@ def test_imex_is_second_order_in_time(rgl_profile, engine4):
     # use a state well away from the wave so the reaction term actually
     # moves; near phi the scheme's exact steady state hides the truncation
     x = grids.grid_points(4, engine4.m_x)
-    bump = grids.GridFunction(4, np.column_stack(
-        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)]))
+    bump = np.column_stack(
+        [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
 
     def final_state(dt):
         res = run_experiment(rgl_profile, 4, engine4, t_max=1.0, dt=dt,
                              amplitude=0.0, initial=bump,
                              snapshot_times=[1.0])
-        return res.snapshots[-1].values
+        return res.snapshots[-1]
 
     ref = final_state(0.0003125)
     e1 = np.max(np.abs(final_state(0.01) - ref))
@@ -290,7 +293,7 @@ def _unfolded_steps(profile, n_period, m_x, dt, values, steps):
 
 def _bump_state(profile, n_period, m_x):
     x = grids.grid_points(n_period, m_x)
-    return grids.from_profile(profile, n_period, m_x).values + np.column_stack(
+    return grids.from_profile(profile, n_period, m_x) + np.column_stack(
         [0.2 * np.sin(np.pi * x / 2), 0.1 * np.cos(np.pi * x)])
 
 
@@ -370,7 +373,7 @@ def test_pure_profile_of_other_models_is_stationary(request, wave, scheme):
     n_period, m_x = 2, 2 * profile.m_f + 1
     dt = 0.5 * stable_dt_limit(profile)
     stepper = evolve._SCHEMES[scheme](profile, n_period, m_x, dt)
-    base = grids.from_profile(profile, n_period, m_x).values
+    base = grids.from_profile(profile, n_period, m_x)
     u_hat = stepper.to_hat(base)
     assert u_hat.shape == (profile.n, n_period * m_x // 2 + 1)
     for _ in range(int(round(2.0 / dt))):
@@ -392,10 +395,10 @@ def test_engine_period_mismatch_is_rejected(rgl_profile, engine8):
 
 def test_blow_up_is_detected(rgl_profile, engine4):
     # drive the cubic nonlinearity past recovery
-    big = grids.GridFunction(4, 40.0 * np.ones((4 * engine4.m_x, 2)))
+    big = 40.0 * np.ones((4 * engine4.m_x, 2))
     with pytest.raises(BlowUpError) as err:
         run_experiment(rgl_profile, 4, engine4, t_max=5.0, dt=0.01,
-                       initial=big, blowup_limit=1e4)
+                       initial=big)
     assert err.value.t is not None
 
 
@@ -415,8 +418,7 @@ def test_under_resolved_run_raises_at_its_first_snapshot(rgl_profile,
 
 
 def test_trajectory_stays_real(small_run):
-    for snap in small_run.snapshots:
-        assert snap.values.dtype == np.float64
+    assert small_run.snapshots.dtype == np.float64
     assert small_run.gamma_raw.dtype == np.float64
     assert np.max(np.abs(small_run.inner.imag[:, 0])) <= 1e-12
 
@@ -433,14 +435,14 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
     s = 0.01
     shifted = grids.from_profile(rgl_profile, 4, engine4.m_x, s)
     base = grids.from_profile(rgl_profile, 4, engine4.m_x)
-    init = grids.GridFunction(4, shifted.values - base.values)
+    init = shifted - base
     res = run_experiment(rgl_profile, 4, engine4, t_max=3.0, dt=0.01,
                          amplitude=0.0, initial=init,
                          snapshot_times=[0.0, 2.0, 3.0])
     assert res.gamma_raw[-1] == pytest.approx(4 * s, rel=1e-2)
     psi, v = modulation_frame(res, len(res.times) - 1)
-    assert grids.norm_l2(grids.GridFunction(4, psi)) <= 1e-4
-    assert grids.norm_linf(grids.GridFunction(4, v)) <= 1e-4
+    assert grids.norm_l2(psi[:, None], 4) <= 1e-4
+    assert grids.norm_linf(v, 4) <= 1e-4
 
 
 def test_spectral_tail_weights_the_rfft_half():
@@ -470,12 +472,12 @@ def test_derivative_direction_is_pure_phase(rgl_profile, engine4):
     # projection sees mean content eps * N with no local phase
     eps = 1e-6
     x = grids.grid_points(4, engine4.m_x)
-    init = grids.GridFunction(4, eps * rgl_profile(x, deriv=1))
+    init = eps * rgl_profile(x, deriv=1)
     res = run_experiment(rgl_profile, 4, engine4, t_max=2.0, dt=0.01,
                          amplitude=0.0, initial=init, snapshot_times=[0.0, 2.0])
     assert res.gamma_raw[0] == pytest.approx(4 * eps, rel=1e-6)
     psi0, _ = modulation_frame(res, 0)
-    assert grids.norm_l2(grids.GridFunction(4, psi0)) <= 1e-10
+    assert grids.norm_l2(psi0[:, None], 4) <= 1e-10
 
 
 def test_recomposition_inverts_the_warp(rgl_profile, engine4):
@@ -485,9 +487,10 @@ def test_recomposition_inverts_the_warp(rgl_profile, engine4):
     res = run_experiment(rgl_profile, 4, engine4, t_max=5.0, dt=0.01,
                          seed=9, amplitude=1e-4)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
-        psi, v = (grids.GridFunction(4, f) for f in modulation_frame(res, i))
+        psi, v = (grids.GridFunction(4, f.reshape(f.shape[0], -1))
+                  for f in modulation_frame(res, i))
         u = res.snapshots[i]
-        y = u.x
+        y = grids.grid_points(4, res.m_x)
         g = res.gamma[i] / 4
         x = y + g
         for _ in range(50):
@@ -496,8 +499,8 @@ def test_recomposition_inverts_the_warp(rgl_profile, engine4):
             x = x_new
             if shift < 1e-14:
                 break
-        err = np.max(np.abs(v.interp(x) + rgl_profile(x) - u.values))
-        assert err <= 1e-6 * np.max(np.abs(u.values))
+        err = np.max(np.abs(v.interp(x) + rgl_profile(x) - u))
+        assert err <= 1e-6 * np.max(np.abs(u))
 
 
 def test_modulation_frame_rejects_steep_phases(small_run):
@@ -527,17 +530,16 @@ def test_nonlinear_residual_scales_quadratically(rgl_profile, engine4):
         tr = modulation_trace(res)
         source = nonlinear_residual(res, tr.gamma, tr.psi_vals, tr.v_vals)
         assert source.shape == tr.v_vals.shape
-        norms[eps] = grids.norm_l2(grids.GridFunction(4, source[-1]))
+        norms[eps] = grids.norm_l2(source[-1], 4)
     ratio = norms[1e-3] / norms[5e-4]
     assert ratio == pytest.approx(4.0, rel=0.25)
 
 
 def _snapshot_source(profile, n_period, psi, v, psi_t, gamma_t):
     """Reference: the source at one snapshot as the frame-by-frame code
-    assembled it, on (P, n) GridFunctions, in its order of operations."""
+    assembled it, on (P, n) samples, in its order of operations."""
     k, c, model = profile.k, profile.c, profile.model
-    base = grids.from_profile(profile, n_period, v.shape[0] // n_period)
-    phi = base.values
+    phi = grids.from_profile(profile, n_period, v.shape[0] // n_period)
 
     def dx(vals):
         return grids.derivative_values(vals, n_period)
@@ -894,9 +896,7 @@ def test_crossover_fit_on_a_linear_relaxation(rgl_profile, engine4):
                          seed=0, amplitude=1e-2, band=4)
     gam_inf = res.gamma_raw[-1]
     shifted = grids.from_profile(rgl_profile, 4, res.m_x, gam_inf / 4)
-    h1 = np.array([grids.norm_h(grids.GridFunction(
-        4, res.snapshots[i].values - shifted.values), 1)
-        for i in range(len(res.times))])
+    h1 = grids.norm_h(res.snapshots - shifted, 4, 1)
     fit = crossover_fit(res.times, h1)
     assert fit.exp_side == "late"
     assert fit.rate == pytest.approx(delta4, rel=0.20)

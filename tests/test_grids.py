@@ -1,4 +1,4 @@
-"""Grid containers, the discrete Bloch transform, and norms."""
+"""Grid samples, their interpolant, the discrete Bloch transform, and norms."""
 
 import tracemalloc
 
@@ -18,18 +18,19 @@ from wavetrain.grids import (
     norm_l1,
     norm_l2,
     norm_linf,
+    quadrature_samples,
     resample,
 )
 
 TWO_PI = 2.0 * np.pi
 
 
-def random_grid_function(n_period, m_x, n_components, rng, complex_valued=False):
+def random_samples(n_period, m_x, n_components, rng, complex_valued=False):
     shape = (n_period * m_x, n_components)
     vals = rng.standard_normal(shape)
     if complex_valued:
         vals = vals + 1j * rng.standard_normal(shape)
-    return GridFunction(n_period, vals)
+    return vals
 
 
 def per_frequency_samples(coeffs):
@@ -40,19 +41,19 @@ def per_frequency_samples(coeffs):
 @pytest.mark.parametrize("n_period", [1, 3, 8, 17])
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_bloch_round_trip_is_exact(n_period, complex_valued, rng):
-    gf = random_grid_function(n_period, 9, 2, rng, complex_valued)
-    back = bloch_inverse(bloch_transform(gf.values, n_period))
+    vals = random_samples(n_period, 9, 2, rng, complex_valued)
+    back = bloch_inverse(bloch_transform(vals, n_period))
     if not complex_valued:
         back = back.real
-    err = norm_linf(GridFunction(n_period, np.abs(back - gf.values)))
-    assert err <= 1e-12 * norm_linf(gf)
+    err = norm_linf(np.abs(back - vals), n_period)
+    assert err <= 1e-12 * norm_linf(vals, n_period)
 
 
 @pytest.mark.parametrize("n_period", [1, 3, 8, 17])
 def test_parseval_identity(n_period, rng):
-    gf = random_grid_function(n_period, 9, 2, rng, complex_valued=True)
-    coeffs = bloch_transform(gf.values, n_period)
-    lhs = norm_l2(gf) ** 2
+    vals = random_samples(n_period, 9, 2, rng, complex_valued=True)
+    coeffs = bloch_transform(vals, n_period)
+    lhs = norm_l2(vals, n_period) ** 2
     rhs = float(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)).sum()) / n_period
     assert abs(lhs - rhs) <= 1e-12 * lhs
 
@@ -61,13 +62,12 @@ def test_parseval_identity(n_period, rng):
 def test_multiplication_by_cell_periodic_factor_acts_per_frequency(n_period, rng):
     # A 1-periodic factor passes through the transform pointwise in x.
     m_x = 9
-    gf = random_grid_function(n_period, m_x, 2, rng)
+    vals = random_samples(n_period, m_x, 2, rng)
     cell_factor = rng.standard_normal(m_x)
-    product = GridFunction(
-        n_period, gf.values * np.tile(cell_factor, n_period)[:, None])
-    lhs = per_frequency_samples(bloch_transform(product.values, n_period))
+    product = vals * np.tile(cell_factor, n_period)[:, None]
+    lhs = per_frequency_samples(bloch_transform(product, n_period))
     rhs = cell_factor[None, :, None] * per_frequency_samples(
-        bloch_transform(gf.values, n_period))
+        bloch_transform(vals, n_period))
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -105,8 +105,8 @@ def test_single_slot_impulse_synthesizes_a_pure_mode():
 
 def test_distinct_frequencies_are_orthogonal(rng):
     n_period, m_x = 8, 9
-    gf = random_grid_function(n_period, m_x, 1, rng)
-    coeffs = bloch_transform(gf.values, n_period)
+    vals = random_samples(n_period, m_x, 1, rng)
+    coeffs = bloch_transform(vals, n_period)
     # Zero out everything except one frequency, invert, and check the
     # result is orthogonal to the complementary reconstruction.
     keep = coeffs.copy()
@@ -114,7 +114,7 @@ def test_distinct_frequencies_are_orthogonal(rng):
     rest = coeffs.copy()
     rest[0] = 0.0
     f, g = bloch_inverse(keep).real, bloch_inverse(rest).real
-    ip = np.vdot(f, g) * gf.spacing
+    ip = np.vdot(f, g) / m_x
     assert abs(ip) <= 1e-12
 
 
@@ -139,19 +139,12 @@ def test_bloch_transform_takes_stacks_bit_for_bit(rng):
         bloch_transform(stack[:, :-1], n_period)
 
 
-def test_grid_function_validates_shape():
-    with pytest.raises(ValueError, match="divide"):
-        GridFunction(3, np.zeros(10))
-    gf = GridFunction(2, np.zeros(10))
-    assert gf.values.shape == (10, 1)
-    assert gf.m_x == 5
-
-
 def test_interp_reproduces_grid_samples(rng):
-    gf = random_grid_function(4, 9, 2, rng)
-    np.testing.assert_allclose(gf.interp(gf.x), gf.values, atol=1e-12)
+    gf = GridFunction(4, random_samples(4, 9, 2, rng))
+    x = grid_points(4, 9)
+    np.testing.assert_allclose(gf.interp(x), gf.values, atol=1e-12)
     # periodic extension
-    np.testing.assert_allclose(gf.interp(gf.x + 4.0), gf.values, atol=1e-11)
+    np.testing.assert_allclose(gf.interp(x + 4.0), gf.values, atol=1e-11)
 
 
 def resolved_grid_function(n_period, m_x, rng, complex_valued):
@@ -202,7 +195,8 @@ def test_interp_of_a_scalar_point_is_one_row(rng):
 
 def test_interp_memory_grows_slower_than_the_dense_table(rng):
     gf = resolved_grid_function(64, 65, rng, False)
-    points = gf.x + 0.01 * np.sin(gf.x)
+    x = grid_points(64, 65)
+    points = x + 0.01 * np.sin(x)
     tracemalloc.start()
     try:
         gf.interp(points)
@@ -215,28 +209,49 @@ def test_interp_memory_grows_slower_than_the_dense_table(rng):
 
 def test_norms_agree_on_simple_functions():
     n_period, m_x = 3, 16
-    one = GridFunction(n_period, np.ones(n_period * m_x))
-    assert norm_l2(one) == pytest.approx(np.sqrt(n_period), rel=1e-14)
-    assert norm_l1(one) == pytest.approx(n_period, rel=1e-14)
-    assert norm_linf(one) == 1.0
-    assert norm_h(one, 0) == pytest.approx(norm_l2(one), rel=1e-13)
-    assert norm_h(one, 3) == pytest.approx(norm_l2(one), rel=1e-13)
+    one = np.ones((n_period * m_x, 1))
+    assert norm_l2(one, n_period) == pytest.approx(np.sqrt(n_period), rel=1e-14)
+    assert norm_l1(one, n_period) == pytest.approx(n_period, rel=1e-14)
+    assert norm_linf(one, n_period) == 1.0
+    assert norm_h(one, n_period, 0) == pytest.approx(norm_l2(one, n_period),
+                                                     rel=1e-13)
+    assert norm_h(one, n_period, 3) == pytest.approx(norm_l2(one, n_period),
+                                                     rel=1e-13)
+
+
+def test_norms_take_stacks_bit_for_bit(rng):
+    # a (T, P, n) stack gives each (P, n) slice the bits of the slice alone:
+    # a float for one field, a (T,) array for the stack
+    n_period, m_x = 6, 9
+    stack = rng.standard_normal((5, n_period * m_x, 2))
+    stack[:, :, 1] *= 1e-3
+    for norm in (norm_l2, norm_l1, norm_linf,
+                 lambda v, n: norm_h(v, n, 3)):
+        got = norm(stack, n_period)
+        assert got.shape == (5,)
+        for vals, want in zip(stack, got):
+            one = norm(vals, n_period)
+            assert isinstance(one, float)
+            assert one == want
+    # strided views (a real part, a trailing axis) read as their copies
+    psi = derivative_values(stack[:, :, :1], n_period)
+    assert np.array_equal(norm_h(psi, n_period, 4),
+                          norm_h(np.ascontiguousarray(psi), n_period, 4))
 
 
 def test_sobolev_norm_weights_a_single_mode():
     n_period, m_x = 4, 16
     x = grid_points(n_period, m_x)
-    wave = GridFunction(n_period, np.cos(TWO_PI * x / n_period))
+    wave = np.cos(TWO_PI * x / n_period)[:, None]
     omega = TWO_PI / n_period
     expected = np.sqrt(n_period / 2.0) * (1.0 + omega ** 2) ** 1.0
-    assert norm_h(wave, 2) == pytest.approx(expected, rel=1e-12)
+    assert norm_h(wave, n_period, 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_derivative_of_a_harmonic():
     n_period, m_x = 4, 16
     x = grid_points(n_period, m_x)
-    wave = GridFunction(n_period, np.sin(TWO_PI * x / n_period))
-    dwave = derivative_values(wave.values, n_period)
+    dwave = derivative_values(np.sin(TWO_PI * x / n_period)[:, None], n_period)
     omega = TWO_PI / n_period
     expected = omega * np.cos(omega * grid_points(n_period, m_x))
     np.testing.assert_allclose(dwave[:, 0], expected, atol=1e-12)
@@ -253,12 +268,12 @@ def test_spectral_derivative_of_a_harmonic():
 
 
 def test_from_profile_tiles_one_cell_exactly(rgl_profile):
-    gf = from_profile(rgl_profile, 3, 96)
-    cell = gf.values[:96]
-    np.testing.assert_array_equal(gf.values[96:192], cell)
-    np.testing.assert_array_equal(gf.values[192:], cell)
+    vals = from_profile(rgl_profile, 3, 96)
+    cell = vals[:96]
+    np.testing.assert_array_equal(vals[96:192], cell)
+    np.testing.assert_array_equal(vals[192:], cell)
     direct = rgl_profile(grid_points(3, 96))
-    np.testing.assert_allclose(gf.values, direct, atol=1e-12)
+    np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
 @pytest.mark.parametrize("shift", [-1.3, 0.4, 17.25])
@@ -266,8 +281,8 @@ def test_from_profile_samples_the_shifted_wave(rgl_profile, shift):
     from wavetrain.fourier import synth
     got = from_profile(rgl_profile, 3, 65, shift)
     direct = synth(rgl_profile.coeffs, grid_points(3, 65) + shift)
-    assert got.n_period == 3
-    np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-13)
+    assert got.shape == (3 * 65, 2)
+    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-13)
 
 
 def test_from_profile_rejects_coarse_grids(rgl_profile):
@@ -280,9 +295,15 @@ def test_resample_is_the_trigonometric_interpolant():
     # an even grid (N = 4, m_x = 4): its Nyquist mode cos(pi x m_x) must
     # interpolate as a cosine, not twice one
     x = grid_points(4, 4)
-    coarse = GridFunction(4, np.column_stack(
-        [np.cos(np.pi * 4 * x), np.sin(2 * np.pi * x / 4)]))
-    fine = resample(coarse, 9)
+    coarse = np.column_stack(
+        [np.cos(np.pi * 4 * x), np.sin(2 * np.pi * x / 4)])
+    fine = resample(coarse, 4, 9)
     xf = grid_points(4, 9)
     want = np.column_stack([np.cos(np.pi * 4 * xf), np.sin(2 * np.pi * xf / 4)])
-    np.testing.assert_allclose(fine.values, want, atol=1e-13)
+    np.testing.assert_allclose(fine, want, atol=1e-13)
+    # a stack resamples slice by slice, and the quadrature grid of a band
+    # is the fewest odd points per cell >= PERTURBATION_QUADRATURE
+    stack = np.stack([coarse, 2.0 * coarse])
+    np.testing.assert_array_equal(resample(stack, 4, 9)[1],
+                                  resample(2.0 * coarse, 4, 9))
+    assert quadrature_samples(coarse, 4, band=6).shape == (4 * 65, 2)

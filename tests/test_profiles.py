@@ -161,10 +161,11 @@ def test_nagumo_wave_solves_with_free_speed(nagumo_profile):
     assert nagumo_profile.derivative_l2() > 1e-3
 
 
-def test_analytic_guess_rejects_bad_wavenumber():
+@pytest.mark.parametrize("q", [1.5, -0.3])
+def test_analytic_guess_rejects_bad_wavenumber(q):
     from wavetrain import ModelParameterError
     with pytest.raises(ModelParameterError):
-        rgl_analytic(1.5)
+        rgl_analytic(q)
 
 
 def test_save_load_round_trip_is_bit_faithful(tmp_path, rgl_profile):
