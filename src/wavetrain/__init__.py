@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "errors": (
         "AdmissibilityError", "BlowUpError", "BranchTrackingError",
-        "ContinuationError", "DegenerateProfileError", "DiagonalizationError",
+        "DegenerateProfileError", "DiagonalizationError",
         "ExtractionDivergenceError", "ModelParameterError", "PhaseWarpError",
         "ProfileConvergenceError", "ResolutionError", "WavetrainError",
     ),
@@ -47,7 +47,7 @@ _EXPORTS = {
         "real_ginzburg_landau",
     ),
     "profiles": (
-        "WaveProfile", "continue_profile", "load_profile", "nagumo_guess",
+        "WaveProfile", "load_profile", "nagumo_guess",
         "profile_residual", "rgl_analytic", "save_profile", "solve_profile",
     ),
     "semigroup": (

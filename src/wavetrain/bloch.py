@@ -54,19 +54,6 @@ CURVE_SAMPLES = 17
 # ---------------------------------------------------------------------------
 # operator assembly
 
-@dataclass
-class BlochMatrix:
-    """Dense Bloch-operator block at one frequency."""
-
-    xi: float
-    ells: np.ndarray
-    entries: np.ndarray
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-
 def reaction_coeffs(profile, span):
     """Fourier coefficients -span..span of Df(phi(.)), sampled alias-safely."""
     m = profile.m_f
@@ -76,7 +63,7 @@ def reaction_coeffs(profile, span):
 
 
 def assemble_bloch(profile, xi, ells=None, that=None):
-    """Build the dense matrix of L_xi on modes ``ells`` (default the profile's
+    """The dense matrix of L_xi on modes ``ells`` (default the profile's
     storage modes |l| <= m_f, in FFT wrap order)."""
     if ells is None:
         ells = grids.cell_modes(2 * profile.m_f + 1)
@@ -85,8 +72,7 @@ def assemble_bloch(profile, xi, ells=None, that=None):
         span = int(np.abs(ells[:, None] - ells[None, :]).max())
         that = reaction_coeffs(profile, span)
     k, c = profile.k, profile.c
-    mat = fourier.operator_matrix(ells, xi, k, c, that, react_scale=1.0 / k)
-    return BlochMatrix(float(xi), ells, mat)
+    return fourier.operator_matrix(ells, xi, k, c, that, react_scale=1.0 / k)
 
 
 def pad_modes(vec, n, m_x):
@@ -312,9 +298,9 @@ class _BranchWalker:
         return self._fibers[key]
 
     def _decompose(self, xi, ref):
-        bm = assemble_bloch(self.profile, xi, ells=self.ells, that=self.that)
+        mat = assemble_bloch(self.profile, xi, ells=self.ells, that=self.that)
         self.decomposed += 1
-        return decompose_fiber(bm.entries, ref, self.phi_vec)[0]
+        return decompose_fiber(mat, ref, self.phi_vec)[0]
 
     def mode_at(self, xi):
         """Gauge-fixed critical data at one frequency, adjoint included."""
@@ -360,7 +346,7 @@ def _two_truncation_deviation(store):
     dev = scale = 0.0
     for xi, fib in ((0.0, store.fiber(0)), (np.pi, store.fiber(1, 2))):
         coarse = fib.lam[:2 * profile.n]
-        mat = assemble_bloch(profile, xi, ells=ells, that=that).entries
+        mat = assemble_bloch(profile, xi, ells=ells, that=that)
         fine = np.array([_nearest_eigenvalue(mat, lam) for lam in coarse])
         dev = max(dev, float(np.abs(fine - coarse).max()))
         scale = max(scale, float(np.abs(coarse).max()),

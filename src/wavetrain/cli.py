@@ -866,8 +866,9 @@ def cmd_simulate(args, argv):
     checks = evolve.run_checks(
         result, trace, delta_n,
         duhamel=du if cfg["extraction"]["mode"] == "both" else None)
-    if "route_agreement" in checks:
-        # the name schema 1 gave the value, which readers of the report use
+    if "route_agreement" in checks and pert["amplitude"] > 0:
+        # the name schema 1 gave the (relative) value, which readers of the
+        # report use
         checks["route_agreement"]["relative"] = \
             checks["route_agreement"]["value"]
     report = {

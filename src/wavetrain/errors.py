@@ -22,16 +22,6 @@ class DegenerateProfileError(WavetrainError):
     """The solver landed on (or was started from) a constant state."""
 
 
-class ContinuationError(WavetrainError):
-    """Parameter continuation stalled before reaching the target."""
-
-    def __init__(self, message, param_name=None, last_good_value=None, profiles=None):
-        super().__init__(message)
-        self.param_name = param_name
-        self.last_good_value = last_good_value
-        self.profiles = list(profiles) if profiles is not None else []
-
-
 class BranchTrackingError(WavetrainError):
     """Eigenvalue branch continuation hit an overlap ambiguity."""
 

@@ -263,9 +263,9 @@ class ExperimentResult:
     """Trajectory record: snapshots of u, shape (T, P, n), plus projection
     traces.
 
-    ``gamma_raw`` and ``inner`` hold the spectral projections of u - phi at
-    each snapshot (mean translation content and per-frequency critical
-    amplitudes).  ``chi`` is the short-time ramp; the modulation ansatz uses
+    ``inner`` holds the per-frequency critical amplitudes of u - phi at each
+    snapshot, and ``gamma_raw`` its entry 0, the mean translation content.
+    ``chi`` is the short-time ramp; the modulation ansatz uses
     gamma = chi * gamma_raw so the phase variables vanish at t = 0.
     ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
     |m| > P/3 at each snapshot: the resolution the warp interpolation of
@@ -281,12 +281,15 @@ class ExperimentResult:
     times: np.ndarray
     snapshots: np.ndarray
     base: np.ndarray
-    gamma_raw: np.ndarray
     inner: np.ndarray
     chi: np.ndarray
     snapshot_tail: np.ndarray
     n_steps: int
     perturbation: dict = field(default_factory=dict)
+
+    @property
+    def gamma_raw(self):
+        return self.inner[:, 0].real
 
     @property
     def gamma(self):
@@ -299,11 +302,10 @@ def _spectral_tail(u_hat, n_points):
     ``u_hat`` is the rfft of a real field on P = ``n_points`` samples, so each
     row 0 < m < P/2 stands for the pair +-m.
     """
-    m = np.arange(u_hat.shape[0])
-    weight = np.where((m == 0) | (2 * m == n_points), 1.0, 2.0)
-    energy = weight * np.sum(np.abs(u_hat) ** 2, axis=1)
+    energy = grids.pair_weights(n_points) * np.sum(np.abs(u_hat) ** 2, axis=1)
     total = float(np.sum(energy))
-    return float(np.sum(energy[3 * m > n_points])) / total if total > 0 else 0.0
+    high = 3 * np.arange(energy.size) > n_points
+    return float(np.sum(energy[high])) / total if total > 0 else 0.0
 
 
 def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
@@ -343,7 +345,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
 
     u_hat = stepper.to_hat(u)
     snaps = np.empty((snap_steps.size, *base.shape))
-    times, inners, tails = [], [], []
+    times, tails = [], []
 
     def record(step_index):
         snaps[len(times)] = vals = stepper.to_grid(u_hat).T
@@ -353,7 +355,6 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
             raise BlowUpError(f"solution reached sup-norm {sup:.3e} at t = {t:.4f}",
                               t=t)
         times.append(t)
-        inners.append(engine.amplitudes(engine.fibers(vals - base)))
         tails.append(_spectral_tail(u_hat.T, stepper.P))
         if not tails[-1] <= SNAPSHOT_TAIL_TOL:
             raise ResolutionError(
@@ -372,7 +373,6 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
             record(done)
 
     times = np.array(times)
-    inner = np.array(inners)
     return ExperimentResult(
         profile=profile,
         engine=engine,
@@ -382,8 +382,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         times=times,
         snapshots=snaps,
         base=base,
-        gamma_raw=inner[:, 0].real.copy(),
-        inner=inner,
+        inner=engine.amplitudes(engine.fibers(snaps - base)),
         chi=quintic_smoothstep(times, *chi_interval),
         snapshot_tail=np.array(tails),
         n_steps=done,
@@ -540,14 +539,8 @@ def _trapezoid_prefixes(times, init, f, step):
 
     with h_i = t_i - t_{i-1}: the weighted sum sum_s w_s E(t_i - t_s) f_s over
     the trapezoid weights w of [t_0, t_i], at one propagation per step.
-    ``step`` gives E: a rate lambda (a scalar or one per trailing entry of
-    ``init``, E(h) x = e^{lambda h} x) or a callable (x, h) -> E(h) x.
+    ``step`` is the propagator (x, h) -> E(h) x.
     """
-    if not callable(step):
-        rate = np.asarray(step)
-
-        def step(x, h):
-            return np.exp(rate * h) * x
     out = [np.asarray(init)]
     for i in range(1, len(times)):
         h = times[i] - times[i - 1]
@@ -575,14 +568,14 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
     The Duhamel integrals e^{L(t_i - t_0)} v_0 + int_{t_0}^{t_i} e^{L(t_i - s)}
     f(s) ds use the trapezoid rule on the snapshot grid, accumulated on the
     engine's stored Bloch fibers by the exact recurrence of
-    :func:`_trapezoid_prefixes` with ``SemigroupEngine.apply`` as the
-    propagator.  Each accumulated fiber set gives the critical amplitudes
-    (``SemigroupEngine.amplitudes``, whence gamma and psi) and, through
-    ``SemigroupEngine.split``, the remainder S~.  The engine acts on the
-    stacked snapshots, so a sweep costs one Bloch transform, T - 1 fiber
-    propagations and three Bloch syntheses of the (T, ...) stacks for T
-    snapshots, not the O(T^2) propagations of summing every prefix from
-    scratch.
+    :func:`_trapezoid_prefixes` with ``SemigroupEngine.apply`` as its
+    propagator (x, h) -> e^{L h} x.  Each accumulated fiber set gives the
+    critical amplitudes (``SemigroupEngine.amplitudes``, whence gamma and
+    psi) and, through ``SemigroupEngine.split``, the remainder S~.  The
+    engine acts on the stacked snapshots, so a sweep costs one Bloch
+    transform, T - 1 fiber propagations and three Bloch syntheses of the
+    (T, ...) stacks for T snapshots, not the O(T^2) propagations of summing
+    every prefix from scratch.
 
     The returned trace carries ``v2_defect``: the relative sup-misfit when
     the converged variables are substituted back into the residual equation
@@ -671,12 +664,12 @@ class ModulationTraceData:
     """Per-snapshot phase variables, residual fields, and their norms.
 
     All Sobolev norms use the global periodic frequencies of [0, N); the
-    ``k_sob`` order applies to v and psi_t, with psi_x measured one order
-    higher, matching the weighted quantity the decay diagnostics track.
+    order ``k_sob`` of :func:`modulation_trace` applies to v and psi_t, with
+    psi_x measured one order higher, matching the weighted quantity the
+    decay diagnostics track.
     Snapshots whose phase warp failed have ``warp_ok`` False and NaN rows.
     """
 
-    k_sob: int
     times: np.ndarray
     gamma: np.ndarray
     gamma_t: np.ndarray
@@ -720,7 +713,6 @@ def modulation_trace(result, k_sob=3):
     for series in norms.values():
         series[~warp_ok] = np.nan
     return ModulationTraceData(
-        k_sob=int(k_sob),
         times=times,
         gamma=result.gamma.copy(),
         gamma_t=time_derivative(times, result.gamma),
@@ -766,7 +758,7 @@ def damping_check(trace, delta_n=None):
         thetas = np.unique(np.append(thetas, delta_n / 2.0))
 
     bound = _trapezoid_prefixes(times, np.full(thetas.shape, energy[0]),
-                                source, -thetas)
+                                source, lambda x, h: np.exp(-thetas * h) * x)
     energy = energy[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bound > 0, energy / bound,
@@ -986,8 +978,8 @@ def run_checks(result, trace, delta_n, duhamel=None):
     [t_lo, t_hi] it is measured on, the [lo, hi] it must lie in (None for
     an open end), and the verdict, None with a ``reason`` when unjudged.
 
-    - phase: |gamma_inf - anchor| / |anchor| <= 10 E0 (for E0 = 0 the
-      offset itself < 1e-12), plus the :func:`phase_convergence` report;
+    - phase: |gamma_inf - anchor| / |anchor| <= 10 E0, plus the
+      :func:`phase_convergence` report;
     - zeta: zeta(t_end) / zeta(10) <= 4, zeta(t) = sup_{s <= t} (1+s)^{3/4}
       [||v||_{H^K}^2 + ||psi_x||_{H^{K+1}}^2 + ||psi_t||_{H^K}^2 + |gamma_t|]^{1/2};
     - damping: C(delta_N/2) of :func:`damping_check` is finite and > 0,
@@ -998,8 +990,10 @@ def run_checks(result, trace, delta_n, duhamel=None):
     - v_h_envelope: the slope of ||v||_{H^K} over [10, t_knee] <= -0.6;
     - gamma_t_envelope: the slope of |gamma_t| over [10, N^2/10] <= -1.2;
     - route_agreement, given the run's Duhamel trace: the larger of the
-      relative gamma and psi differences of the two routes <= 1e-3 (for
-      E0 = 0, where both routes read rounding, the absolute ones <= 1e-12).
+      relative gamma and psi differences of the two routes <= 1e-3.
+
+    For E0 = 0 both sides of a comparison are rounding, so phase and
+    route_agreement report and judge the absolute differences, <= 1e-12.
 
     A slope is "below rounding floor" when every sample in its window lies
     within grids.ROUNDING_FLOOR times its rounding level: eps max|u| for ||v||,
@@ -1012,17 +1006,21 @@ def run_checks(result, trace, delta_n, duhamel=None):
     n = result.n_period
     phase = phase_convergence(result)
     tol = 10.0 * result.amplitude
+    relative = tol > 0
+
+    def difference(diff, scale):
+        return diff / max(scale, 1e-300) if relative else diff
+
     offset = abs(phase.gamma_inf - phase.anchor)
     checks = {"phase": _check(
-        offset / max(abs(phase.anchor), 1e-300), whole,
-        [0.0, tol if tol > 0 else None], ok=tol > 0 or offset < 1e-12,
-        **vars(phase))}
+        difference(offset, abs(phase.anchor)), whole,
+        [0.0, tol if relative else 1e-12], **vars(phase))}
 
     shifted = grids.from_profile(result.profile, n, result.m_x,
                                  phase.gamma_inf / n)
     h1 = grids.norm_h(result.snapshots - shifted, n, 1)
     checks["crossover"] = _crossover_check(times, h1, delta_n)
-    if tol == 0:
+    if not relative:
         # an unperturbed run decays from rounding noise: nothing to judge
         checks["crossover"] |= {"pass": None, "reason": "zero perturbation"}
 
@@ -1050,16 +1048,14 @@ def run_checks(result, trace, delta_n, duhamel=None):
         lambda t: eps_u / np.min(np.diff(t)))
 
     if duhamel is not None:
-        d_gam = np.max(np.abs(duhamel.gamma - trace.gamma))
-        d_psi = np.max(np.linalg.norm(duhamel.psi_vals - trace.psi_vals,
-                                      axis=1))
-        gam = float(d_gam / np.max(np.abs(trace.gamma)))
-        psi = float(d_psi / np.max(np.linalg.norm(trace.psi_vals, axis=1)))
-        absolute = {} if tol > 0 else {"absolute": float(max(d_gam, d_psi))}
+        gam = float(difference(np.max(np.abs(duhamel.gamma - trace.gamma)),
+                               np.max(np.abs(trace.gamma))))
+        psi = float(difference(
+            np.max(np.linalg.norm(duhamel.psi_vals - trace.psi_vals, axis=1)),
+            np.max(np.linalg.norm(trace.psi_vals, axis=1))))
         checks["route_agreement"] = _check(
-            max(gam, psi), whole, [0.0, 1e-3 if tol > 0 else None],
-            ok=tol > 0 or max(d_gam, d_psi) <= 1e-12, gamma=gam, psi=psi,
-            **absolute)
+            max(gam, psi), whole, [0.0, 1e-3 if relative else 1e-12],
+            gamma=gam, psi=psi)
 
     failed = int(np.sum(~trace.warp_ok))
     reason = f"phase warp failed at {failed} of {times.size} snapshots"

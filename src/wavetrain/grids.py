@@ -209,24 +209,34 @@ def norm_linf(values, n_period):
     return np.max(np.linalg.norm(values, axis=-1), axis=-1)
 
 
+def pair_weights(n_points):
+    """Multiplicity of each row m = 0..P//2 of the rfft of a real field on
+    P = ``n_points`` samples: a row 0 < m < P/2 stands for the pair +-m."""
+    m = np.arange(n_points // 2 + 1)
+    return np.where((m == 0) | (2 * m == n_points), 1.0, 2.0)
+
+
+def _half_frequencies(n_points, n_period):
+    """The global frequencies 2 pi m / N of the rfft rows m = 0..P//2."""
+    return TWO_PI * np.arange(n_points // 2 + 1) / n_period
+
+
 def norm_h(values, n_period, s):
-    """Sobolev norm via global multipliers (1 + omega^2)^{s/2}."""
+    """Sobolev norm of real samples via global multipliers
+    (1 + omega^2)^{s/2}, summed over the rfft half by ``pair_weights``."""
     P = values.shape[-2]
-    c = np.fft.fft(values, axis=-2) / P
-    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
-    weights = (1.0 + omega ** 2) ** s
+    c = np.fft.rfft(values, axis=-2) / P
+    weights = pair_weights(P) * (1.0 + _half_frequencies(P, n_period) ** 2) ** s
     return np.sqrt(np.sum(weights[:, None] * np.abs(c) ** 2, axis=(-2, -1))
                    * n_period)
 
 
 def derivative_values(values, n_period):
-    """Spectral x-derivative of N-periodic samples on the point axis of a
-    (..., P, n) array: every (P, n) slice is differentiated on its own."""
+    """Spectral x-derivative of real N-periodic samples on the point axis of
+    a (..., P, n) array: every (P, n) slice is differentiated on its own.
+    An even grid's Nyquist mode has no derivative that stays real, and
+    drops out."""
     P = values.shape[-2]
-    c = np.fft.fft(values, axis=-2)
-    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
-    c = c * (1j * omega[:, None])
-    vals = np.fft.ifft(c, axis=-2)
-    if np.isrealobj(values):
-        vals = vals.real
-    return vals
+    c = np.fft.rfft(values, axis=-2)
+    c *= 1j * _half_frequencies(P, n_period)[:, None]
+    return np.fft.irfft(c, n=P, axis=-2)

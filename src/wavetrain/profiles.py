@@ -1,4 +1,4 @@
-"""Periodic wave profiles: Newton solver, continuation, serialization.
+"""Periodic wave profiles: Newton solver and serialization.
 
 A profile is a 1-periodic solution phi of
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fourier
 from .errors import (
-    ContinuationError,
     DegenerateProfileError,
     ModelParameterError,
     ProfileConvergenceError,
@@ -203,55 +202,6 @@ def profile_residual(profile):
     """Recompute the mode-projected residual norm of a profile."""
     res, _ = _residual(profile.model, profile.coeffs, profile.k, profile.c)
     return float(np.linalg.norm(res))
-
-
-def continue_profile(profile, param, target, steps):
-    """Walk ``param`` from its current value to ``target`` in ``steps`` Newton solves.
-
-    ``param`` is one of "k", "c", "q" (rgl shorthand for k = q/(2 pi)) or a model
-    parameter name. Returns the list of profiles along the way (excluding the
-    start). Raises ContinuationError carrying the last good parameter value.
-    """
-    if steps == 0:
-        return [profile]
-    model = profile.model
-    if param == "k":
-        current = profile.k
-    elif param == "q":
-        if model.id != "rgl":
-            raise ValueError("continuation parameter 'q' only applies to the rgl model")
-        current = TWO_PI * profile.k
-    elif param == "c":
-        current = profile.c
-    elif param in model.params:
-        current = model.params[param]
-    else:
-        raise ValueError(f"unknown continuation parameter {param!r}")
-
-    values = np.linspace(current, target, steps + 1)[1:]
-    out = []
-    last_good = current
-    prev = profile
-    for val in values:
-        try:
-            if param in ("k", "q"):
-                kk = val / TWO_PI if param == "q" else val
-                nxt = solve_profile(model, prev.coeffs, kk, prev.c, solve_for="c")
-            elif param == "c":
-                nxt = solve_profile(model, prev.coeffs, prev.k, val, solve_for="k")
-            else:
-                stepped = make_model(model.id, {**model.params, param: val})
-                nxt = solve_profile(stepped, prev.coeffs, prev.k, prev.c,
-                                    solve_for=profile.info.get("solve_for", "c"))
-                model = stepped
-        except (ProfileConvergenceError, DegenerateProfileError) as exc:
-            raise ContinuationError(
-                f"continuation in {param!r} failed at {val:.6g}: {exc}",
-                param_name=param, last_good_value=last_good, profiles=out) from exc
-        out.append(nxt)
-        prev = nxt
-        last_good = val
-    return out
 
 
 def save_profile(profile, path):

@@ -135,7 +135,7 @@ class SemigroupEngine:
             # |xi| turns the lattice's -pi (even N) into the +pi it mirrors
             xi = abs(self.frequencies[j])
             mat = bloch.assemble_bloch(profile, xi, ells=self.ells,
-                                       that=self.that).entries
+                                       that=self.that)
             ref = bloch.pad_modes(store.fiber(j, N).vec, self.n, self.m_x)
             fib, V = bloch.decompose_fiber(mat, ref, self.phi_slots)
             if fib.index is None and self.rho[j] > 0.0:

@@ -553,18 +553,25 @@ def test_simulate_phase_warp_failure_exit_code(profile_file, tmp_path, capsys):
     assert "duhamel" not in report and "delta_N" in report
 
 
-def test_simulate_zero_amplitude_run(profile_file, tmp_path):
+@pytest.mark.parametrize("n_period", [4, 2])
+def test_simulate_zero_amplitude_run(profile_file, tmp_path, n_period):
+    # at N = 2 psi is identically 0, so no ratio to the projection route's
+    # size is defined
     out = tmp_path / "zero"
-    cfg = write_config(tmp_path / "cfg.json", profile_file, out)
+    cfg = write_config(tmp_path / "cfg.json", profile_file, out, N=n_period)
     config = json.loads(cfg.read_text())
     config["perturbation"]["amplitude"] = 0.0
     cfg.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg), "--extract", "both"]) == 0
     report = read_json(out / "report.json")
-    assert report["phase"]["pass"] is True
     # both routes read rounding noise: judged on absolute differences
-    assert report["route_agreement"]["pass"] is True
-    assert report["route_agreement"]["absolute"] <= 1e-12
+    for name in ("phase", "route_agreement"):
+        assert report[name]["pass"] is True
+        assert report[name]["band"] == [0.0, 1e-12]
+        assert 0.0 <= report[name]["value"] <= 1e-12
+    agreement = report["route_agreement"]
+    assert agreement["value"] == max(agreement["gamma"], agreement["psi"])
+    assert "relative" not in agreement
     assert report["crossover"]["pass"] is None
     assert report["crossover"]["reason"] == "zero perturbation"
     checks = [v for v in report.values() if isinstance(v, dict) and "pass" in v]

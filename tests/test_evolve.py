@@ -423,6 +423,32 @@ def test_trajectory_stays_real(small_run):
     assert np.max(np.abs(small_run.inner.imag[:, 0])) <= 1e-12
 
 
+def test_run_projects_its_snapshot_stack_once(rgl_profile, engine4,
+                                              monkeypatch):
+    calls = {"fibers": 0, "amplitudes": 0}
+
+    def counted(name):
+        method = getattr(semigroup.SemigroupEngine, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(engine4, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(engine4, name, counted(name))
+    res = run_experiment(rgl_profile, 4, engine4, t_max=6.0, dt=0.01,
+                         seed=3, amplitude=1e-5)
+    assert calls == {"fibers": 1, "amplitudes": 1}
+    monkeypatch.undo()
+    # each row holds the bits of that snapshot projected alone
+    for vals, row in zip(res.snapshots, res.inner):
+        assert np.array_equal(
+            engine4.amplitudes(engine4.fibers(vals - res.base)), row,
+            equal_nan=True)
+    assert np.array_equal(res.gamma_raw, res.inner[:, 0].real)
+
+
 def test_chi_ramp_gates_the_phase(small_run):
     times = small_run.times
     assert np.all(small_run.chi[times <= 0.5] == 0.0)
@@ -701,7 +727,7 @@ def test_duhamel_amplitudes_match_the_scalar_recurrence(acceptance10_run,
         fiber = np.stack([eng.amplitudes(x) for x in out])
         scalar = prefixes(times, eng.amplitudes(init),
                           np.stack([eng.amplitudes(x) for x in f]),
-                          eng.crit_lam)
+                          lambda x, h: np.exp(eng.crit_lam * h) * x)
         assert np.array_equal(np.isnan(fiber), np.isnan(scalar))
         ok = ~np.isnan(scalar)
         worst.append(np.max(np.abs(fiber[ok] - scalar[ok]))
@@ -765,7 +791,8 @@ def test_trapezoid_prefixes_match_the_explicit_sum():
         init = rng.standard_normal(shape)
         if np.iscomplexobj(lam):
             f = f + 1j * rng.standard_normal(f.shape)
-        got = evolve._trapezoid_prefixes(times, init, f, lam)
+        got = evolve._trapezoid_prefixes(
+            times, init, f, lambda x, h: np.exp(lam * h) * x)
         for i in range(times.size):
             # the trapezoid rule on [t_0, t_i], every term written out
             ref = np.exp(lam * (times[i] - times[0])) * init

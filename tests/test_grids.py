@@ -248,6 +248,36 @@ def test_sobolev_norm_weights_a_single_mode():
     assert norm_h(wave, n_period, 2) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("m_x", [9, 16])
+def test_half_spectrum_reads_every_mode_pair(m_x, rng):
+    # the rfft half with pair weights gives the full complex spectrum's
+    # H^s norm and derivative, on odd P and on even P with its Nyquist mode
+    n_period = 4
+    P = n_period * m_x
+    vals = rng.standard_normal((P, 2))
+    c = np.fft.fft(vals, axis=0)
+    omega = TWO_PI * np.fft.fftfreq(P, d=1.0 / P) / n_period
+    want = np.sqrt(np.sum((1.0 + omega[:, None] ** 2) ** 3 * np.abs(c / P) ** 2)
+                   * n_period)
+    assert norm_h(vals, n_period, 3) == pytest.approx(want, rel=1e-13)
+    deriv = np.fft.ifft(1j * omega[:, None] * c, axis=0).real
+    np.testing.assert_allclose(derivative_values(vals, n_period), deriv,
+                               rtol=0, atol=1e-12 * np.max(np.abs(deriv)))
+
+
+def test_sobolev_norm_of_a_stack_makes_no_complex_copy(rng):
+    # the reference run's (T, P, n) snapshot stack: a complex FFT of the
+    # whole stack alone peaks at 4 times its bytes
+    stack = rng.standard_normal((75, 272, 2))
+    tracemalloc.start()
+    try:
+        norm_h(stack, 16, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack.nbytes
+
+
 def test_spectral_derivative_of_a_harmonic():
     n_period, m_x = 4, 16
     x = grid_points(n_period, m_x)

@@ -5,10 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from wavetrain import (
-    ContinuationError,
     DegenerateProfileError,
     ProfileConvergenceError,
-    continue_profile,
     load_profile,
     profile_residual,
     save_profile,
@@ -126,21 +124,6 @@ def test_residual_detects_wrong_speed(rgl_profile):
     assert profile_residual(rgl_profile) < 1e-10
     wrong = dataclasses.replace(rgl_profile, c=rgl_profile.c + 0.1)
     assert profile_residual(wrong) > 1e-3
-
-
-def test_continuation_tracks_the_analytic_family(rgl_profile):
-    branch = continue_profile(rgl_profile, "q", 0.5, steps=4)
-    qs = np.linspace(0.3, 0.5, 5)[1:]
-    for q, prof in zip(qs, branch):
-        assert abs(prof.amplitude() - np.sqrt(1.0 - q * q)) < 1e-8
-        assert abs(prof.k - q / TWO_PI) < 1e-12
-
-
-def test_continuation_fails_past_the_existence_boundary(rgl_profile):
-    with pytest.raises(ContinuationError) as err:
-        continue_profile(rgl_profile, "q", 1.2, steps=6)
-    assert err.value.last_good_value < 1.0
-    assert all(p.amplitude() > 0 for p in err.value.profiles)
 
 
 def test_newton_with_free_wavenumber_returns_to_the_wave(brusselator_profile):

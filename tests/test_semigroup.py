@@ -107,7 +107,7 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
     for t in (0.7, 3.0):
         ref_fibers = np.stack([
             sla.expm(t * bloch.assemble_bloch(
-                rgl_profile, xi, ells=engine.ells, that=engine.that).entries)
+                rgl_profile, xi, ells=engine.ells, that=engine.that))
             @ coeffs[j] for j, xi in enumerate(engine.frequencies)])
         ref = grids.bloch_inverse(
             ref_fibers.reshape(n, engine.m_x, engine.n)).real
