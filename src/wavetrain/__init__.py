@@ -18,8 +18,7 @@ _EXPORTS = {
     "bloch": (
         "CriticalCurve", "HillTruncation", "StabilityReport",
         "SubharmonicSpectrum", "assemble_bloch", "critical_curve",
-        "critical_mode_data", "grid_modes",
-        "subharmonic_spectrum", "verify_diffusive_stability",
+        "grid_modes", "subharmonic_spectrum", "verify_diffusive_stability",
     ),
     "errors": (
         "AdmissibilityError", "BlowUpError", "BranchTrackingError",

@@ -121,22 +121,6 @@ def phi_prime_vector(profile, ells):
 # ---------------------------------------------------------------------------
 # critical branch
 
-@dataclass
-class CriticalModeData:
-    """One point of the critical branch, in the phi'-anchored gauge.
-
-    ``phi_vec`` is scaled so that <phi', phi_vec>_{L2(0,1)} = ||phi'||^2
-    (hence phi_vec -> phi' as xi -> 0) and ``adjoint_vec`` satisfies
-    <adjoint_vec, phi_vec> = 1.
-    """
-
-    xi: float
-    lam: complex
-    phi_vec: np.ndarray
-    adjoint_vec: np.ndarray
-    ells: np.ndarray
-
-
 def adjoint_vector(matrix, lam, v):
     """Left eigenvector w of ``matrix`` at the simple eigenvalue lam, <w, v> = 1.
 
@@ -303,14 +287,14 @@ class _BranchWalker:
         return decompose_fiber(mat, ref, self.phi_vec)[0]
 
     def mode_at(self, xi):
-        """Gauge-fixed critical data at one frequency, adjoint included."""
+        """The fiber at one frequency, walked to from 0; BranchTrackingError
+        where the critical branch is lost."""
         xi = float(xi)
         fib = self.fiber(np.sign(xi), 1, abs(xi))
         if fib.index is None:
             raise BranchTrackingError(
                 f"critical branch lost on the way to xi={xi:.4f}")
-        return CriticalModeData(xi, fib.lam[fib.index], fib.vec, fib.adj,
-                                self.ells)
+        return fib
 
 
 @dataclass(frozen=True)
@@ -423,11 +407,6 @@ def decomposed_fibers(profile):
     """Fibers eigendecomposed so far by the fiber store of ``profile``."""
     store = profile._fiber_store
     return 0 if store is None else store.decomposed
-
-
-def critical_mode_data(profile, xi):
-    """Track the critical branch from 0 to xi and return its gauge-fixed data."""
-    return fiber_store(profile).mode_at(xi)
 
 
 @dataclass

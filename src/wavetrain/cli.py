@@ -485,12 +485,13 @@ def cmd_linear_decay(args, argv):
     times = np.geomspace(0.1, args.tmax, args.samples)
     with manifest.stage("stability_scan"):
         stability = bloch.verify_diffusive_stability(prof, scan=128)
+    cutoff = semigroup.default_cutoff(stability)
     rows = []
     fits = []
     engines = []
     for n in n_values:
         with manifest.stage("engine_build"):
-            engine = semigroup.SemigroupEngine(prof, n, stability=stability)
+            engine = semigroup.SemigroupEngine(prof, n, cutoff)
         engines.append(engine)
         v = evolve.random_perturbation(n, engine.m_x, prof.n, args.seed, 1.0,
                                        normalize="l1")
@@ -725,6 +726,9 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
         bad("perturbation seed must be an integer in [0, 2**128)")
     if p["band"] is not None and not (is_int(p["band"]) and p["band"] >= 0):
         bad("perturbation band must be an integer >= 0")
+    if p["band"] is not None and p["shape"] != "fourier":
+        bad(f"perturbation band applies to shape 'fourier' only, not "
+            f"{p['shape']!r}")
     if p["normalize"] not in ("sup", "l1", "l1_sobolev"):
         bad("perturbation normalize must be 'sup', 'l1' or 'l1_sobolev', "
             f"got {p['normalize']!r}")
@@ -761,8 +765,10 @@ def cmd_simulate(args, argv):
     pert = cfg["perturbation"]
     snap = cfg["snapshot"]
     try:
-        if pert["shape"] == "fourier":
-            evolve.fourier_band(cfg["N"], m_x, pert["band"])
+        datum = evolve.random_perturbation(
+            cfg["N"], m_x, prof.n, pert["seed"], pert["amplitude"],
+            band=pert["band"], kind=pert["shape"],
+            normalize=pert["normalize"], k_sob=cfg["K"])
         snapshot_times = evolve.default_snapshot_times(
             cfg["t_max"], dense_until=snap["dense_until"],
             dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
@@ -790,21 +796,17 @@ def cmd_simulate(args, argv):
     if cfg["extraction"]["cutoff"] is not None:
         cutoff = semigroup.CutoffSpec(float(cfg["extraction"]["cutoff"]))
     else:
-        cutoff = semigroup.default_cutoff(prof, stability=stability)
+        cutoff = semigroup.default_cutoff(stability)
     with manifest.stage("engine_build"):
-        engine = semigroup.SemigroupEngine(prof, n_period, m_x=m_x,
-                                           cutoff=cutoff, stability=stability)
+        engine = semigroup.SemigroupEngine(prof, n_period, cutoff, m_x=m_x)
     manifest.count_fibers(prof, [engine])
     manifest.health = _grid_health(engine, stability)
 
     try:
         with manifest.stage("evolution"):
             result = evolve.run_experiment(
-                prof, n_period, engine, t_max=cfg["t_max"], dt=cfg["dt"],
-                scheme=cfg["scheme"], seed=pert["seed"],
-                amplitude=pert["amplitude"], band=pert["band"],
-                kind=pert["shape"], normalize=pert["normalize"],
-                k_sob=cfg["K"], snapshot_times=snapshot_times,
+                engine, datum, snapshot_times, dt=cfg["dt"],
+                scheme=cfg["scheme"],
                 chi_interval=tuple(cfg["extraction"]["chi"]))
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
@@ -845,7 +847,7 @@ def cmd_simulate(args, argv):
         try:
             with manifest.stage("extraction"):
                 du = evolve.extract_modulation_duhamel(
-                    result, tol=cfg["extraction"]["tol"], trace=trace)
+                    result, trace, tol=cfg["extraction"]["tol"])
         except (ExtractionDivergenceError, PhaseWarpError) as exc:
             # a diverging iteration or a phase warp that stops being invertible
             print(f"Duhamel extraction failed: {exc}", file=sys.stderr)
@@ -864,7 +866,7 @@ def cmd_simulate(args, argv):
 
     delta_n = bloch.subharmonic_spectrum(prof, n_period).delta
     checks = evolve.run_checks(
-        result, trace, delta_n,
+        result, trace, delta_n, pert["amplitude"],
         duhamel=du if cfg["extraction"]["mode"] == "both" else None)
     if "route_agreement" in checks and pert["amplitude"] > 0:
         # the name schema 1 gave the (relative) value, which readers of the

@@ -20,7 +20,7 @@ per run (``ExperimentResult.base``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as pocketfft
@@ -203,7 +203,7 @@ def random_perturbation(n_period, m_x, n_components, seed, amplitude,
     return vals
 
 
-def quintic_smoothstep(t, lo=0.5, hi=1.0):
+def quintic_smoothstep(t, lo, hi):
     """C^2 ramp: 0 below lo, 1 above hi, quintic polynomial between."""
     r = np.clip((np.asarray(t, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
     out = r ** 3 * (10.0 - 15.0 * r + 6.0 * r ** 2)
@@ -270,14 +270,11 @@ class ExperimentResult:
     ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
     |m| > P/3 at each snapshot: the resolution the warp interpolation of
     :func:`modulation_frame` relies on.  ``base`` is phi on the run's grid,
-    shape (P, n), sampled once for every reader of the run.
+    shape (P, n), sampled once for every reader of the run.  The profile,
+    N and m_x are the engine's.
     """
 
-    profile: object
     engine: object
-    n_period: int
-    m_x: int
-    amplitude: float
     times: np.ndarray
     snapshots: np.ndarray
     base: np.ndarray
@@ -285,7 +282,6 @@ class ExperimentResult:
     chi: np.ndarray
     snapshot_tail: np.ndarray
     n_steps: int
-    perturbation: dict = field(default_factory=dict)
 
     @property
     def gamma_raw(self):
@@ -308,40 +304,34 @@ def _spectral_tail(u_hat, n_points):
     return float(np.sum(energy[high])) / total if total > 0 else 0.0
 
 
-def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
-                   scheme="imex", seed=0, amplitude=1e-2, band=None,
-                   kind="fourier", normalize="l1_sobolev", k_sob=3,
-                   initial=None, snapshot_times=None, chi_interval=(0.5, 1.0)):
-    """Integrate phi + perturbation and record snapshots with projections.
+def run_experiment(engine, perturbation, snapshot_times, *, dt=0.01,
+                   scheme="imex", chi_interval=(0.5, 1.0)):
+    """Integrate phi + ``perturbation`` on the grid of ``engine`` and record
+    snapshots with projections.
 
-    ``initial`` overrides the random perturbation ((P, n) samples added to
-    phi).  Snapshot times are rounded to whole steps.  Raises BlowUpError
-    when the sup-norm passes BLOWUP_LIMIT or turns non-finite, and
-    ResolutionError at the first snapshot whose ``snapshot_tail`` exceeds
-    SNAPSHOT_TAIL_TOL.
+    ``perturbation`` is (P, n) samples on the engine's grid (ValueError
+    otherwise), for instance a :func:`random_perturbation`; the profile, N
+    and m_x are the engine's.  Snapshot times are rounded to whole steps,
+    and one that rounds past the horizon max(``snapshot_times``) is dropped.
+    Raises BlowUpError when the sup-norm passes BLOWUP_LIMIT or turns
+    non-finite, and ResolutionError at the first snapshot whose
+    ``snapshot_tail`` exceeds SNAPSHOT_TAIL_TOL.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (have {sorted(_SCHEMES)})")
-    m_x = engine.m_x
-    if engine.n_period != n_period:
-        raise ValueError(f"engine is for N={engine.n_period}, requested N={n_period}")
+    profile, n_period, m_x = engine.profile, engine.n_period, engine.m_x
     stepper = _SCHEMES[scheme](profile, n_period, m_x, dt)
 
     base = grids.from_profile(profile, n_period, m_x)
-    if initial is None:
-        pert = random_perturbation(n_period, m_x, profile.n, seed, amplitude,
-                                   band=band, kind=kind, normalize=normalize,
-                                   k_sob=k_sob)
-    else:
-        pert = initial
-        if pert.shape != base.shape:
-            raise ValueError("initial perturbation grid does not match the engine")
-    u = base + pert
+    if perturbation.shape != base.shape:
+        raise ValueError(
+            f"the perturbation's grid {perturbation.shape} does not match "
+            f"the engine's {base.shape}")
+    u = base + perturbation
 
-    if snapshot_times is None:
-        snapshot_times = default_snapshot_times(t_max)
-    snap_steps = np.unique(np.round(np.asarray(snapshot_times) / dt).astype(int))
-    snap_steps = snap_steps[snap_steps * dt <= t_max + 1e-9]
+    snapshot_times = np.asarray(snapshot_times, dtype=float)
+    snap_steps = np.unique(np.round(snapshot_times / dt).astype(int))
+    snap_steps = snap_steps[snap_steps * dt <= np.max(snapshot_times) + 1e-9]
 
     u_hat = stepper.to_hat(u)
     snaps = np.empty((snap_steps.size, *base.shape))
@@ -374,11 +364,7 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
 
     times = np.array(times)
     return ExperimentResult(
-        profile=profile,
         engine=engine,
-        n_period=n_period,
-        m_x=m_x,
-        amplitude=float(amplitude),
         times=times,
         snapshots=snaps,
         base=base,
@@ -386,10 +372,6 @@ def run_experiment(profile, n_period, engine, *, t_max=100.0, dt=0.01,
         chi=quintic_smoothstep(times, *chi_interval),
         snapshot_tail=np.array(tails),
         n_steps=done,
-        perturbation={"seed": int(seed), "amplitude": float(amplitude),
-                      "band": band, "normalize": normalize,
-                      "kind": kind if initial is None else "explicit",
-                      "chi_interval": list(chi_interval)},
     )
 
 
@@ -457,7 +439,7 @@ def modulation_frame(result, i):
     interpolation of the snapshot.  Raises PhaseWarpError when the phase
     gradient reaches 1/2 and the warp stops being invertible.
     """
-    N = result.n_period
+    N = result.engine.n_period
     psi = result.engine.synthesize_phase(result.chi[i] * result.inner[i])
     steep = float(np.max(np.abs(grids.derivative_values(psi, N))))
     if not np.isfinite(steep) or steep >= 0.5:
@@ -465,7 +447,7 @@ def modulation_frame(result, i):
             f"max |psi_x| = {steep:.3f} >= 1/2 at t = {result.times[i]:.3f}; "
             "the coordinate warp is not invertible")
     u = grids.GridFunction(N, result.snapshots[i])
-    x = grids.grid_points(N, result.m_x)
+    x = grids.grid_points(N, result.engine.m_x)
     return psi[:, 0], u.interp(x - result.gamma[i] / N - psi[:, 0]) - result.base
 
 
@@ -484,9 +466,9 @@ def nonlinear_residual(result, gamma, psi_vals, v_vals):
     with gamma_t and psi_t from :func:`time_derivative`.  Raises
     PhaseWarpError at the first snapshot where psi_x reaches 1.
     """
-    prof = result.profile
+    prof = result.engine.profile
     k, c, model = prof.k, prof.c, prof.model
-    N = result.n_period
+    N = result.engine.n_period
     times = result.times
     psix = grids.derivative_values(psi_vals[..., None], N)
     steep = np.max(psix, axis=(1, 2))
@@ -548,14 +530,13 @@ def _trapezoid_prefixes(times, init, f, step):
     return np.stack(out)
 
 
-def extract_modulation_duhamel(result, tol=1e-8, trace=None):
+def extract_modulation_duhamel(result, trace, tol=1e-8):
     """Fixed-point solve of the integral equations for gamma, psi, and v.
 
-    The iteration starts from the projection extraction in ``trace`` (a
-    :class:`ModulationTraceData` of ``result``, built when not given); a
-    snapshot whose phase warp failed there raises PhaseWarpError.  Each
-    sweep evaluates the quadratic source (Q + k R_x)/k from the current
-    variables, updates gamma and psi through their Duhamel formulas, and
+    The iteration starts from the projection extraction in ``trace``, the
+    :func:`modulation_trace` of ``result``; a snapshot whose phase warp
+    failed there raises PhaseWarpError.  Each sweep evaluates the quadratic
+    source (Q + k R_x)/k from the current variables, updates gamma and psi through their Duhamel formulas, and
     updates v through the split residual equation: the unmodulated linear
     evolution on the ramp-in interval plus the cutoff remainder afterwards.
     Iteration stops when the sup over snapshots of |d gamma| + ||d psi||_{L2}
@@ -583,13 +564,11 @@ def extract_modulation_duhamel(result, tol=1e-8, trace=None):
     """
     eng = result.engine
     times = result.times
-    if trace is None:
-        trace = modulation_trace(result)
     if not trace.warp_ok.all():
         raise PhaseWarpError(
             f"projection phase warp failed at t = {times[~trace.warp_ok][0]:.3f}; "
             "the Duhamel iteration has no starting point")
-    N = result.n_period
+    N = eng.n_period
     chi = result.chi
 
     fibers0 = eng.fibers(result.snapshots[0] - result.base)
@@ -693,7 +672,7 @@ def modulation_trace(result, k_sob=3):
     """
     times = result.times
     T = times.size
-    N = result.n_period
+    N = result.engine.n_period
     psi_vals = np.full(result.snapshots.shape[:2], np.nan)
     v_vals = np.full(result.snapshots.shape, np.nan)
     warp_ok = np.ones(T, dtype=bool)
@@ -732,7 +711,7 @@ class DampingReport:
     violations: int             # snapshots infeasible at the best theta
 
 
-def damping_check(trace, delta_n=None):
+def damping_check(trace, delta_n):
     """Smallest constants in the nonlinear damping inequality
 
         ||v(t)||_{H^K}^2 <= C [ e^{-theta (t-t_0)} ||v(t_0)||_{H^K}^2
@@ -740,8 +719,8 @@ def damping_check(trace, delta_n=None):
 
     with t_0 the first snapshot time and the lower-order source
     S = ||v||_{L2}^2 + ||psi_x||_{L2}^2 + ||psi_t||_{L2}^2 + gamma_t^2, over
-    13 rates theta in [1e-3, 1] and theta = delta_N/2 when given (trapezoid
-    rule on the snapshots).  The reported optimum minimizes C(theta)
+    13 rates theta in [1e-3, 1] and theta = delta_N/2 (trapezoid rule on
+    the snapshots).  The reported optimum minimizes C(theta)
     (1 + theta); a snapshot where the right side vanishes while the energy
     does not makes theta infeasible (C = inf) and counts as a violation.
     The right side vanishes only while ||v(t_0)|| and the source are both
@@ -753,9 +732,7 @@ def damping_check(trace, delta_n=None):
     source = (trace.v_l2 ** 2 + trace.psi_x_l2 ** 2 + trace.psi_t_l2 ** 2
               + trace.gamma_t ** 2)
 
-    thetas = np.geomspace(1e-3, 1.0, 13)
-    if delta_n:
-        thetas = np.unique(np.append(thetas, delta_n / 2.0))
+    thetas = np.unique(np.append(np.geomspace(1e-3, 1.0, 13), delta_n / 2.0))
 
     bound = _trapezoid_prefixes(times, np.full(thetas.shape, energy[0]),
                                 source, lambda x, h: np.exp(-thetas * h) * x)
@@ -840,14 +817,15 @@ def phase_convergence(result):
     gamma_inf_fit = float(coef[0])
 
     anchor = float(result.gamma_raw[0])
-    N = result.n_period
+    eng = result.engine
+    N = eng.n_period
     sigma = gamma_inf / N
 
     u_last = result.snapshots[-1]
-    prof = result.profile
 
     def misfit(s):
-        ref = grids.from_profile(prof, N, result.m_x, s) if s else result.base
+        ref = (grids.from_profile(eng.profile, N, eng.m_x, s) if s
+               else result.base)
         return grids.norm_l2(u_last - ref, N)
 
     # golden-section around the predicted shift, one cell wide
@@ -971,8 +949,9 @@ def _crossover_check(times, values, delta_n):
                   t_knee=knee.t_knee, power=knee.power, exp_side=knee.exp_side)
 
 
-def run_checks(result, trace, delta_n, duhamel=None):
-    """The paper's checks on a run and its :func:`modulation_trace`.
+def run_checks(result, trace, delta_n, e0, duhamel=None):
+    """The paper's checks on a run from a datum of size ``e0`` and on its
+    :func:`modulation_trace`.
 
     Each check is ``{value, window, band, pass}``: the value, the time span
     [t_lo, t_hi] it is measured on, the [lo, hi] it must lie in (None for
@@ -1003,9 +982,10 @@ def run_checks(result, trace, delta_n, duhamel=None):
     """
     times = trace.times
     whole = [float(times[0]), float(times[-1])]
-    n = result.n_period
+    eng = result.engine
+    n = eng.n_period
     phase = phase_convergence(result)
-    tol = 10.0 * result.amplitude
+    tol = 10.0 * e0
     relative = tol > 0
 
     def difference(diff, scale):
@@ -1016,8 +996,7 @@ def run_checks(result, trace, delta_n, duhamel=None):
         difference(offset, abs(phase.anchor)), whole,
         [0.0, tol if relative else 1e-12], **vars(phase))}
 
-    shifted = grids.from_profile(result.profile, n, result.m_x,
-                                 phase.gamma_inf / n)
+    shifted = grids.from_profile(eng.profile, n, eng.m_x, phase.gamma_inf / n)
     h1 = grids.norm_h(result.snapshots - shifted, n, 1)
     checks["crossover"] = _crossover_check(times, h1, delta_n)
     if not relative:
@@ -1031,7 +1010,7 @@ def run_checks(result, trace, delta_n, duhamel=None):
         float(zeta[-1] / zeta[np.searchsorted(times, 10.0)]),
         [10.0, whole[1]], [None, 4.0])
 
-    damp = damping_check(trace, delta_n=delta_n)
+    damp = damping_check(trace, delta_n)
     c_half = float(damp.constants[damp.thetas == delta_n / 2.0][0])
     checks["damping"] = _check(
         c_half, whole, [0.0, None],

@@ -53,9 +53,10 @@ class GridFunction:
         """Trigonometric interpolation at arbitrary points.
 
         Evaluates sum_m c_m e^{i m theta}, theta = 2 pi x / N,
-        over the P modes m = lo..lo+P-1, lo = -floor(P/2) (fftfreq order, so
-        an even P keeps its Nyquist term at -P/2).  Splitting m = lo + a + b*B
-        with B = ceil(sqrt(P)) factors every exponential as
+        over the P modes m = lo..lo+P-1, lo = -floor(P/2), in ascending
+        order (the set fftfreq holds, so an even P keeps its Nyquist term at
+        -P/2).  Splitting m = lo + a + b*B with B = ceil(sqrt(P)) factors
+        every exponential as
         e^{i(lo + bB) theta} e^{i a theta}: one product with a (points, B)
         table and one row-wise contraction with a (points, ceil(P/B)) table
         give the exact sum with O(P^{3/2}) exponentials and memory instead of
@@ -116,8 +117,11 @@ def cell_modes(m_x):
     """Signed integers 0, 1, ..., -1 in FFT wrap order.
 
     These index the 1-periodic cell modes l of an m_x-point cell (m_x odd
-    recommended) and, for m_x = N, the Bloch lattice j of N-periodic functions.
-    Every frequency and mode list of the package comes in this one order.
+    recommended) and, for m_x = N, the Bloch lattice j of N-periodic functions:
+    the Bloch fibers, the engine's slots and ``frequency_lattice`` come in this
+    order. Profile coefficients do not: they run signed-ascending, l = -M..M
+    (see ``fourier``), and ``GridFunction.interp`` sums its modes from -P//2
+    upward.
     """
     return np.fft.fftfreq(m_x, d=1.0 / m_x).astype(int)
 

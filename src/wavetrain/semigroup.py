@@ -57,10 +57,9 @@ class CutoffSpec:
         return w if w.shape else float(w)
 
 
-def default_cutoff(profile, stability=None):
-    """Cutoff radius from the separation of the critical branch."""
-    if stability is None:
-        stability = bloch.verify_diffusive_stability(profile, scan=128)
+def default_cutoff(stability):
+    """Cutoff radius from the separation of the critical branch, read off
+    a ``bloch.verify_diffusive_stability`` report."""
     xi_1 = stability.xi_1
     if xi_1 <= 0.0:
         raise AdmissibilityError(
@@ -73,7 +72,8 @@ def default_cutoff(profile, stability=None):
 # engine
 
 class SemigroupEngine:
-    """Fiberwise-diagonalized semigroup for one profile and period multiple N.
+    """Fiberwise-diagonalized semigroup for one profile, period multiple N
+    and frequency cutoff (a :class:`CutoffSpec`).
 
     The engine takes real fields only, so the fiber at -xi is the conjugate
     of the one at xi under the l -> -l flip. It decomposes the dense Bloch
@@ -99,7 +99,7 @@ class SemigroupEngine:
     ``field(apply(fibers(v), t))``.
     """
 
-    def __init__(self, profile, n_period, m_x=None, cutoff=None, stability=None):
+    def __init__(self, profile, n_period, cutoff, m_x=None):
         if m_x is not None and m_x % 2 == 0:
             raise ValueError(f"m_x must be odd, got {m_x}")
         self.profile = profile
@@ -110,9 +110,6 @@ class SemigroupEngine:
         self.ells = grids.cell_modes(self.m_x)
         self.that = bloch.reaction_coeffs(profile, self.m_x - 1)
         self.frequencies = grids.frequency_lattice(N)
-
-        if cutoff is None:
-            cutoff = default_cutoff(profile, stability=stability)
         self.cutoff = cutoff
         self.rho = np.asarray(cutoff.weight(self.frequencies), dtype=float).reshape(-1)
 

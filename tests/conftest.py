@@ -50,26 +50,23 @@ def stability(rgl_profile):
 
 
 @pytest.fixture(scope="session")
-def cutoff(rgl_profile, stability):
-    return semigroup.default_cutoff(rgl_profile, stability=stability)
+def cutoff(stability):
+    return semigroup.default_cutoff(stability)
 
 
 @pytest.fixture(scope="session")
-def engine4(rgl_profile, stability, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 4, cutoff=cutoff,
-                                     stability=stability)
+def engine4(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 4, cutoff)
 
 
 @pytest.fixture(scope="session")
-def engine8(rgl_profile, stability, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 8, cutoff=cutoff,
-                                     stability=stability)
+def engine8(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 8, cutoff)
 
 
 @pytest.fixture(scope="session")
-def engine16(rgl_profile, stability, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 16, cutoff=cutoff,
-                                     stability=stability)
+def engine16(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 16, cutoff)
 
 
 @pytest.fixture()

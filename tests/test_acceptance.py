@@ -19,24 +19,36 @@ def _verdict(num, ok, detail):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def engine32(rgl_profile, stability, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 32, cutoff=cutoff,
-                                     stability=stability)
+# the size of the nonlinear reference run's datum in L1 + H^3
+E0 = 1e-2
 
 
 @pytest.fixture(scope="module")
-def engine64(rgl_profile, stability, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 64, cutoff=cutoff,
-                                     stability=stability)
+def engine32(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 32, cutoff)
 
 
 @pytest.fixture(scope="module")
-def run9(rgl_profile, engine16):
+def engine64(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 64, cutoff)
+
+
+def _acceptance10_run(engine):
+    # N = 16, sup amplitude 1e-5, t_max = 20
+    datum = evolve.random_perturbation(16, engine.m_x, engine.n, 7, 1e-5,
+                                       band=16, normalize="sup")
+    return evolve.run_experiment(engine, datum,
+                                 evolve.default_snapshot_times(20.0), dt=0.01)
+
+
+@pytest.fixture(scope="module")
+def run9(engine16):
     # The nonlinear reference run: N = 16, E0 = 1e-2, horizon 4 N^2.
-    res = evolve.run_experiment(rgl_profile, 16, engine16, t_max=1024.0,
-                                dt=0.01, seed=0, amplitude=1e-2, band=16,
-                                normalize="l1_sobolev", k_sob=3)
+    datum = evolve.random_perturbation(16, engine16.m_x, engine16.n, 0, E0,
+                                       band=16, normalize="l1_sobolev",
+                                       k_sob=3)
+    res = evolve.run_experiment(engine16, datum,
+                                evolve.default_snapshot_times(1024.0), dt=0.01)
     return res, evolve.modulation_trace(res, k_sob=3)
 
 
@@ -227,9 +239,9 @@ def test_acceptance_08_linear_decay_rates(engine4, engine8, engine16,
 
 def test_acceptance_09_nonlinear_run(rgl_profile, run9):
     res, trace = run9
-    n = res.n_period
+    n = res.engine.n_period
     delta_n = bloch.subharmonic_spectrum(rgl_profile, n).delta
-    judged = evolve.run_checks(res, trace, delta_n)
+    judged = evolve.run_checks(res, trace, delta_n, E0)
     knee, damp = judged["crossover"], judged["damping"]
 
     # the judge reports |gamma_t| as below its rounding floor on this run;
@@ -246,7 +258,7 @@ def test_acceptance_09_nonlinear_run(rgl_profile, run9):
         "envelope": slope_vh <= -0.6,
         "zeta": zeta_ratio <= 4.0,
         "gamma_t": slope_gt <= -1.2,
-        "anchor": anchor_rel <= 10.0 * res.amplitude,
+        "anchor": anchor_rel <= 10.0 * E0,
         "knee rate": knee["exp_side"] == "late" and 0.5 <= rate_ratio <= 1.1,
         "damping": np.isfinite(c_half) and c_half > 0
                    and damp["violations"] == 0,
@@ -257,7 +269,7 @@ def test_acceptance_09_nonlinear_run(rgl_profile, run9):
              f"H^3 envelope slope {slope_vh:.2f} (<= -0.6), zeta growth "
              f"{zeta_ratio:.2f} (<= 4), |gamma_t| slope {slope_gt:.2f} "
              f"(<= -1.2), phase limit off its linear prediction by "
-             f"{anchor_rel:.1e} (<= {10.0 * res.amplitude:.0e}), post-knee "
+             f"{anchor_rel:.1e} (<= {10.0 * E0:.0e}), post-knee "
              f"rate/gap {rate_ratio:.2f} (in [0.5, 1.1]), damping constant "
              f"{c_half:.1f} with {damp['violations']} violations"
              + (f"; out of band: {bad}" if bad else ""))
@@ -273,13 +285,11 @@ def test_acceptance_09_nonlinear_run(rgl_profile, run9):
 
 def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
     tol = 1e-8
-    res = evolve.run_experiment(rgl_profile, 16, engine16, t_max=20.0,
-                                dt=0.01, seed=7, amplitude=1e-5, band=16,
-                                normalize="sup")
+    res = _acceptance10_run(engine16)
     trace = evolve.modulation_trace(res)
-    tr = evolve.extract_modulation_duhamel(res, tol=tol, trace=trace)
+    tr = evolve.extract_modulation_duhamel(res, trace, tol=tol)
     delta = bloch.subharmonic_spectrum(rgl_profile, 16).delta
-    agreement = evolve.run_checks(res, trace, delta,
+    agreement = evolve.run_checks(res, trace, delta, 1e-5,
                                   duhamel=tr)["route_agreement"]
     ok = agreement["value"] <= 1e-3 and tr.v2_defect <= 10.0 * tol
     _verdict(10, ok,
@@ -289,17 +299,16 @@ def test_acceptance_10_extraction_equivalence(rgl_profile, engine16):
 
 
 def test_acceptance_10_fingerprints_hold_on_the_storage_grid(
-        rgl_profile, stability, cutoff, engine16):
+        rgl_profile, cutoff, engine16):
     # the ACCEPTANCE 10 run on the derived grid (m_x = 17) and on the
     # profile's storage grid 2 m_f + 1 = 65
     tol = 1e-8
     prints = {}
     for engine in (engine16, semigroup.SemigroupEngine(
-            rgl_profile, 16, m_x=65, cutoff=cutoff, stability=stability)):
-        res = evolve.run_experiment(rgl_profile, 16, engine, t_max=20.0,
-                                    dt=0.01, seed=7, amplitude=1e-5, band=16,
-                                    normalize="sup")
-        tr = evolve.extract_modulation_duhamel(res, tol=tol)
+            rgl_profile, 16, cutoff, m_x=65)):
+        res = _acceptance10_run(engine)
+        tr = evolve.extract_modulation_duhamel(
+            res, evolve.modulation_trace(res), tol=tol)
         prints[engine.m_x] = (evolve.phase_convergence(res).gamma_inf,
                               bloch.lattice_gap(list(engine.eigvals))[0],
                               tr.v2_defect)

@@ -7,7 +7,6 @@ from wavetrain import bloch
 from wavetrain.bloch import (
     assemble_bloch,
     critical_curve,
-    critical_mode_data,
     fiber_store,
     grid_modes,
     pad_modes,
@@ -86,9 +85,9 @@ def test_critical_curve_argument_validation(rgl_profile):
 
 
 def test_critical_mode_data_gauge(rgl_profile):
-    data = critical_mode_data(rgl_profile, 0.3)
-    assert abs(np.vdot(data.adjoint_vec, data.phi_vec) - 1.0) < 1e-10
-    assert data.lam.real < 0
+    data = fiber_store(rgl_profile).mode_at(0.3)
+    assert abs(np.vdot(data.adj, data.vec) - 1.0) < 1e-10
+    assert data.lam_c.real < 0
 
 
 def test_stability_verdict_true_in_the_stable_range(stability):
@@ -216,7 +215,7 @@ def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
     prof = _fresh_profile()
     stability = verify_diffusive_stability(prof, scan=128)
     calls.update(eig=0, eigvals=0, inv=0, cond=0)
-    semigroup.SemigroupEngine(prof, 64, stability=stability)
+    semigroup.SemigroupEngine(prof, 64, semigroup.default_cutoff(stability))
     assert 0 < calls["eig"] + calls["eigvals"] <= 33
     assert calls["inv"] <= 33
     assert calls["cond"] <= 33
@@ -226,7 +225,7 @@ def test_each_fiber_is_decomposed_once_per_profile(monkeypatch):
     prof = _fresh_profile()
     stability = verify_diffusive_stability(prof)
     calls.update(eig=0, eigvals=0, inv=0, cond=0)
-    semigroup.SemigroupEngine(prof, 16, stability=stability)
+    semigroup.SemigroupEngine(prof, 16, semigroup.default_cutoff(stability))
     assert 0 < calls["eig"] <= 9
 
 
@@ -246,7 +245,7 @@ def test_fiber_eigensolves_use_one_blas(monkeypatch):
     stability = verify_diffusive_stability(prof, scan=16)
     for n in (2, 4, 8):
         subharmonic_spectrum(prof, n)
-    semigroup.SemigroupEngine(prof, 4, stability=stability)
+    semigroup.SemigroupEngine(prof, 4, semigroup.default_cutoff(stability))
 
 
 def test_engine_critical_data_matches_the_branch(engine16, rgl_profile):
@@ -254,10 +253,10 @@ def test_engine_critical_data_matches_the_branch(engine16, rgl_profile):
     inside = [j for j in range(1, n // 2) if engine16.rho[j] > 0.0]
     assert inside
     for j in inside:
-        data = critical_mode_data(rgl_profile, engine16.frequencies[j])
-        np.testing.assert_allclose(engine16.crit_lam[j], data.lam,
+        data = fiber_store(rgl_profile).mode_at(engine16.frequencies[j])
+        np.testing.assert_allclose(engine16.crit_lam[j], data.lam_c,
                                    rtol=1e-10, atol=0.0)
-        adj = pad_modes(data.adjoint_vec, rgl_profile.n, engine16.m_x)
+        adj = pad_modes(data.adj, rgl_profile.n, engine16.m_x)
         scale = np.max(np.abs(adj))
         np.testing.assert_allclose(engine16.crit_adj[j], adj,
                                    rtol=0.0, atol=1e-10 * scale)
@@ -317,8 +316,8 @@ def test_under_resolved_profile_raises(tmp_path, capsys):
 
 
 def _engine(prof):
-    from wavetrain.semigroup import SemigroupEngine
-    return SemigroupEngine(prof, 8)
+    from wavetrain.semigroup import CutoffSpec, SemigroupEngine
+    return SemigroupEngine(prof, 8, CutoffSpec(1.0))
 
 
 @pytest.mark.parametrize("read", [

@@ -579,6 +579,25 @@ def test_simulate_zero_amplitude_run(profile_file, tmp_path, n_period):
     assert not any(check["pass"] is False for check in checks)
 
 
+def test_simulate_takes_a_band_for_fourier_data_only(profile_file, tmp_path,
+                                                     capsys):
+    # a bump datum has no band: one given is refused, not ignored
+    bump = {"shape": "bump", "amplitude": 1e-4, "seed": 5}
+    refused = tmp_path / "band"
+    cfg = write_config(tmp_path / "band.json", profile_file, refused,
+                       perturbation={**bump, "band": 4})
+    assert main(["simulate", "--config", str(cfg)]) == 65
+    assert "band applies to shape 'fourier' only" in capsys.readouterr().err
+    assert not refused.exists()
+    out = tmp_path / "bump"
+    cfg = write_config(tmp_path / "bump.json", profile_file, out,
+                       perturbation=bump)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert read_json(out / "manifest.json")["config"]["perturbation"] == {
+        **bump, "band": None, "normalize": "l1_sobolev"}
+    assert read_json(out / "report.json")["phase"]["pass"] is True
+
+
 @pytest.mark.parametrize("case, code", [
     ({"m_x": 66}, 65),
     ({"m_x": 7}, 65),       # below rgl's floor 2M + 1 = 9 (Hill M = 4)

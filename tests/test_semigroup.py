@@ -70,16 +70,15 @@ def test_cutoff_radius_validation():
         CutoffSpec(3.5)
 
 
-def test_default_cutoff_uses_branch_separation(rgl_profile, stability):
-    spec = default_cutoff(rgl_profile, stability=stability)
+def test_default_cutoff_uses_branch_separation(stability):
+    spec = default_cutoff(stability)
     assert spec.xi_1 == pytest.approx(stability.xi_1)
     assert 0.0 < spec.xi_1 < np.pi
 
 
-def test_engine_rejects_even_cell_grids(rgl_profile, cutoff, stability):
+def test_engine_rejects_even_cell_grids(rgl_profile, cutoff):
     with pytest.raises(ValueError, match="odd"):
-        SemigroupEngine(rgl_profile, 2, m_x=64, cutoff=cutoff,
-                        stability=stability)
+        SemigroupEngine(rgl_profile, 2, cutoff, m_x=64)
 
 
 def test_all_fibers_diagonalize_cleanly(engine8):
@@ -87,10 +86,8 @@ def test_all_fibers_diagonalize_cleanly(engine8):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
-                                             n, rng):
-    engine = SemigroupEngine(rgl_profile, n, cutoff=cutoff,
-                             stability=stability)
+def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, n, rng):
+    engine = SemigroupEngine(rgl_profile, n, cutoff)
     half = n // 2 + 1
     for name in ("eigvals", "right", "right_inv", "crit_phi", "crit_adj",
                  "eigvec_cond"):
@@ -118,13 +115,12 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, stability,
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_engine_on_the_store_modes_holds_the_store_fibers(
-        rgl_profile, cutoff, stability, n):
+        rgl_profile, cutoff, n):
     # on the store's own 2M+1 modes the engine decomposes the store's
     # matrices, so the two hold the same fibers bit for bit, the -pi slot
     # (the conjugate of the +pi fiber) included
     store = bloch.fiber_store(rgl_profile)
-    engine = SemigroupEngine(rgl_profile, n, m_x=2 * store.m + 1,
-                             cutoff=cutoff, stability=stability)
+    engine = SemigroupEngine(rgl_profile, n, cutoff, m_x=2 * store.m + 1)
     assert engine.m_x == 9
     assert engine.frequencies[n // 2] == -np.pi
     for j in range(engine.n_half):
@@ -169,12 +165,12 @@ def test_decomposition_sums_back_to_the_full_action(engine8, rng):
 
 
 def test_an_ill_conditioned_fiber_fails_the_engine_build(
-        rgl_profile, cutoff, stability, tmp_path, capsys, monkeypatch):
+        rgl_profile, cutoff, tmp_path, capsys, monkeypatch):
     # ||V||_F ||V^-1||_F >= dim > 1, so every fiber fails COND_LIMIT = 1;
     # the first one, xi = 0, is named
     monkeypatch.setattr(semigroup, "COND_LIMIT", 1.0)
     with pytest.raises(DiagonalizationError, match="xi = 0 "):
-        SemigroupEngine(rgl_profile, 4, cutoff=cutoff, stability=stability)
+        SemigroupEngine(rgl_profile, 4, cutoff)
     prof = tmp_path / "q03.json"
     profiles.save_profile(rgl_profile, prof)
     assert main(["linear-decay", "--profile", str(prof), "--N", "4",
@@ -308,16 +304,14 @@ def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
                 (part, t)
 
 
-def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, stability,
-                                                   cutoff, engine4):
+def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, cutoff,
+                                                   engine4):
     # linear-decay's datum and reference norm on the derived grid (m_x = 17),
     # the storage grid (65) and a finer one (129): one function of one size,
     # so one constant
     times = np.geomspace(0.5, 40.0, 12)
     consts = {}
-    for engine in (engine4, *(SemigroupEngine(rgl_profile, 4, m_x=m_x,
-                                              cutoff=cutoff,
-                                              stability=stability)
+    for engine in (engine4, *(SemigroupEngine(rgl_profile, 4, cutoff, m_x=m_x)
                               for m_x in (65, 129))):
         v = random_perturbation(4, engine.m_x, 2, seed=7, amplitude=1.0,
                                 normalize="l1")
