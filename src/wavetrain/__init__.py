@@ -24,7 +24,8 @@ _EXPORTS = {
         "AdmissibilityError", "BlowUpError", "BranchTrackingError",
         "DegenerateProfileError", "DiagonalizationError",
         "ExtractionDivergenceError", "ModelParameterError", "PhaseWarpError",
-        "ProfileConvergenceError", "ResolutionError", "WavetrainError",
+        "ProfileConvergenceError", "ResolutionError", "ShiftFitError",
+        "WavetrainError",
     ),
     "evolve": (
         "DuhamelTrace", "ExperimentResult", "ModulationTraceData",

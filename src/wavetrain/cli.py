@@ -58,7 +58,7 @@ _SCHEMA_VERSIONS = {
     "sum_summary": 1,
     "trace_csv": 1,
     "snapshot_blob": 1,
-    "experiment_report": 3,
+    "experiment_report": 4,
 }
 
 
@@ -710,7 +710,7 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
     if not (is_number(resolved["t_max"]) and resolved["t_max"] > 0):
         bad("'t_max' must be a positive finite number")
     if resolved["t_max"] <= 10.0:
-        bad("'t_max' must exceed 10 so the phase limit has a fit window")
+        bad("'t_max' must exceed 10, where the zeta check is normalized")
     if (not isinstance(resolved["scheme"], str)
             or resolved["scheme"] not in evolve._SCHEMES):
         bad(f"unknown scheme {resolved['scheme']!r} "
@@ -864,10 +864,11 @@ def cmd_simulate(args, argv):
             manifest.add_output(out_dir, du_path)
             manifest.counts["duhamel_sweeps"] = du.iterations
 
-    delta_n = bloch.subharmonic_spectrum(prof, n_period).delta
-    checks = evolve.run_checks(
-        result, trace, delta_n, pert["amplitude"],
-        duhamel=du if cfg["extraction"]["mode"] == "both" else None)
+    with manifest.stage("checks"):
+        delta_n = bloch.subharmonic_spectrum(prof, n_period).delta
+        checks = evolve.run_checks(
+            result, trace, delta_n, pert["amplitude"],
+            duhamel=du if cfg["extraction"]["mode"] == "both" else None)
     if "route_agreement" in checks and pert["amplitude"] > 0:
         # the name schema 1 gave the (relative) value, which readers of the
         # report use
@@ -901,7 +902,7 @@ def cmd_simulate(args, argv):
     manifest.counts["snapshots"] = T
     manifest.write(out_dir)
 
-    print(f"simulated {cfg['t_max']:g} time units ({result.n_steps} steps), "
+    print(f"simulated {times[-1]:g} time units ({result.n_steps} steps), "
           f"{T} snapshots -> {out_dir}")
     print("checks: " + ", ".join(
         f"{name}={'n/a' if check['pass'] is None else check['pass']}"

@@ -56,6 +56,11 @@ class ExtractionDivergenceError(WavetrainError):
         self.update_norms = list(update_norms) if update_norms is not None else []
 
 
+class ShiftFitError(WavetrainError):
+    """No translate of the wave is nearest the last snapshot where Newton's
+    method looks for it: the phase limit is undefined."""
+
+
 class PhaseWarpError(WavetrainError):
     """The extracted phase field is too steep for the coordinate warp.
 

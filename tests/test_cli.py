@@ -392,7 +392,11 @@ def test_simulate_run_and_outputs(profile_file, tmp_path):
     code = main(["simulate", "--config", str(cfg)])
     assert code == 0
     report = read_json(out / "report.json")
-    assert report["schema_version"] == 3 and "expm_fibers" not in report
+    assert report["schema_version"] == 4 and "expm_fibers" not in report
+    assert set(report["phase"]) == {"value", "window", "band", "pass",
+                                    "gamma_inf", "anchor", "shift_misfit"}
+    assert set(report["damping"]) == {"value", "window", "band", "pass",
+                                      "theta", "violations"}
     assert report["E0"] == 1e-4
     assert "phase" in report and "zeta" in report and "delta_N" in report
     assert 0.0 <= report["snapshot_tail"] < 1e-20
@@ -717,7 +721,7 @@ def test_manifests_carry_stages(profile_file, tmp_path):
         "linear-decay": {"stability_scan", "engine_build", "evolution",
                          "outputs"},
         "simulate": {"stability_scan", "engine_build", "evolution",
-                     "extraction", "outputs"},
+                     "extraction", "checks", "outputs"},
         "sum-bounds": {"lattice_sums", "outputs"},
     }
     # N = 4: the engine decomposes its fibers j = 0, 1, 2

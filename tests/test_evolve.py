@@ -12,6 +12,7 @@ from wavetrain.errors import (
     ExtractionDivergenceError,
     PhaseWarpError,
     ResolutionError,
+    ShiftFitError,
 )
 from wavetrain.evolve import (
     ImexStepper,
@@ -404,6 +405,15 @@ def test_datum_on_another_grid_is_rejected(engine4, engine8):
         run_experiment(engine4, _datum(engine8), [1.0])
 
 
+def test_a_horizon_off_the_step_grid_rounds_to_its_nearest_step(engine4):
+    # 12.006 lies 0.6 steps past step 1200: the horizon is step 1201
+    res = run_experiment(engine4, _datum(engine4, 3, 1e-5), [12.006],
+                         dt=0.01)
+    assert res.n_steps == 1201
+    assert res.times.tolist() == [pytest.approx(12.01, abs=1e-12)]
+    assert res.snapshots.shape[0] == 1
+
+
 def test_blow_up_is_detected(engine4):
     # drive the cubic nonlinearity past recovery
     big = 40.0 * np.ones((4 * engine4.m_x, 2))
@@ -472,6 +482,31 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
     psi, v = modulation_frame(res, len(res.times) - 1)
     assert grids.norm_l2(psi[:, None], 4) <= 1e-4
     assert grids.norm_linf(v, 4) <= 1e-4
+
+
+def test_rgl_conserves_the_phase_mass(rgl_profile, engine8):
+    # the Burgers phase law of rgl has no quadratic term, so the phase mass
+    # is conserved: the datum u0 = phi(x + eps b(x)) ends at the shift
+    # gamma_inf = eps int b, with b a periodized Gaussian of width 2 cells
+    # centred at N/2; t_max = 340 is about 8 N^2 / (4 pi^2 d)
+    N, eps, width = 8, 0.05, 2.0
+    x = grids.grid_points(N, engine8.m_x)
+    b = sum(np.exp(-0.5 * ((x - N / 2.0 + k * N) / width) ** 2)
+            for k in range(-3, 4))
+    datum = rgl_profile(x + eps * b) - grids.from_profile(
+        rgl_profile, N, engine8.m_x)
+    res = _run(engine8, datum, 340.0)
+    mass = eps * width * np.sqrt(TWO_PI)
+    assert abs(evolve.phase_convergence(res).gamma_inf - mass) <= 1e-8 * mass
+
+
+def test_phase_limit_refuses_a_correlation_minimum(engine4):
+    # the last snapshot is -phi, which for rgl is phi(. + 1/2): at the
+    # projection's start gamma(T)/N = 0 the correlation has its minimum
+    res = run_experiment(engine4, np.zeros((4 * engine4.m_x, 2)), [0.0, 1.0])
+    flipped = dataclasses.replace(res, snapshots=-res.snapshots)
+    with pytest.raises(ShiftFitError, match="curvature"):
+        evolve.phase_convergence(flipped)
 
 
 def test_spectral_tail_weights_the_rfft_half():
@@ -691,7 +726,17 @@ def test_zero_datum_is_judged_on_absolute_differences(rgl_profile, engine4):
         assert checks[name]["band"] == [0.0, 1e-12], name
         assert checks[name]["pass"] is True, checks[name]
         assert 0.0 <= checks[name]["value"] <= 1e-12, name
+    assert abs(checks["phase"]["gamma_inf"]) <= 1e-12
+    assert checks["phase"]["shift_misfit"] <= 1e-12
     assert checks["crossover"]["pass"] is None
+
+
+def test_run_checks_need_a_horizon_past_the_zeta_normalization(rgl_profile,
+                                                               small_run):
+    # zeta is normalized at t = 10, which a run to t = 6 never reaches
+    delta = bloch.subharmonic_spectrum(rgl_profile, 4).delta
+    with pytest.raises(ValueError, match="t = 10"):
+        evolve.run_checks(small_run, modulation_trace(small_run), delta, 1e-5)
 
 
 def test_duhamel_makes_linearly_many_syntheses(engine4, monkeypatch):
@@ -817,30 +862,32 @@ def test_trapezoid_prefixes_match_the_explicit_sum():
 def test_damping_constants_do_not_depend_on_the_time_origin(rgl_profile,
                                                              small_run):
     # the homogeneous term decays from the first snapshot, so moving every
-    # time of the trace by a constant leaves the constants where they are
+    # time of the trace by a constant leaves the constant where it is
     trace = modulation_trace(small_run)
+    moved = dataclasses.replace(trace, times=trace.times + 5.0)
     delta = bloch.subharmonic_spectrum(rgl_profile, 4).delta
-    base = evolve.damping_check(trace, delta)
-    moved = evolve.damping_check(
-        dataclasses.replace(trace, times=trace.times + 5.0), delta)
-    np.testing.assert_allclose(moved.constants, base.constants, rtol=1e-12)
-    assert moved.best_theta == base.best_theta
+    for theta in (1e-3, delta / 2.0, 1.0):
+        base = evolve.damping_check(trace, theta)
+        shifted = evolve.damping_check(moved, theta)
+        assert shifted[0] == pytest.approx(base[0], rel=1e-12), theta
+        assert shifted[1] == base[1], theta
 
 
 def test_envelope_slope_recovers_a_power_law():
     times = np.geomspace(0.5, 200.0, 60)
     vals = 3.0 * (1.0 + times) ** -0.75
-    slope = envelope_slope(times, vals, t_lo=5.0)
+    slope = envelope_slope(times, vals, t_lo=5.0, t_hi=np.inf)
     assert slope == pytest.approx(-0.75, abs=0.01)
     # oscillation under the envelope does not change the fit much
     wob = vals * (1.0 + 0.3 * np.sin(3.0 * np.log(times)))
-    slope2 = envelope_slope(times, wob, t_lo=5.0)
+    slope2 = envelope_slope(times, wob, t_lo=5.0, t_hi=np.inf)
     assert slope2 == pytest.approx(-0.75, abs=0.15)
 
 
 def test_envelope_slope_needs_enough_samples():
     with pytest.raises(ValueError, match="samples"):
-        envelope_slope(np.array([1.0, 2.0]), np.array([1.0, 0.5]), t_lo=10.0)
+        envelope_slope(np.array([1.0, 2.0]), np.array([1.0, 0.5]), t_lo=10.0,
+                       t_hi=np.inf)
 
 
 def test_crossover_fit_recovers_the_synthetic_rate():
