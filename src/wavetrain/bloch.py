@@ -16,7 +16,7 @@ those coefficients (see ``fiber_store``), not the profile's storage size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,9 +46,10 @@ BRANCH_MAX_STEP = 0.15
 STABILITY_TOL_ZERO = 1e-8
 STABILITY_ANGLE_TOL = 1e-6
 
-# Points of the critical curve's fit on |xi| <= xi_max (odd, so the grid
-# holds xi = 0 for the second difference).
+# Points of the critical curve's fit on |xi| <= CURVE_XI_MAX (odd, so the
+# grid holds xi = 0 for the second difference).
 CURVE_SAMPLES = 17
+CURVE_XI_MAX = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +422,26 @@ class CriticalCurve:
     fit_residual: float
 
 
-def critical_curve(profile, xi_max=0.25):
-    """Track lambda_c at CURVE_SAMPLES points of |xi| <= xi_max and fit
+def critical_curve(profile):
+    """Track lambda_c at CURVE_SAMPLES points of |xi| <= CURVE_XI_MAX and fit
     i*a*xi - d*xi^2."""
-    samples = CURVE_SAMPLES
-    if not 0.0 < xi_max <= np.pi:
-        raise ValueError(f"xi_max must lie in (0, pi], got {xi_max}")
     store = fiber_store(profile)
-    half = samples // 2
-    pos = np.array([store.fiber(i, half, xi_max).lam_c
+    half = CURVE_SAMPLES // 2
+    pos = np.array([store.fiber(i, half, CURVE_XI_MAX).lam_c
                     for i in range(half + 1)])
     if np.isnan(pos.real).any():
         raise BranchTrackingError(
-            f"critical branch lost on |xi| <= {xi_max:g}")
+            f"critical branch lost on |xi| <= {CURVE_XI_MAX:g}")
     lams = np.concatenate([np.conj(pos[:0:-1]), pos])
-    xis = np.linspace(-xi_max, xi_max, samples)
+    xs = np.linspace(-CURVE_XI_MAX, CURVE_XI_MAX, CURVE_SAMPLES)
 
-    xs = xis
     d = -float(np.sum(lams.real * xs ** 2) / np.sum(xs ** 4))
     a = float(np.sum(lams.imag * xs) / np.sum(xs ** 2))
     model_vals = 1j * a * xs - d * xs ** 2
     fit_residual = float(np.linalg.norm(lams - model_vals) / max(np.linalg.norm(lams), 1e-300))
     h = xs[1] - xs[0]
-    mid = samples // 2
-    d2 = -(lams[mid + 1].real - 2.0 * lams[mid].real + lams[mid - 1].real) / (h * h) / 2.0
-    return CriticalCurve(xis, lams, a, d, float(d2), fit_residual)
+    d2 = -(lams[half + 1].real - 2.0 * lams[half].real + lams[half - 1].real) / (h * h) / 2.0
+    return CriticalCurve(xs, lams, a, d, float(d2), fit_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +462,15 @@ class StabilityReport:
     delta_0: dict
     zero_simplicity: float
     max_nonzero_real: float
-    failures: list = field(default_factory=list)
-    scan: int = 0
-    hill: HillTruncation | None = None   # the Hill truncation and its evidence
-    tol_zero: float = 0.0
-    branch_lost: list = field(default_factory=list)   # scan xi where lambda_c was lost
-    min_overlap_margin: float = np.nan                  # over the followed scan fibers
+    failures: list
+    scan: int
+    hill: HillTruncation                 # the Hill truncation and its evidence
+    tol_zero: float
+    branch_lost: list                    # scan xi where lambda_c was lost
+    min_overlap_margin: float            # over the followed scan fibers
 
 
-def verify_diffusive_stability(profile, scan=256, xi_fit=0.25):
+def verify_diffusive_stability(profile, scan=256):
     """Check the three spectral stability conditions over a Bloch-frequency scan.
 
     (a) spectrum of every L_xi in {Re < 0} apart from the translation zero,
@@ -564,7 +560,7 @@ def verify_diffusive_stability(profile, scan=256, xi_fit=0.25):
         if mask.any():
             delta_0[float(xi0)] = float(-scan_top[mask].max())
 
-    curve = critical_curve(profile, xi_max=xi_fit)
+    curve = critical_curve(profile)
 
     verdict = cond_negative and cond_quadratic and cond_simple
     return StabilityReport(

@@ -193,6 +193,10 @@ def _load_profile_checked(path):
         raise _CliError(EXIT_IO, f"not a valid profile file {path}: {exc}")
 
 
+# the --param keys each model's analytic guess reads, beside the model's own
+_GUESS_PARAMS = {"rgl": ("q",), "nagumo": ("amplitude",), "brusselator": ()}
+
+
 def _parse_params(pairs):
     out = {}
     for pair in pairs or []:
@@ -242,8 +246,14 @@ def cmd_profile(args, argv):
         raise _CliError(EXIT_USAGE,
                         f"unknown model {args.model!r}; known: "
                         f"{sorted(_FACTORIES)}")
+    takes = (*_FACTORIES[model_id][1], *_GUESS_PARAMS[model_id])
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise _CliError(EXIT_USAGE,
+                        f"--param {', '.join(unknown)}: model {model_id} "
+                        f"takes {', '.join(takes)}")
     # the model factory takes its own parameters; the remaining --param
-    # entries parameterize the analytic guess (q for rgl, amplitude/detune)
+    # entries parameterize the analytic guess
     try:
         model = make_model(model_id,
                            {k: params[k] for k in _FACTORIES[model_id][1]
@@ -270,13 +280,11 @@ def cmd_profile(args, argv):
             elif model_id == "nagumo":
                 coeffs, k0, c0 = profiles.nagumo_guess(
                     params["alpha"], amplitude=params.get("amplitude", 0.1),
-                    m_f=args.modes, detune=params.get("detune", 0.95))
+                    m_f=args.modes)
             else:
                 raise _CliError(EXIT_VALIDATION,
                                 f"no analytic wave family for {model_id}; "
                                 "use --guess file:PATH")
-        except KeyError as exc:
-            raise _CliError(EXIT_VALIDATION, f"missing --param {exc}")
         except ModelParameterError as exc:
             raise _CliError(EXIT_VALIDATION, str(exc))
     elif args.guess.startswith("file:"):
@@ -323,8 +331,10 @@ def _hill_evidence(report):
             "hill_check": report.hill.check}
 
 
-def _stability_payload(report, xi_fit):
+def _stability_payload(report):
     """The contents of ``stability_report.json``."""
+    from . import bloch
+
     return {
         "schema_version": _SCHEMA_VERSIONS["stability_report"],
         "verdict": report.verdict,
@@ -347,7 +357,7 @@ def _stability_payload(report, xi_fit):
         "min_overlap_margin": report.min_overlap_margin,
         "failures": report.failures,
         "tolerances": {"tol_zero": report.tol_zero, "scan": report.scan,
-                       "xi_fit": xi_fit},
+                       "xi_fit": bloch.CURVE_XI_MAX},
         **_hill_evidence(report),
     }
 
@@ -357,18 +367,15 @@ def cmd_spectrum(args, argv):
 
     if args.scan < 8:
         raise _CliError(EXIT_USAGE, f"--scan must be >= 8, got {args.scan}")
-    if not 0.0 < args.xi_max <= np.pi:
-        raise _CliError(EXIT_USAGE, "--xi-max must lie in (0, pi]")
     prof = _load_profile_checked(args.profile)
     out_dir = _ensure_dir(args.out_dir)
     manifest = _Manifest("spectrum", argv, {
         "profile": str(args.profile), "scan": args.scan,
-        "xi_max": args.xi_max, "out_dir": str(out_dir)})
+        "out_dir": str(out_dir)})
     manifest.add_input(args.profile)
 
     with manifest.stage("stability_scan"):
-        report = bloch.verify_diffusive_stability(prof, scan=args.scan,
-                                                  xi_fit=args.xi_max)
+        report = bloch.verify_diffusive_stability(prof, scan=args.scan)
     manifest.count_fibers(prof)
 
     # the CSV lists the scan lattice in ascending xi; -xi mirrors xi
@@ -386,7 +393,7 @@ def cmd_spectrum(args, argv):
         _write_csv(csv_path, ("xi", "re_lambda", "im_lambda", "branch_tag"),
                    rows)
         report_path = out_dir / "stability_report.json"
-        _write_json(report_path, _stability_payload(report, args.xi_max))
+        _write_json(report_path, _stability_payload(report))
     manifest.counts["scan_points"] = int(xis.size)
     manifest.add_output(out_dir, csv_path)
     manifest.add_output(out_dir, report_path)
@@ -457,7 +464,7 @@ def _engine_health(engine):
 
 
 def cmd_linear_decay(args, argv):
-    from . import bloch, evolve, grids, semigroup
+    from . import bloch, evolve, semigroup
 
     n_values = _parse_int_list(args.N, "--N")
     if args.l < 0 or args.m < 0:
@@ -493,15 +500,12 @@ def cmd_linear_decay(args, argv):
         with manifest.stage("engine_build"):
             engine = semigroup.SemigroupEngine(prof, n, cutoff)
         engines.append(engine)
+        # a datum of L1 size 1, the size the constants are measured against
         v = evolve.random_perturbation(n, engine.m_x, prof.n, args.seed, 1.0,
                                        normalize="l1")
-        # the L1 size v was scaled to, so the constants are the same on
-        # every grid
-        size = grids.norm_l1(grids.quadrature_samples(
-            v, n, evolve.fourier_band(n, engine.m_x)), n)
         with manifest.stage("evolution"):
-            measures = semigroup.measure_decay(engine, v, times, l=args.l,
-                                               m=args.m, reference_norm=size)
+            measures = semigroup.measure_decay(engine, v, 1.0, times,
+                                               l=args.l, m=args.m)
         for i, t in enumerate(times):
             rows.append((str(n), _fmt(t),
                          _fmt(measures["total"].norms[i]),
@@ -627,7 +631,17 @@ def _load_config(path):
         raise _CliError(EXIT_IO, f"config {path} is not valid JSON: {exc}")
 
 
-def _validated_simulation_config(cfg, profile_flag, extract_flag):
+# simulate's config keys: a section maps to the keys it holds, a plain key
+# to None
+_CONFIG_KEYS = {
+    "model": None, "profile": None, "N": None, "m_x": None, "dt": None,
+    "t_max": None, "scheme": None, "K": None, "output_dir": None,
+    "perturbation": ("shape", "amplitude", "seed", "band", "normalize"),
+    "extraction": ("mode", "cutoff"),
+}
+
+
+def _validated_simulation_config(cfg, extract_flag):
     """Fill defaults and validate the experiment configuration document."""
     from . import evolve
 
@@ -644,16 +658,13 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
 
     if not isinstance(cfg, dict):
         bad("the document must be a JSON object")
-    known_top = {"model", "profile", "N", "m_x", "dt", "t_max", "scheme", "K",
-                 "snapshot", "perturbation", "extraction", "output_dir"}
     for key in cfg:
-        if key not in known_top:
+        if key not in _CONFIG_KEYS:
             bad(f"unknown key {key!r}")
-    sections = []
-    for section, known in (("perturbation", {"shape", "amplitude", "seed",
-                                             "band", "normalize"}),
-                           ("extraction", {"mode", "cutoff", "chi", "tol"}),
-                           ("snapshot", {"dense_until", "stride", "ratio"})):
+    sections = {}
+    for section, known in _CONFIG_KEYS.items():
+        if known is None:
+            continue
         entries = cfg.get(section)
         if entries is None:
             entries = {}
@@ -662,42 +673,33 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
         for key in entries:
             if key not in known:
                 bad(f"unknown key {key!r} in {section!r}")
-        sections.append(entries)
-    pert, extr, snap = sections
+        sections[section] = entries
+    pert, extr = sections["perturbation"], sections["extraction"]
 
-    profile_path = profile_flag or cfg.get("profile")
-    if not profile_path:
-        bad("no profile path (config key 'profile' or --profile)")
-    out_dir = cfg.get("output_dir")
-    if not out_dir:
-        bad("missing key 'output_dir'")
-    for key, value in (("model", cfg.get("model")), ("profile", profile_path),
-                       ("output_dir", out_dir)):
-        if value is not None and not isinstance(value, str):
+    for key in ("profile", "output_dir"):
+        if not cfg.get(key):
+            bad(f"missing key {key!r}")
+    for key in ("model", "profile", "output_dir"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
             bad(f"{key!r} must be a string")
 
     resolved = {
         "model": cfg.get("model"),
-        "profile": str(profile_path),
+        "profile": cfg["profile"],
         "N": cfg.get("N"),
         "m_x": cfg.get("m_x"),
         "dt": cfg.get("dt", 0.01),
         "t_max": cfg.get("t_max"),
         "scheme": cfg.get("scheme", "imex"),
         "K": cfg.get("K", 3),
-        "snapshot": {"dense_until": snap.get("dense_until", 10.0),
-                     "stride": snap.get("stride", 0.25),
-                     "ratio": snap.get("ratio", 1.15)},
         "perturbation": {"shape": pert.get("shape", "fourier"),
                          "amplitude": pert.get("amplitude", 1e-2),
                          "seed": pert.get("seed", 0),
                          "band": pert.get("band"),
                          "normalize": pert.get("normalize", "l1_sobolev")},
         "extraction": {"mode": extract_flag or extr.get("mode", "projection"),
-                       "cutoff": extr.get("cutoff"),
-                       "chi": extr.get("chi", [0.5, 1.0]),
-                       "tol": extr.get("tol", 1e-8)},
-        "output_dir": str(out_dir),
+                       "cutoff": extr.get("cutoff")},
+        "output_dir": cfg["output_dir"],
     }
 
     if not is_int(resolved["N"]) or resolved["N"] < 1:
@@ -735,19 +737,8 @@ def _validated_simulation_config(cfg, profile_flag, extract_flag):
     e = resolved["extraction"]
     if e["mode"] not in ("projection", "duhamel", "both"):
         bad(f"extraction mode must be projection/duhamel/both, got {e['mode']!r}")
-    chi = e["chi"]
-    if (not isinstance(chi, (list, tuple)) or len(chi) != 2
-            or not all(is_number(x) for x in chi) or not chi[0] < chi[1]):
-        bad("extraction chi must be an increasing pair of numbers [lo, hi]")
-    if not (is_number(e["tol"]) and e["tol"] > 0):
-        bad("extraction tol must be a positive number")
     if e["cutoff"] is not None and not is_number(e["cutoff"]):
         bad("extraction cutoff must be a number")
-    s = resolved["snapshot"]
-    if not all(is_number(s[key]) for key in s):
-        bad("snapshot dense_until, stride and ratio must be numbers")
-    if not (s["stride"] > 0 and s["ratio"] > 1.0 and s["dense_until"] >= 0):
-        bad("snapshot spec needs stride > 0, ratio > 1, dense_until >= 0")
     return resolved
 
 
@@ -755,7 +746,7 @@ def cmd_simulate(args, argv):
     from . import bloch, evolve, grids, semigroup
 
     raw_cfg = _load_config(args.config)
-    cfg = _validated_simulation_config(raw_cfg, args.profile, args.extract)
+    cfg = _validated_simulation_config(raw_cfg, args.extract)
     prof = _load_profile_checked(cfg["profile"])
     if cfg["model"] is not None and cfg["model"].lower() != prof.model.id:
         raise _CliError(EXIT_VALIDATION,
@@ -763,15 +754,11 @@ def cmd_simulate(args, argv):
                         f"profile's model {prof.model.id!r}")
     m_x, _ = bloch.grid_modes(prof, cfg["m_x"])
     pert = cfg["perturbation"]
-    snap = cfg["snapshot"]
     try:
         datum = evolve.random_perturbation(
             cfg["N"], m_x, prof.n, pert["seed"], pert["amplitude"],
             band=pert["band"], kind=pert["shape"],
             normalize=pert["normalize"], k_sob=cfg["K"])
-        snapshot_times = evolve.default_snapshot_times(
-            cfg["t_max"], dense_until=snap["dense_until"],
-            dense_spacing=snap["stride"], geometric_ratio=snap["ratio"])
     except ValueError as exc:
         raise _CliError(EXIT_VALIDATION, f"config: {exc}")
 
@@ -805,9 +792,8 @@ def cmd_simulate(args, argv):
     try:
         with manifest.stage("evolution"):
             result = evolve.run_experiment(
-                engine, datum, snapshot_times, dt=cfg["dt"],
-                scheme=cfg["scheme"],
-                chi_interval=tuple(cfg["extraction"]["chi"]))
+                engine, datum, evolve.default_snapshot_times(cfg["t_max"]),
+                dt=cfg["dt"], scheme=cfg["scheme"])
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         manifest.counts["blow_up_time"] = exc.t
@@ -846,8 +832,7 @@ def cmd_simulate(args, argv):
     if cfg["extraction"]["mode"] in ("duhamel", "both"):
         try:
             with manifest.stage("extraction"):
-                du = evolve.extract_modulation_duhamel(
-                    result, trace, tol=cfg["extraction"]["tol"])
+                du = evolve.extract_modulation_duhamel(result, trace)
         except (ExtractionDivergenceError, PhaseWarpError) as exc:
             # a diverging iteration or a phase warp that stops being invertible
             print(f"Duhamel extraction failed: {exc}", file=sys.stderr)
@@ -890,7 +875,7 @@ def cmd_simulate(args, argv):
         report["duhamel"] = {
             "iterations": du.iterations,
             "update_norms": list(du.update_norms),
-            "tol": cfg["extraction"]["tol"],
+            "tol": evolve.DUHAMEL_TOL,
             "v2_defect": du.v2_defect,
         }
 
@@ -944,7 +929,6 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="Bloch spectrum and stability verdict")
     p.add_argument("--profile", required=True)
     p.add_argument("--scan", type=int, default=256)
-    p.add_argument("--xi-max", type=float, default=0.25, dest="xi_max")
     p.add_argument("--out-dir", default=".", dest="out_dir")
     p.set_defaults(func=cmd_spectrum)
 
@@ -976,8 +960,6 @@ def _build_parser():
     p.set_defaults(func=cmd_sum_bounds)
 
     p = sub.add_parser("simulate", help="nonlinear experiment with extraction")
-    p.add_argument("--profile", default=None,
-                   help="profile file (defaults to the config's)")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--extract", choices=("projection", "duhamel", "both"),
                    default=None, help="override the config extraction mode")

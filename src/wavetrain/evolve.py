@@ -48,8 +48,19 @@ DT_LIMIT_SAMPLES = 256
 # up to 1e-4.
 SNAPSHOT_TAIL_TOL = 1e-9
 
-# fixed-point sweeps extract_modulation_duhamel makes before it gives up
+# snapshot times of default_snapshot_times: every SNAPSHOT_SPACING up to
+# SNAPSHOT_DENSE_UNTIL, then geometric by SNAPSHOT_RATIO
+SNAPSHOT_DENSE_UNTIL = 10.0
+SNAPSHOT_SPACING = 0.25
+SNAPSHOT_RATIO = 1.15
+
+# [start, end] of the quintic ramp chi that switches the modulation ansatz on
+CHI_RAMP = (0.5, 1.0)
+
+# fixed-point sweeps extract_modulation_duhamel makes before it gives up, and
+# the sup update |d gamma| + ||d psi||_{L2} at which it stops
 DUHAMEL_MAX_SWEEPS = 25
+DUHAMEL_TOL = 1e-8
 
 # sup-norm of a snapshot above which run_experiment raises BlowUpError
 BLOWUP_LIMIT = 1e6
@@ -246,23 +257,22 @@ def read_snapshot(path):
     return vals.reshape(m_x * n_period, n_comp), n_period, t
 
 
-def default_snapshot_times(t_max, dense_until=10.0, dense_spacing=0.25,
-                           geometric_ratio=1.15):
-    """Uniform sampling early, geometric later.
+def default_snapshot_times(t_max):
+    """Snapshots every SNAPSHOT_SPACING up to SNAPSHOT_DENSE_UNTIL, then
+    geometric by SNAPSHOT_RATIO up to ``t_max``.
 
-    ValueError when the geometric part cannot grow: the dense part ends at
-    t = 0 (``dense_until`` or ``t_max`` below ``dense_spacing``) short of
-    ``t_max``, or ``geometric_ratio`` <= 1.
+    ValueError when the geometric part cannot grow: ``t_max`` lies below
+    the spacing, so the dense part ends at t = 0 short of it.
     """
-    times = list(np.arange(0.0, min(dense_until, t_max) + 1e-12, dense_spacing))
+    times = list(np.arange(0.0, min(SNAPSHOT_DENSE_UNTIL, t_max) + 1e-12,
+                           SNAPSHOT_SPACING))
     t = times[-1]
-    if t < t_max and not (t > 0.0 and geometric_ratio > 1.0):
+    if t < t_max and t == 0.0:
         raise ValueError(
-            f"snapshot times cannot grow geometrically from t = {t:g} by the "
-            f"ratio {geometric_ratio:g}: dense_until ({dense_until:g}) must "
-            f"reach dense_spacing ({dense_spacing:g}) and the ratio exceed 1")
+            f"snapshot times cannot grow geometrically from t = 0: t_max "
+            f"({t_max:g}) must reach the spacing {SNAPSHOT_SPACING:g}")
     while t < t_max:
-        t = min(t * geometric_ratio, t_max)
+        t = min(t * SNAPSHOT_RATIO, t_max)
         times.append(t)
     return np.array(times)
 
@@ -314,7 +324,7 @@ def _spectral_tail(u_hat, n_points):
 
 
 def run_experiment(engine, perturbation, snapshot_times, *, dt=0.01,
-                   scheme="imex", chi_interval=(0.5, 1.0)):
+                   scheme="imex"):
     """Integrate phi + ``perturbation`` on the grid of ``engine`` and record
     snapshots with projections.
 
@@ -377,7 +387,7 @@ def run_experiment(engine, perturbation, snapshot_times, *, dt=0.01,
         snapshots=snaps,
         base=base,
         inner=engine.amplitudes(engine.fibers(snaps - base)),
-        chi=quintic_smoothstep(times, *chi_interval),
+        chi=quintic_smoothstep(times, *CHI_RAMP),
         snapshot_tail=np.array(tails),
         n_steps=done,
     )
@@ -538,7 +548,7 @@ def _trapezoid_prefixes(times, init, f, step):
     return np.stack(out)
 
 
-def extract_modulation_duhamel(result, trace, tol=1e-8):
+def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
     """Fixed-point solve of the integral equations for gamma, psi, and v.
 
     The iteration starts from the projection extraction in ``trace``, the
@@ -748,7 +758,8 @@ def envelope_slope(times, values, t_lo, t_hi):
     env = np.maximum.accumulate(vals[::-1])[::-1]
     mask = (times >= t_lo) & (times <= t_hi) & (env > 0)
     if mask.sum() < 3:
-        raise ValueError(f"fewer than 3 samples in the fit window (t >= {t_lo})")
+        raise ValueError(
+            f"fewer than 3 samples in the fit window [{t_lo}, {t_hi}]")
     slope, _ = np.polyfit(np.log1p(times[mask]), np.log(env[mask]), 1)
     return float(slope)
 

@@ -165,9 +165,12 @@ def bloch_inverse(coeffs):
     coefficients ``coeffs``; a real function is the real part."""
     *lead, N, m_x, n = coeffs.shape
     P = N * m_x
+    # in place: a stack's transform holds one array of its size at a time
     c = np.empty((*lead, P, n), dtype=complex)
-    c[..., _mode_slots(N, m_x).reshape(-1), :] = coeffs.reshape(*lead, P, n) / N
-    return np.fft.ifft(c * P, axis=-2)
+    c[..., _mode_slots(N, m_x).reshape(-1), :] = coeffs.reshape(*lead, P, n)
+    c /= N
+    c *= P
+    return np.fft.ifft(c, axis=-2, out=c)
 
 
 # ---------------------------------------------------------------------------

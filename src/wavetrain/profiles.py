@@ -36,6 +36,9 @@ _RCOND_MIN = np.finfo(float).eps
 
 _CONSTANT_STATE_L2 = 1e-6          # ||phi'||_{L2(0,1)} of a constant state
 
+# nagumo_guess's k as a fraction of the linearization value
+NAGUMO_DETUNE = 0.95
+
 
 @dataclass
 class WaveProfile:
@@ -88,21 +91,22 @@ def rgl_analytic(q, m_f=32):
     return coeffs, q / TWO_PI, 0.0
 
 
-def nagumo_guess(alpha, amplitude=0.1, m_f=32, detune=0.95):
+def nagumo_guess(alpha, amplitude=0.1, m_f=32):
     """Small-oscillation guess around the middle rest state of the nagumo model.
 
-    Returns (coeffs, k, c) with k detuned below the linearization value
-    sqrt(alpha(1-alpha))/(2 pi); nonconstant period-1 orbits exist for k
-    slightly below it (the period grows with amplitude). Solve with the wave
-    speed free and k fixed: the scalar problem at c = 0 is variational, which
-    makes <phi', residual> vanish identically; freeing c absorbs that
-    redundancy, while freeing k instead yields a singular bordered system.
+    Returns (coeffs, k, c) with k the fraction NAGUMO_DETUNE of the
+    linearization value sqrt(alpha(1-alpha))/(2 pi); nonconstant period-1
+    orbits exist for k slightly below it (the period grows with amplitude).
+    Solve with the wave speed free and k fixed: the scalar problem at c = 0
+    is variational, which makes <phi', residual> vanish identically; freeing
+    c absorbs that redundancy, while freeing k instead yields a singular
+    bordered system.
     """
     coeffs = np.zeros((2 * m_f + 1, 1), dtype=complex)
     coeffs[m_f, 0] = alpha
     coeffs[m_f + 1, 0] = amplitude / 2.0
     coeffs[m_f - 1, 0] = amplitude / 2.0
-    k_guess = detune * np.sqrt(alpha * (1.0 - alpha)) / TWO_PI
+    k_guess = NAGUMO_DETUNE * np.sqrt(alpha * (1.0 - alpha)) / TWO_PI
     return coeffs, k_guess, 0.0
 
 

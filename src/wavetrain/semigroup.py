@@ -189,8 +189,9 @@ class SemigroupEngine:
             full.reshape(*full.shape[:-1], self.m_x, self.n)).real
 
     def apply(self, half, t):
-        """V e^{Lambda t} V^-1, that is e^{L_xi t}, on every stored fiber."""
-        return (self.right @ (np.exp(self.eigvals * t)[:, :, None]
+        """V e^{Lambda t} V^-1, that is e^{L_xi t}, on every stored fiber;
+        a (T, 1, 1) array ``t`` propagates ``half`` to T times at once."""
+        return (self.right @ (np.exp(self.eigvals * t)[..., None]
                               * (self.right_inv @ half[..., None])))[..., 0]
 
     def amplitudes(self, half):
@@ -221,14 +222,16 @@ class SemigroupEngine:
         """Plane-wave synthesis of the scalar phase field, shape (..., P, 1),
         from critical amplitudes ``inner`` (..., N):
         (1/N) sum_{xi != 0} rho (i xi)^l lambda^m e^{lambda t} inner_xi
-        e^{i xi x}.  Non-finite entries of ``inner`` and non-critical
-        frequencies are skipped."""
+        e^{i xi x}, with ``t`` a scalar or one time per row of ``inner``.
+        Non-finite entries of ``inner`` and non-critical frequencies are
+        skipped."""
         inner = np.asarray(inner)
         keep = self.critical & np.isfinite(inner.real)
         keep[..., 0] = False
         sel = np.nonzero(keep)
         j = sel[-1]
         lam = self.crit_lam[j]
+        t = np.broadcast_to(t, inner.shape[:-1])[sel[:-1]]
         fibers = np.zeros((*inner.shape, self.m_x, 1), dtype=complex)
         fibers[(*sel, 0, 0)] = (self.rho[j] * (1j * self.frequencies[j]) ** l
                                 * lam ** m * np.exp(lam * t) * inner[sel])
@@ -246,23 +249,22 @@ class DecayMeasurement:
     norms: np.ndarray
     claimed_exponent: float
     fitted_exponent: float
-    attained_constant: float    # sup_t norm (1+t)^{-claimed} / ref
+    attained_constant: float    # sup_t norm (1+t)^{-claimed} / reference_norm
     reference_norm: float
     super_polynomial: bool
 
 
-def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
-                  reference_norm=None):
+def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     """Track the L2 norms of the parts of e^{Lt} v, for v real (P, n)
-    samples on the engine's grid, and fit each log-norm against log(1+t).
+    samples on the engine's grid of L1 size ``size``, and fit each log-norm
+    against log(1+t).
 
     Returns a DecayMeasurement per part: "total" (e^{Lt} v), "mean" (the
     mean phase), "sp" (the scalar d_x^l d_t^m s_p(t) v) and "stilde" (the
-    remainder).  v is transformed once and propagated once per sample time.
-    The attained constant is sup_t norm(t) (1+t)^{-claimed} / ||v||_{L1},
-    with ||v||_{L1} summed on the engine's grid unless ``reference_norm``
-    gives it (for a band-limited datum, its size on
-    ``grids.quadrature_samples``, which is the same on every grid).
+    remainder).  v is transformed once and propagated to every sample time
+    as one stack.  The attained constant is sup_t norm(t) (1+t)^{-claimed}
+    / ``size``; the caller gives the size it drew v at, so the constant of
+    one band-limited datum is the same on every grid.
 
     The default fit window is [10, N^2/10] (transient and crossover excluded);
     when that window holds fewer than two samples the whole series is used.
@@ -282,15 +284,16 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
     N = engine.n_period
     half = engine.fibers(v)
     inner = engine.amplitudes(half)
-    norms = np.empty((4, times.size))
-    for i, t in enumerate(times):
-        total = engine.apply(half, t)
-        mean, _, rem = engine.split(total, np.exp(engine.crit_lam * t) * inner)
-        sp = engine.synthesize_phase(inner, t=t, l=l, m=m)
-        norms[:, i] = [grids.norm_l2(engine.field(total), N),
-                       grids.norm_l2(engine.field(mean), N),
-                       grids.norm_l2(sp, N), grids.norm_l2(engine.field(rem), N)]
-    ref = grids.norm_l1(v, N) if reference_norm is None else reference_norm
+    total = engine.apply(half, times[:, None, None])
+    mean, _, rem = engine.split(
+        total, np.exp(engine.crit_lam * times[:, None]) * inner)
+    # each part's (T, P, n) samples live only until their norm is taken
+    norms = np.stack([
+        grids.norm_l2(engine.field(total), N),
+        grids.norm_l2(engine.field(mean), N),
+        grids.norm_l2(engine.synthesize_phase(
+            np.broadcast_to(inner, (times.size, N)), t=times, l=l, m=m), N),
+        grids.norm_l2(engine.field(rem), N)])
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),
                "stilde": -0.75}
@@ -310,9 +313,9 @@ def measure_decay(engine, v, times, l=0, m=0, fit_window=None,
             norms=series,
             claimed_exponent=float(exponent),
             fitted_exponent=float(slope),
-            attained_constant=(float(np.max(series / (envelope * ref)))
-                               if ref > 0 else np.inf),
-            reference_norm=float(ref),
+            attained_constant=(float(np.max(series / (envelope * size)))
+                               if size > 0 else np.inf),
+            reference_norm=float(size),
             super_polynomial=bool(slope < exponent - 2.0),
         )
     return out

@@ -195,7 +195,8 @@ def test_acceptance_07_frequency_sum_bounds(stability):
 def _unit_mass_spike(engine):
     # Deterministic datum for the rate fits: a delta spike at x = 0 carried by
     # the second component, so that it has an order-one overlap with the
-    # adjoint translation mode (whose second component peaks at x = 0).
+    # adjoint translation mode (whose second component peaks at x = 0).  Its
+    # L1 size on the engine's grid is 1.
     vals = np.zeros((engine.n_period * engine.m_x, engine.n))
     vals[0, 1] = engine.m_x
     return vals
@@ -207,16 +208,17 @@ def test_acceptance_08_linear_decay_rates(engine4, engine8, engine16,
     consts = {"sp": {}, "stilde": {}}
     slopes = {}
     for eng in (engine4, engine8, engine16, engine32, engine64):
-        measures = semigroup.measure_decay(eng, _unit_mass_spike(eng), times)
+        measures = semigroup.measure_decay(eng, _unit_mass_spike(eng), 1.0,
+                                           times)
         for part in ("sp", "stilde"):
             consts[part][eng.n_period] = measures[part].attained_constant
             if eng.n_period == 64:
                 slopes[part] = measures[part].fitted_exponent
     datum64 = _unit_mass_spike(engine64)
     slopes["sp_dx"] = semigroup.measure_decay(
-        engine64, datum64, times, l=1)["sp"].fitted_exponent
+        engine64, datum64, 1.0, times, l=1)["sp"].fitted_exponent
     slopes["sp_dt"] = semigroup.measure_decay(
-        engine64, datum64, times, m=1)["sp"].fitted_exponent
+        engine64, datum64, 1.0, times, m=1)["sp"].fitted_exponent
     spread = {part: max(vals.values()) / min(vals.values())
               for part, vals in consts.items()}
     checks = {

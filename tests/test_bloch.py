@@ -68,7 +68,7 @@ def test_spectrum_is_conjugate_symmetric_across_xi(rgl_profile):
 
 
 def test_critical_curve_recovers_drift_and_curvature(rgl_profile):
-    curve = critical_curve(rgl_profile, xi_max=0.25)
+    curve = critical_curve(rgl_profile)
     assert curve.xis.size == 17
     assert abs(curve.a) < 1e-6
     assert curve.d > 0
@@ -77,11 +77,6 @@ def test_critical_curve_recovers_drift_and_curvature(rgl_profile):
     assert curve.d == pytest.approx(D_Q03, rel=1e-4)
     assert abs(curve.d - curve.d_second_diff) <= 0.01 * curve.d
     assert curve.fit_residual < 1e-2
-
-
-def test_critical_curve_argument_validation(rgl_profile):
-    with pytest.raises(ValueError, match="xi_max"):
-        critical_curve(rgl_profile, xi_max=4.0)
 
 
 def test_critical_mode_data_gauge(rgl_profile):

@@ -431,6 +431,11 @@ def test_simulate_reports_an_unreachable_crossover_unjudged(profile_file,
     assert np.isfinite(cross["value"]) and np.isfinite(cross["t_knee"])
     assert cross["band"] == [0.5 * delta, 1.1 * delta]
     assert "crossover=n/a" in capsys.readouterr().out
+    # the knee lies before t = 10, so the v_h window is empty, and its
+    # reason names both ends
+    v_h = report["v_h_envelope"]
+    assert v_h["window"] == [10.0, 3.25] and v_h["pass"] is None
+    assert v_h["reason"] == "fewer than 3 samples in the fit window [10.0, 3.25]"
     # the keys perfbench/workloads.py reads
     assert isinstance(report["delta_N"], float)
     assert report["extraction_failures"] == 0
@@ -476,9 +481,9 @@ def test_simulate_rejects_short_horizon(profile_file, tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     (None, "t_max", float("inf")),
+    (None, "dt", float("inf")),
     ("perturbation", "amplitude", float("inf")),
-    ("extraction", "chi", [0.5, float("inf")]),
-    ("extraction", "tol", float("inf")),
+    ("extraction", "cutoff", float("inf")),
 ])
 def test_simulate_rejects_non_finite_numbers(profile_file, tmp_path, capsys,
                                              monkeypatch, section, key, value):
@@ -602,40 +607,49 @@ def test_simulate_takes_a_band_for_fourier_data_only(profile_file, tmp_path,
     assert read_json(out / "report.json")["phase"]["pass"] is True
 
 
-@pytest.mark.parametrize("case, code", [
-    ({"m_x": 66}, 65),
-    ({"m_x": 7}, 65),       # below rgl's floor 2M + 1 = 9 (Hill M = 4)
-    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": -1}}, 65),
+@pytest.mark.parametrize("case, code, reason", [
+    ({"m_x": 66}, 65, "odd integer"),
+    # below rgl's floor 2M + 1 = 9 (Hill M = 4)
+    ({"m_x": 7}, 65, "need m_x >= 9"),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": -1}},
+     65, "band must be an integer >= 0"),
     # N = 4 on the derived m_x = 17: P = 68 holds the modes |m| <= 33
-    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": 34}}, 65),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "band": 34}},
+     65, "exceeds the highest mode 33"),
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
-                       "normalize": "l2"}}, 65),
-    ({"snapshot": {"stride": "0.25"}}, 65),
-    ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65),
-    ({"N": True}, 65),
-    ({"scheme": "etdrk4"}, 65),
-    # a dense part that ends at t = 0 cannot grow geometrically
-    ({"snapshot": {"dense_until": 0}}, 65),
-    ({"snapshot": {"dense_until": 0.1}}, 65),     # below the stride 0.25
-    ({"extraction": {"mode": "duhamel", "tol": "1e-8"}}, 65),
-    ({"extraction": {"mode": "duhamel", "tol": 0}}, 65),
-    ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65),
-    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "seed": -1}}, 65),
+                       "normalize": "l2"}}, 65, "got 'l2'"),
+    ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65,
+     "cutoff must be a number"),
+    ({"N": True}, 65, "'N' must be a positive integer"),
+    ({"scheme": "etdrk4"}, 65, "unknown scheme 'etdrk4'"),
+    # the snapshot schedule, the chi ramp and the Duhamel tolerance are
+    # constants of evolve: a config that sets them is refused by name
+    ({"snapshot": {"stride": "0.25"}}, 65, "unknown key 'snapshot'"),
+    ({"snapshot": {"dense_until": 0}}, 65, "unknown key 'snapshot'"),
+    ({"snapshot": {"dense_until": 0.1}}, 65, "unknown key 'snapshot'"),
+    ({"extraction": {"mode": "duhamel", "tol": "1e-8"}}, 65,
+     "unknown key 'tol' in 'extraction'"),
+    ({"extraction": {"mode": "duhamel", "tol": 0}}, 65,
+     "unknown key 'tol' in 'extraction'"),
+    ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65,
+     "unknown key 'chi' in 'extraction'"),
+    ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "seed": -1}},
+     65, "seed must be an integer"),
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
-                       "seed": 2 ** 128}}, 65),
-    (["--modes", "0"], 64),
-    (["--modes", "-2"], 64),
-    (["--tol", "0"], 64),
-    (["--tol", "-1"], 64),
-    (["--tol", "nan"], 64),
+                       "seed": 2 ** 128}}, 65, "seed must be an integer"),
+    (["--modes", "0"], 64, "--modes must be >= 1"),
+    (["--modes", "-2"], 64, "--modes must be >= 1"),
+    (["--tol", "0"], 64, "--tol must be finite and > 0"),
+    (["--tol", "-1"], 64, "--tol must be finite and > 0"),
+    (["--tol", "nan"], 64, "--tol must be finite and > 0"),
 ], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
-        "unknown_normalize", "text_stride", "text_cutoff", "bool_N",
-        "unknown_scheme", "zero_dense_until", "short_dense_until", "text_tol",
+        "unknown_normalize", "text_cutoff", "bool_N", "unknown_scheme",
+        "text_stride", "zero_dense_until", "short_dense_until", "text_tol",
         "zero_tol", "text_chi", "negative_seed", "huge_seed", "zero_modes",
         "negative_modes",
         "zero_newton_tol", "negative_newton_tol", "nan_newton_tol"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
-                                            case, code):
+                                            case, code, reason):
     if isinstance(case, dict):
         cfg = write_config(tmp_path / "cfg.json", profile_file, tmp_path / "o",
                            **case)
@@ -644,7 +658,37 @@ def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
         argv = ["profile", "--model", "rgl", "--param", "q=0.3", *case,
                 "--out", str(tmp_path / "x.json")]
     assert main(argv) == code
-    assert capsys.readouterr().err
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--profile", "PROFILE", "--xi-max", "0.25",
+      "--out-dir", "OUT"], "--xi-max"),
+    (["simulate", "--config", "CONFIG", "--profile", "PROFILE"], "--profile"),
+    (["profile", "--model", "nagumo", "--param", "alpha=0.25",
+      "--param", "detune=0.95", "--out", "OUT/n.json"], "detune"),
+], ids=["spectrum_xi_max", "simulate_profile", "nagumo_detune"])
+def test_removed_flags_are_usage_errors(profile_file, tmp_path, capsys, argv,
+                                        name):
+    # the critical curve's range, simulate's profile and the nagumo guess's
+    # detuning each come from one place: bloch.CURVE_XI_MAX, the config's
+    # 'profile' key and profiles.NAGUMO_DETUNE
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", profile_file, out)
+    fill = {"PROFILE": str(profile_file), "CONFIG": str(cfg), "OUT": str(out),
+            "OUT/n.json": str(out / "n.json")}
+    assert main([fill.get(a, a) for a in argv]) == 64
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_profile_refuses_a_param_its_model_does_not_read(tmp_path, capsys):
+    out = tmp_path / "n.json"
+    assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                 "--param", "amp=0.3", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "amp" in err and "alpha, amplitude" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

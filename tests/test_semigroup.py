@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from wavetrain import bloch, grids, profiles, semigroup
 from wavetrain.cli import main
 from wavetrain.errors import AdmissibilityError, DiagonalizationError
-from wavetrain.evolve import fourier_band, random_perturbation
+from wavetrain.evolve import random_perturbation
 from wavetrain.semigroup import (
     CutoffSpec,
     SemigroupEngine,
@@ -268,7 +268,8 @@ def test_remainder_decays_at_the_subharmonic_gap(engine4, rgl_profile, rng):
 def test_measure_decay_flags_exponential_parts(engine4, rng):
     v = random_field(engine4, rng)
     times = np.geomspace(0.5, 40.0, 24)
-    dm = measure_decay(engine4, v, times, fit_window=(5.0, 40.0))["stilde"]
+    dm = measure_decay(engine4, v, grids.norm_l1(v, 4), times,
+                       fit_window=(5.0, 40.0))["stilde"]
     assert dm.super_polynomial
     assert np.isfinite(dm.attained_constant)
 
@@ -276,7 +277,8 @@ def test_measure_decay_flags_exponential_parts(engine4, rng):
 def test_measure_decay_fits_the_phase_exponent(engine16, rng):
     v = random_field(engine16, rng)
     times = np.geomspace(1.0, 25.0, 30)
-    dm = measure_decay(engine16, v, times, fit_window=(2.0, 25.0))["sp"]
+    dm = measure_decay(engine16, v, grids.norm_l1(v, 16), times,
+                       fit_window=(2.0, 25.0))["sp"]
     assert dm.claimed_exponent == -0.25
     assert dm.fitted_exponent < 0.0
     assert np.isfinite(dm.attained_constant) and dm.attained_constant > 0
@@ -293,7 +295,7 @@ def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
         return transform(values, n_period)
 
     monkeypatch.setattr(grids, "bloch_transform", counted)
-    measures = measure_decay(engine8, v, times, l=1, m=1)
+    measures = measure_decay(engine8, v, 1.0, times, l=1, m=1)
     assert len(calls) == 1
     for i, t in enumerate(times):
         total, mean, _, stilde = parts_on_grid(engine8, v, t)
@@ -306,19 +308,17 @@ def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
 
 def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, cutoff,
                                                    engine4):
-    # linear-decay's datum and reference norm on the derived grid (m_x = 17),
-    # the storage grid (65) and a finer one (129): one function of one size,
-    # so one constant
+    # linear-decay's datum, drawn at L1 size 1, on the derived grid
+    # (m_x = 17), the storage grid (65) and a finer one (129): one function
+    # of one size, so one constant
     times = np.geomspace(0.5, 40.0, 12)
     consts = {}
     for engine in (engine4, *(SemigroupEngine(rgl_profile, 4, cutoff, m_x=m_x)
                               for m_x in (65, 129))):
         v = random_perturbation(4, engine.m_x, 2, seed=7, amplitude=1.0,
                                 normalize="l1")
-        size = grids.norm_l1(grids.quadrature_samples(
-            v, 4, fourier_band(4, engine.m_x)), 4)
         consts[engine.m_x] = measure_decay(
-            engine, v, times, reference_norm=size)["total"].attained_constant
+            engine, v, 1.0, times)["total"].attained_constant
     assert sorted(consts) == [17, 65, 129]
     assert consts[17] == pytest.approx(consts[65], rel=1e-10)
     assert consts[129] == pytest.approx(consts[65], rel=1e-10)
@@ -330,7 +330,7 @@ def test_measure_decay_leaves_rounding_out_of_its_fits(engine4):
     times = np.geomspace(0.1, 500.0, 60)
     v = random_perturbation(4, engine4.m_x, 2, seed=0, amplitude=1.0,
                             normalize="l1")
-    measures = measure_decay(engine4, v, times, l=1, m=1)
+    measures = measure_decay(engine4, v, 1.0, times, l=1, m=1)
     floor = (grids.ROUNDING_FLOOR * np.finfo(float).eps
              * np.max(measures["total"].norms))
     series = measures["stilde"].norms
@@ -343,7 +343,8 @@ def test_measure_decay_leaves_rounding_out_of_its_fits(engine4):
 def test_measure_decay_rejects_an_empty_window(engine4, rng):
     v = random_field(engine4, rng)
     with pytest.raises(ValueError, match="window"):
-        measure_decay(engine4, v, np.array([1.0, 2.0]), fit_window=(50.0, 60.0))
+        measure_decay(engine4, v, 1.0, np.array([1.0, 2.0]),
+                      fit_window=(50.0, 60.0))
 
 
 def test_lattice_sum_small_cases():

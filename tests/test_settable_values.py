@@ -1,17 +1,23 @@
-"""A ceiling on the package's settable values.
+"""Ceilings on the package's settable values and on its command-line knobs.
 
 A settable value is a parameter with a default (of any function, method or
 lambda) or a dataclass field with a default, in ``src/wavetrain``. Each one is
 an input a caller can leave unstated, so each is a second place a run's
-inputs can come from. The count may only fall: lower ``CEILING`` when a
-change removes some, and raise it only with a change that needs a new
-default and says why.
+inputs can come from. The same holds at the command line for each option of
+a subcommand and each key a ``simulate`` config may hold. Each count may only
+fall: lower its ceiling when a change removes some, and raise it only with a
+change that needs a new knob and says why.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
-CEILING = 70
+from wavetrain import cli
+
+CEILING = 56
+OPTION_CEILING = 28
+CONFIG_KEY_CEILING = 16
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavetrain"
 
@@ -39,6 +45,29 @@ def settable_values(root=SRC):
                               and stmt.value is not None
                               for stmt in node.body)
     return params, fields
+
+
+def cli_options():
+    """The options of every subcommand, --help aside."""
+    (commands,) = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return sum(not isinstance(action, argparse._HelpAction)
+               for parser in commands.choices.values()
+               for action in parser._actions)
+
+
+def config_keys():
+    """The leaf keys a ``simulate`` config may hold."""
+    return sum(1 if keys is None else len(keys)
+               for keys in cli._CONFIG_KEYS.values())
+
+
+def test_cli_options_stay_under_the_ceiling():
+    assert cli_options() <= OPTION_CEILING
+
+
+def test_config_keys_stay_under_the_ceiling():
+    assert config_keys() <= CONFIG_KEY_CEILING
 
 
 def test_settable_values_stay_under_the_ceiling():
