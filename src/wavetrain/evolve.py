@@ -261,9 +261,12 @@ def default_snapshot_times(t_max):
     """Snapshots every SNAPSHOT_SPACING up to SNAPSHOT_DENSE_UNTIL, then
     geometric by SNAPSHOT_RATIO up to ``t_max``.
 
-    ValueError when the geometric part cannot grow: ``t_max`` lies below
-    the spacing, so the dense part ends at t = 0 short of it.
+    ValueError for a negative ``t_max``, and when the geometric part
+    cannot grow: ``t_max`` lies below the spacing, so the dense part ends at
+    t = 0 short of it.
     """
+    if t_max < 0.0:
+        raise ValueError(f"snapshot times need t_max >= 0, got {t_max:g}")
     times = list(np.arange(0.0, min(SNAPSHOT_DENSE_UNTIL, t_max) + 1e-12,
                            SNAPSHOT_SPACING))
     t = times[-1]

@@ -95,7 +95,8 @@ class SemigroupEngine:
     axes: ``fibers`` transforms real (..., P, n) samples into (..., N//2+1,
     dim) fibers, ``apply`` propagates, ``amplitudes`` reads the critical
     amplitudes, ``split`` separates the mean phase, the phase field and S~,
-    and ``field`` synthesizes the real samples. So e^{Lt} v is
+    ``field`` synthesizes the real samples and ``norm_l2`` takes their L2
+    norm without synthesizing them. So e^{Lt} v is
     ``field(apply(fibers(v), t))``.
     """
 
@@ -188,6 +189,27 @@ class SemigroupEngine:
         return grids.bloch_inverse(
             full.reshape(*full.shape[:-1], self.m_x, self.n)).real
 
+    def norm_l2(self, half):
+        """The L2(0, N) norm of ``field(half)``, read off the stored fibers
+        by Parseval (``grids``): a fiber with a distinct -xi mirror counts
+        twice. For even N the -pi fiber is its own mirror (cell mode l pairs
+        with 1 - l, the grid's Nyquist entry with itself); ``field`` keeps
+        only its conjugate-symmetric part, which the truncated propagation
+        breaks, and so does the sum."""
+        # squared moduli summed from views: no temporary the stack's size
+        re, im = half.real, half.imag
+        sq = (np.einsum("...jd,...jd->...j", re, re)
+              + np.einsum("...jd,...jd->...j", im, im))
+        if self.n_period % 2 == 0:
+            pair = (((1 - self.ells) % self.m_x)[:, None] * self.n
+                    + np.arange(self.n)).reshape(-1)
+            last = half[..., -1, :]
+            sym = 0.5 * (last + np.conj(last[..., pair]))
+            sq[..., -1] = np.sum(sym.real ** 2 + sym.imag ** 2, axis=-1)
+        weights = np.ones(self.n_half)
+        weights[self._mirror] = 2.0
+        return np.sqrt(sq @ weights / self.n_period)
+
     def apply(self, half, t):
         """V e^{Lambda t} V^-1, that is e^{L_xi t}, on every stored fiber;
         a (T, 1, 1) array ``t`` propagates ``half`` to T times at once."""
@@ -205,36 +227,36 @@ class SemigroupEngine:
         out[..., self.n_period - self._mirror] = np.conj(out[..., self._mirror])
         return out
 
+    def phase_factors(self, amp):
+        """rho times the critical amplitudes ``amp`` on the stored slots, 0
+        off the critical ones: slot 0's factor multiplies crit_phi[0] in the
+        mean-phase fiber, every other one phi' in the phase-field fiber."""
+        H = self.n_half
+        return np.where(self.critical[:H], self.rho[:H] * amp[..., :H], 0.0)
+
     def split(self, full, amp):
         """The mean-phase, phase-field and remainder S~ fibers of the stored
         fibers ``full``, given their critical amplitudes ``amp`` (for a fiber
         propagated over t, e^{lambda_c t} times the datum's amplitudes).
         The three sum to ``full``."""
-        H = self.n_half
-        factors = np.where(self.critical[:H], self.rho[:H] * amp[..., :H], 0.0)
+        factors = self.phase_factors(amp)
         mean_f = np.zeros_like(full)
         mean_f[..., 0, :] = factors[..., 0, None] * self.crit_phi[0]
         sp_f = factors[..., None] * self.phi_slots
         sp_f[..., 0, :] = 0.0
         return mean_f, sp_f, full - mean_f - sp_f
 
-    def synthesize_phase(self, inner, t=0.0, l=0, m=0):
+    def synthesize_phase(self, inner):
         """Plane-wave synthesis of the scalar phase field, shape (..., P, 1),
         from critical amplitudes ``inner`` (..., N):
-        (1/N) sum_{xi != 0} rho (i xi)^l lambda^m e^{lambda t} inner_xi
-        e^{i xi x}, with ``t`` a scalar or one time per row of ``inner``.
-        Non-finite entries of ``inner`` and non-critical frequencies are
-        skipped."""
+        (1/N) sum_{xi != 0} rho inner_xi e^{i xi x}. Non-finite entries of
+        ``inner`` and non-critical frequencies are skipped."""
         inner = np.asarray(inner)
         keep = self.critical & np.isfinite(inner.real)
         keep[..., 0] = False
         sel = np.nonzero(keep)
-        j = sel[-1]
-        lam = self.crit_lam[j]
-        t = np.broadcast_to(t, inner.shape[:-1])[sel[:-1]]
         fibers = np.zeros((*inner.shape, self.m_x, 1), dtype=complex)
-        fibers[(*sel, 0, 0)] = (self.rho[j] * (1j * self.frequencies[j]) ** l
-                                * lam ** m * np.exp(lam * t) * inner[sel])
+        fibers[(*sel, 0, 0)] = self.rho[sel[-1]] * inner[sel]
         return grids.bloch_inverse(fibers).real
 
 
@@ -262,7 +284,12 @@ def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     Returns a DecayMeasurement per part: "total" (e^{Lt} v), "mean" (the
     mean phase), "sp" (the scalar d_x^l d_t^m s_p(t) v) and "stilde" (the
     remainder).  v is transformed once and propagated to every sample time
-    as one stack.  The attained constant is sup_t norm(t) (1+t)^{-claimed}
+    as one stack of fibers, and every norm is read off fibers by Parseval,
+    so no part is synthesized on the grid: "total" and "stilde" by
+    ``engine.norm_l2``, S~ formed in place on the propagated stack by
+    ``split``'s subtractions; "mean" from the xi = 0 fiber; "sp" from the
+    plane-wave coefficients rho (i xi)^l lambda^m e^{lambda t} <adj, v>.
+    The attained constant is sup_t norm(t) (1+t)^{-claimed}
     / ``size``; the caller gives the size it drew v at, so the constant of
     one band-limited datum is the same on every grid.
 
@@ -284,16 +311,27 @@ def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     N = engine.n_period
     half = engine.fibers(v)
     inner = engine.amplitudes(half)
-    total = engine.apply(half, times[:, None, None])
-    mean, _, rem = engine.split(
-        total, np.exp(engine.crit_lam * times[:, None]) * inner)
-    # each part's (T, P, n) samples live only until their norm is taken
-    norms = np.stack([
-        grids.norm_l2(engine.field(total), N),
-        grids.norm_l2(engine.field(mean), N),
-        grids.norm_l2(engine.synthesize_phase(
-            np.broadcast_to(inner, (times.size, N)), t=times, l=l, m=m), N),
-        grids.norm_l2(engine.field(rem), N)])
+    amp = np.exp(engine.crit_lam * times[:, None]) * inner
+    full = engine.apply(half, times[:, None, None])
+    total = engine.norm_l2(full)
+    # the mean phase lives on the xi = 0 fiber alone
+    factors = engine.phase_factors(amp)
+    mean = (np.abs(factors[:, 0]) * np.linalg.norm(engine.crit_phi[0])
+            / np.sqrt(N))
+    # s_p's plane waves are orthogonal: Parseval on their coefficients, on
+    # the nonzero critical frequencies (the amplitudes are NaN off them)
+    keep = np.isfinite(inner)
+    keep[0] = False
+    lam = engine.crit_lam[keep]
+    coeffs = (engine.rho[keep] * (1j * engine.frequencies[keep]) ** l
+              * lam ** m * amp[:, keep])
+    sp = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=-1) / N)
+    # S~ in place, by split's subtractions, one time at a time so that no
+    # second stack is made
+    for row, f in zip(full, factors):
+        row[0] -= f[0] * engine.crit_phi[0]
+        row[1:] -= f[1:, None] * engine.phi_slots
+    norms = np.stack([total, mean, sp, engine.norm_l2(full)])
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),
                "stilde": -0.75}

@@ -69,6 +69,11 @@ def engine16(rgl_profile, cutoff):
     return semigroup.SemigroupEngine(rgl_profile, 16, cutoff)
 
 
+@pytest.fixture(scope="session")
+def engine64(rgl_profile, cutoff):
+    return semigroup.SemigroupEngine(rgl_profile, 64, cutoff)
+
+
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))

@@ -28,11 +28,6 @@ def engine32(rgl_profile, cutoff):
     return semigroup.SemigroupEngine(rgl_profile, 32, cutoff)
 
 
-@pytest.fixture(scope="module")
-def engine64(rgl_profile, cutoff):
-    return semigroup.SemigroupEngine(rgl_profile, 64, cutoff)
-
-
 def _acceptance10_run(engine):
     # N = 16, sup amplitude 1e-5, t_max = 20
     datum = evolve.random_perturbation(16, engine.m_x, engine.n, 7, 1e-5,

@@ -166,6 +166,11 @@ def test_default_snapshot_times_refuse_a_geometric_part_that_cannot_grow(
         default_snapshot_times(**kwargs)
 
 
+def test_default_snapshot_times_refuse_a_negative_horizon():
+    with pytest.raises(ValueError, match="t_max >= 0, got -1"):
+        default_snapshot_times(-1.0)
+
+
 def test_quintic_smoothstep_ramp():
     assert quintic_smoothstep(0.2, 0.5, 1.0) == 0.0
     assert quintic_smoothstep(1.5, 0.5, 1.0) == 1.0

@@ -1,5 +1,7 @@
 """Fiberwise semigroup, its three-part decomposition, and the sum bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -44,9 +46,15 @@ def parts_on_grid(engine, v, t):
 
 
 def phase_on_grid(engine, v, t, l=0, m=0):
-    """The scalar field d_x^l d_t^m s_p(t) v."""
-    return engine.synthesize_phase(engine.amplitudes(engine.fibers(v)),
-                                   t=t, l=l, m=m)
+    """The scalar field d_x^l d_t^m s_p(t) v: the phase synthesis of the
+    lambda^m e^{lambda t}-weighted amplitudes, differentiated l times on
+    the grid."""
+    lam = engine.crit_lam
+    amp = lam ** m * np.exp(lam * t) * engine.amplitudes(engine.fibers(v))
+    field = engine.synthesize_phase(amp)
+    for _ in range(l):
+        field = grids.derivative_values(field, engine.n_period)
+    return field
 
 
 def test_cutoff_weight_shape():
@@ -189,7 +197,9 @@ def test_engine_takes_stacks_bit_for_bit(engine8, rng):
     amps = engine8.amplitudes(full)
     parts = engine8.split(full, amps)
     fields = engine8.field(full)
-    phases = engine8.synthesize_phase(amps, t=0.3, l=1, m=1)
+    lam = engine8.crit_lam
+    weighted = 1j * engine8.frequencies * lam * np.exp(lam * 0.3) * amps
+    phases = engine8.synthesize_phase(weighted)
     for i in range(stack.shape[0]):
         assert np.array_equal(engine8.fibers(stack[i]), half[i])
         assert np.array_equal(engine8.apply(half[i], 0.7), full[i])
@@ -198,8 +208,8 @@ def test_engine_takes_stacks_bit_for_bit(engine8, rng):
         for got, want in zip(engine8.split(full[i], amps[i]), parts):
             assert np.array_equal(got, want[i])
         assert np.array_equal(engine8.field(full[i]), fields[i])
-        assert np.array_equal(
-            engine8.synthesize_phase(amps[i], t=0.3, l=1, m=1), phases[i])
+        assert np.array_equal(engine8.synthesize_phase(weighted[i]),
+                              phases[i])
 
 
 def test_mean_phase_coefficient_of_the_derivative_is_the_period(
@@ -237,11 +247,12 @@ def test_high_frequency_data_has_no_phase_part(engine8):
 
 
 def test_phase_scalar_derivative_multipliers(engine8, rng):
-    # d_x of the synthesized phase equals the l = 1 synthesis
+    # d_x of the synthesized phase is the synthesis of i xi times the
+    # amplitudes: each amplitude lands on the plane wave of its frequency
     v = random_field(engine8, rng)
-    sp = phase_on_grid(engine8, v, 2.0, l=0)
-    sp_x = phase_on_grid(engine8, v, 2.0, l=1)
-    np.testing.assert_allclose(grids.derivative_values(sp, 8), sp_x,
+    amp = engine8.amplitudes(engine8.fibers(v))
+    sp_x = engine8.synthesize_phase(1j * engine8.frequencies * amp)
+    np.testing.assert_allclose(phase_on_grid(engine8, v, 0.0, l=1), sp_x,
                                atol=1e-10)
     # d_t brings down lambda: compare with a finite difference in t
     h = 1e-5
@@ -284,26 +295,79 @@ def test_measure_decay_fits_the_phase_exponent(engine16, rng):
     assert np.isfinite(dm.attained_constant) and dm.attained_constant > 0
 
 
+def decay_parts_on_grid(engine, v, times, l, m):
+    """measure_decay's four norm series, each part synthesized on the grid."""
+    norms = []
+    for t in times:
+        total, mean, _, stilde = parts_on_grid(engine, v, t)
+        norms.append([grids.norm_l2(f, engine.n_period) for f in
+                      (total, mean, phase_on_grid(engine, v, t, l, m), stilde)])
+    return dict(zip(("total", "mean", "sp", "stilde"), np.transpose(norms)))
+
+
 def test_measure_decay_reads_every_part_off_one_transform(engine8, rng,
                                                          monkeypatch):
     v = random_field(engine8, rng)
     times = np.array([0.0, 0.7, 5.0, 30.0])
     transform, calls = grids.bloch_transform, []
+    inverse, inverse_calls = grids.bloch_inverse, []
 
     def counted(values, n_period):
         calls.append(values)
         return transform(values, n_period)
 
+    def counted_inverse(coeffs):
+        inverse_calls.append(coeffs)
+        return inverse(coeffs)
+
     monkeypatch.setattr(grids, "bloch_transform", counted)
+    monkeypatch.setattr(grids, "bloch_inverse", counted_inverse)
     measures = measure_decay(engine8, v, 1.0, times, l=1, m=1)
     assert len(calls) == 1
-    for i, t in enumerate(times):
-        total, mean, _, stilde = parts_on_grid(engine8, v, t)
-        for part, field in (("total", total), ("mean", mean),
-                            ("sp", phase_on_grid(engine8, v, t, l=1, m=1)),
-                            ("stilde", stilde)):
-            assert measures[part].norms[i] == grids.norm_l2(field, 8), \
-                (part, t)
+    assert not inverse_calls
+    # Parseval sums the fibers in another order than the grid sums samples
+    ref = decay_parts_on_grid(engine8, v, times, 1, 1)
+    tol = 1e-13 * np.max(ref["total"])
+    for part, want in ref.items():
+        assert np.max(np.abs(measures[part].norms - want)) <= tol, part
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_measure_decay_agrees_with_grid_synthesis(rgl_profile, cutoff,
+                                                  engine8, engine64, n, rng):
+    # white noise reaches the -pi fiber's Nyquist entry, which the truncated
+    # propagation leaves complex; band-limited data does not
+    engine = {8: engine8, 64: engine64}.get(n) or SemigroupEngine(
+        rgl_profile, n, cutoff)
+    times = np.array([0.0, 0.1, 0.7, 30.0, 410.0])
+    data = {"white": random_field(engine, rng),
+            "band": random_perturbation(n, engine.m_x, 2, seed=7,
+                                        amplitude=1.0, normalize="l1")}
+    for name, v in data.items():
+        for l, m in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            measures = measure_decay(engine, v, 1.0, times, l=l, m=m)
+            ref = decay_parts_on_grid(engine, v, times, l, m)
+            # absolute: parts below the rounding floor agree to rounding only
+            tol = 1e-13 * np.max(ref["total"])
+            for part, want in ref.items():
+                err = np.max(np.abs(measures[part].norms - want))
+                assert err <= tol, (name, l, m, part, err)
+
+
+def test_measure_decay_peak_memory_at_n64(engine64):
+    # linear-decay --N 64 at 60 samples: one (60, 33, 34) complex fiber
+    # stack is 1.1 MB and the propagation holds two at once; a (60, P, n)
+    # grid stack per part would peak above 8 MB
+    v = random_perturbation(64, engine64.m_x, 2, seed=0, amplitude=1.0,
+                            normalize="l1")
+    times = np.geomspace(0.1, 410.0, 60)
+    tracemalloc.start()
+    try:
+        measure_decay(engine64, v, 1.0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak
 
 
 def test_decay_constants_do_not_depend_on_the_grid(rgl_profile, cutoff,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from wavetrain import cli
 
-CEILING = 56
+CEILING = 53
 OPTION_CEILING = 28
 CONFIG_KEY_CEILING = 16
 
