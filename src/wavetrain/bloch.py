@@ -589,7 +589,8 @@ def verify_diffusive_stability(profile, scan=256):
 
 @dataclass
 class SubharmonicSpectrum:
-    """Pooled spectrum over the N admissible Bloch frequencies (FFT wrap order)."""
+    """Pooled spectrum over the N//2+1 lattice slots xi >= 0 (FFT wrap
+    order, so even N ends at -pi); -xi holds the conjugate spectrum."""
 
     n_period: int
     frequencies: np.ndarray
@@ -620,10 +621,13 @@ def lattice_gap(eigenvalues):
 
 
 def subharmonic_spectrum(profile, n_period):
-    """Eigenvalues of L_xi for all xi in the N-periodic Bloch lattice."""
+    """Eigenvalues of L_xi on the xi >= 0 half of the N-periodic Bloch
+    lattice, whose gap and zero defect are those of the whole lattice."""
     store = fiber_store(profile)
-    freqs = grids.frequency_lattice(n_period)
-    fibers = [store.fiber(j, n_period) for j in grids.cell_modes(n_period)]
+    half = n_period // 2 + 1
+    freqs = grids.frequency_lattice(n_period)[:half]
+    fibers = [store.fiber(j, n_period)
+              for j in grids.cell_modes(n_period)[:half]]
     eigs = [fib.lam for fib in fibers]
     delta, where, zero_defect = lattice_gap(eigs)
     return SubharmonicSpectrum(

@@ -262,12 +262,9 @@ def cmd_profile(args, argv):
         raise _CliError(EXIT_VALIDATION, str(exc))
 
     out_path = Path(args.out)
-    out_dir = _ensure_dir(out_path.parent if out_path.parent != Path("")
-                          else Path("."))
     manifest = _Manifest("profile", argv, {
         "model": model_id, "params": params, "modes": args.modes,
-        "guess": args.guess, "solve_for": args.solve_for, "tol": args.tol,
-        "out": str(out_path)})
+        "guess": args.guess, "tol": args.tol, "out": str(out_path)})
 
     if args.guess == "analytic":
         try:
@@ -290,6 +287,11 @@ def cmd_profile(args, argv):
     elif args.guess.startswith("file:"):
         guess_path = args.guess[5:]
         guess_prof = _load_profile_checked(guess_path)
+        if guess_prof.n != model.n:
+            raise _CliError(EXIT_VALIDATION,
+                            f"guess file {guess_path} holds a "
+                            f"{guess_prof.n}-component profile; model "
+                            f"{model_id} has {model.n} components")
         manifest.add_input(guess_path)
         coeffs = _resize_coeffs(guess_prof.coeffs, args.modes)
         k0, c0 = guess_prof.k, guess_prof.c
@@ -298,11 +300,12 @@ def cmd_profile(args, argv):
                         f"--guess must be 'analytic' or 'file:PATH', "
                         f"got {args.guess!r}")
 
+    # refused inputs leave no output directory behind
+    out_dir = _ensure_dir(out_path.parent if out_path.parent != Path("")
+                          else Path("."))
     try:
         with manifest.stage("solve"):
-            prof = profiles.solve_profile(model, coeffs, k0, c0,
-                                          solve_for=args.solve_for,
-                                          tol=args.tol)
+            prof = profiles.solve_profile(model, coeffs, k0, c0, tol=args.tol)
     except ProfileConvergenceError as exc:
         hist = ", ".join(f"{r:.3e}" for r in exc.history)
         print(f"solver failed: {exc}\nresidual history: [{hist}]",
@@ -920,8 +923,6 @@ def _build_parser():
                         "most MODES)")
     p.add_argument("--guess", default="analytic",
                    help="'analytic' or 'file:PATH'")
-    p.add_argument("--solve-for", choices=("c", "k"), default="c",
-                   dest="solve_for")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default="profile.json")
     p.set_defaults(func=cmd_profile)

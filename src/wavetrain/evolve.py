@@ -285,8 +285,9 @@ class ExperimentResult:
     """Trajectory record: snapshots of u, shape (T, P, n), plus projection
     traces.
 
-    ``inner`` holds the per-frequency critical amplitudes of u - phi at each
-    snapshot, and ``gamma_raw`` its entry 0, the mean translation content.
+    ``inner`` holds the critical amplitudes of u - phi at each snapshot on
+    the engine's N//2+1 stored lattice slots, shape (T, N//2+1), and
+    ``gamma_raw`` its entry 0, the mean translation content.
     ``chi`` is the short-time ramp; the modulation ansatz uses
     gamma = chi * gamma_raw so the phase variables vanish at t = 0.
     ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
@@ -526,7 +527,6 @@ class DuhamelTrace:
 
     times: np.ndarray
     gamma: np.ndarray
-    inner: np.ndarray           # (T, N) complex critical amplitudes (chi-ramped)
     psi_vals: np.ndarray        # (T, P) synthesized phase fields
     v_vals: np.ndarray          # (T, P, n) iterated residual fields
     iterations: int
@@ -573,11 +573,12 @@ def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
     :func:`_trapezoid_prefixes` with ``SemigroupEngine.apply`` as its
     propagator (x, h) -> e^{L h} x.  Each accumulated fiber set gives the
     critical amplitudes (``SemigroupEngine.amplitudes``, whence gamma and
-    psi) and, through ``SemigroupEngine.split``, the remainder S~.  The
-    engine acts on the stacked snapshots, so a sweep costs one Bloch
-    transform, T - 1 fiber propagations and three Bloch syntheses of the
-    (T, ...) stacks for T snapshots, not the O(T^2) propagations of summing
-    every prefix from scratch.
+    psi) and their phase part (``SemigroupEngine.phase_part``): since
+    (1 - chi) e^{Lt} + chi S~ = e^{Lt} - chi (phase part), v takes one
+    synthesis.  The engine acts on the stacked snapshots, so a sweep costs
+    one Bloch transform, T - 1 fiber propagations and two Bloch syntheses
+    (v and psi) of the (T, ...) stacks for T snapshots, not the O(T^2)
+    propagations of summing every prefix from scratch.
 
     The returned trace carries ``v2_defect``: the relative sup-misfit when
     the converged variables are substituted back into the residual equation
@@ -596,26 +597,21 @@ def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
 
     # projection initialization of (gamma, psi, v)
     gamma = result.gamma.copy()
-    inner = chi[:, None] * result.inner
     v_vals, psi_vals = trace.v_vals, trace.psi_vals
 
     def integrals(gamma, psi_vals, v_vals):
         """Duhamel integrals of the current sources: the propagated stored
-        fibers (T, N//2+1, dim) and their critical amplitudes (T, N)."""
+        fibers (T, N//2+1, dim) and their critical amplitudes (T, N//2+1)."""
         fibers = eng.fibers(nonlinear_residual(result, gamma, psi_vals, v_vals))
         full = _trapezoid_prefixes(times, fibers0, fibers, eng.apply)
         return full, eng.amplitudes(full)
 
     def v_update(full, amps, psi_vals_ref, v_vals_ref):
-        # the unmodulated evolution where chi < 1, the remainder where chi > 0
+        # (1 - chi) e^{Lt} + chi S~: the evolution less chi's phase part
         psix = grids.derivative_values(psi_vals_ref[..., None], N)
-        new_v = np.zeros_like(v_vals)
-        ramp, on = chi < 1.0, chi > 0.0
-        new_v[ramp] += (1.0 - chi[ramp, None, None]) * eng.field(full[ramp])
-        rem = eng.split(full[on], amps[on])[2]
-        new_v[on] += chi[on, None, None] * (eng.field(rem)
-                                            + psix[on] * v_vals_ref[on])
-        return new_v
+        w = chi[:, None, None]
+        return (eng.field(full - w * eng.phase_part(amps))
+                + w * psix * v_vals_ref)
 
     update_norms = []
     converged = False
@@ -623,15 +619,14 @@ def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
     for sweep in range(1, DUHAMEL_MAX_SWEEPS + 1):
         iterations = sweep
         full, amps = integrals(gamma, psi_vals, v_vals)
-        new_inner = chi[:, None] * amps
         new_gamma = chi * amps[:, 0].real
-        new_psi = eng.synthesize_phase(new_inner)[..., 0]
+        new_psi = eng.synthesize_phase(chi[:, None] * amps)[..., 0]
         new_v = v_update(full, amps, new_psi, v_vals)
 
         dpsi = grids.norm_l2((new_psi - psi_vals)[..., None], N)
         delta = float(np.max(np.abs(new_gamma - gamma) + dpsi))
         update_norms.append(delta)
-        gamma, inner, psi_vals, v_vals = new_gamma, new_inner, new_psi, new_v
+        gamma, psi_vals, v_vals = new_gamma, new_psi, new_v
         if delta < tol:
             converged = True
             break
@@ -652,7 +647,7 @@ def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
     vnorms = grids.norm_l2(v_vals, N)
     dnorms = grids.norm_l2(rhs_v - v_vals, N)
     v2_defect = float(np.max(dnorms) / max(np.max(vnorms), 1e-300))
-    return DuhamelTrace(times, gamma, inner, psi_vals, v_vals, iterations,
+    return DuhamelTrace(times, gamma, psi_vals, v_vals, iterations,
                         update_norms, v2_defect)
 
 

@@ -15,7 +15,8 @@ where s_p carries the slowly decaying phase-like content
 and S~ collects the high-frequency part, the low-frequency complement of the
 critical mode, and the difference between the critical eigenfunction and its
 phi' approximation.  The three pieces sum to the full semigroup exactly,
-fiber by fiber.
+fiber by fiber: ``SemigroupEngine.phase_part`` gives the first two, and the
+fibers less it are S~.
 """
 
 from __future__ import annotations
@@ -76,27 +77,25 @@ class SemigroupEngine:
     and frequency cutoff (a :class:`CutoffSpec`).
 
     The engine takes real fields only, so the fiber at -xi is the conjugate
-    of the one at xi under the l -> -l flip. It decomposes the dense Bloch
+    of the one at xi under the l -> -l flip, and it keeps the floor(N/2)+1
+    lattice slots j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps
+    (for even N slot N/2 is -pi, the conjugate of the +pi fiber): every
+    per-frequency array has that leading size. It decomposes the dense Bloch
     block (odd per-cell mode count m_x; ``bloch.grid_modes`` derives the
-    default from the Hill truncation) at the floor(N/2)+1 lattice slots
-    j = 0..N//2 in FFT wrap order, the ones ``rfft`` keeps, by
-    ``bloch.decompose_fiber`` (for even N slot N/2 is -pi, the conjugate of
-    the +pi fiber), and fills the xi < 0 half by conjugation when ``field``
-    synthesizes a result. Each fiber follows the critical branch in the
+    default from the Hill truncation) at each slot by
+    ``bloch.decompose_fiber``, following the critical branch in the
     phi'-anchored gauge from the profile's fiber store at the same
     frequency, zero-padded onto the engine's modes; a branch lost inside the
     cutoff support raises BranchTrackingError, and a fiber whose eigenvector
     matrix fails ||V||_F ||V^-1||_F <= COND_LIMIT raises
-    DiagonalizationError. Per-fiber arrays have leading size N//2+1;
-    ``frequencies``, ``rho``, ``crit_lam`` and ``critical`` cover all N
-    frequencies.
+    DiagonalizationError.
 
     The operations act on the stored fibers of arrays with any leading stack
     axes: ``fibers`` transforms real (..., P, n) samples into (..., N//2+1,
     dim) fibers, ``apply`` propagates, ``amplitudes`` reads the critical
-    amplitudes, ``split`` separates the mean phase, the phase field and S~,
-    ``field`` synthesizes the real samples and ``norm_l2`` takes their L2
-    norm without synthesizing them. So e^{Lt} v is
+    amplitudes, ``phase_part`` builds the mean-phase and phase-field fibers
+    from them, ``field`` synthesizes the real samples and ``norm_l2`` takes
+    their L2 norm without synthesizing them. So e^{Lt} v is
     ``field(apply(fibers(v), t))``.
     """
 
@@ -110,21 +109,25 @@ class SemigroupEngine:
         self.dim = self.m_x * self.n
         self.ells = grids.cell_modes(self.m_x)
         self.that = bloch.reaction_coeffs(profile, self.m_x - 1)
-        self.frequencies = grids.frequency_lattice(N)
+        H = self.n_half = N // 2 + 1
+        self.frequencies = grids.frequency_lattice(N)[:H]
         self.cutoff = cutoff
         self.rho = np.asarray(cutoff.weight(self.frequencies), dtype=float).reshape(-1)
 
         # phi' in slot layout (flattened mode-major)
         self.phi_slots = bloch.phi_prime_vector(profile, self.ells)
 
-        H = self.n_half = N // 2 + 1
         self._mirror = np.arange(1, (N + 1) // 2)   # j with a distinct -xi slot N - j
-        self._flip = flip = bloch.conjugate_index(self.m_x, self.n)
+        # Parseval weights of the stored slots: a distinct -xi mirror doubles
+        self._weights = np.ones(H)
+        self._weights[self._mirror] = 2.0
+        self._lflip = bloch.conjugate_index(self.m_x, 1)
+        flip = bloch.conjugate_index(self.m_x, self.n)
         self.eigvals = np.empty((H, self.dim), dtype=complex)
         self.right = np.empty((H, self.dim, self.dim), dtype=complex)
         self.right_inv = np.empty_like(self.right)
         self.eigvec_cond = np.empty(H)
-        self.crit_lam = np.full(N, np.nan + 0j)
+        self.crit_lam = np.full(H, np.nan + 0j)
         self.crit_phi = np.zeros((H, self.dim), dtype=complex)
         self.crit_adj = np.zeros((H, self.dim), dtype=complex)
 
@@ -157,7 +160,6 @@ class SemigroupEngine:
             if fib.index is not None:
                 self.crit_lam[j] = fib.lam_c
                 self.crit_phi[j], self.crit_adj[j] = fib.vec, fib.adj
-        self.crit_lam[N - self._mirror] = np.conj(self.crit_lam[self._mirror])
         # the frequencies that carry a critical projection
         self.critical = (self.rho > 0.0) & np.isfinite(self.crit_lam.real)
 
@@ -178,16 +180,21 @@ class SemigroupEngine:
         return coeffs[..., :self.n_half, :, :].reshape(
             *values.shape[:-2], self.n_half, self.dim)
 
-    def field(self, half):
-        """The real samples, shape (..., P, n), with stored fibers ``half``,
-        conjugated onto xi < 0."""
+    def _synthesize(self, half):
+        """The real samples of the stored slots ``half`` (..., N//2+1, m_x,
+        k): slot N - j of the full lattice holds the conjugate of slot j
+        under the cell-mode flip l -> -l."""
         N = self.n_period
-        full = np.empty((*half.shape[:-2], N, self.dim), dtype=complex)
-        full[..., :self.n_half, :] = half
-        full[..., N - self._mirror, :] = np.conj(
-            half[..., self._mirror, :][..., self._flip])
-        return grids.bloch_inverse(
-            full.reshape(*full.shape[:-1], self.m_x, self.n)).real
+        full = np.empty((*half.shape[:-3], N, *half.shape[-2:]), dtype=complex)
+        full[..., :self.n_half, :, :] = half
+        full[..., N - self._mirror, :, :] = np.conj(
+            half[..., self._mirror, :, :][..., self._lflip, :])
+        return grids.bloch_inverse(full).real
+
+    def field(self, half):
+        """The real samples, shape (..., P, n), with stored fibers ``half``."""
+        return self._synthesize(
+            half.reshape(*half.shape[:-1], self.m_x, self.n))
 
     def norm_l2(self, half):
         """The L2(0, N) norm of ``field(half)``, read off the stored fibers
@@ -206,9 +213,7 @@ class SemigroupEngine:
             last = half[..., -1, :]
             sym = 0.5 * (last + np.conj(last[..., pair]))
             sq[..., -1] = np.sum(sym.real ** 2 + sym.imag ** 2, axis=-1)
-        weights = np.ones(self.n_half)
-        weights[self._mirror] = 2.0
-        return np.sqrt(sq @ weights / self.n_period)
+        return np.sqrt(sq @ self._weights / self.n_period)
 
     def apply(self, half, t):
         """V e^{Lambda t} V^-1, that is e^{L_xi t}, on every stored fiber;
@@ -217,47 +222,34 @@ class SemigroupEngine:
                               * (self.right_inv @ half[..., None])))[..., 0]
 
     def amplitudes(self, half):
-        """Critical amplitudes <adj_xi, fiber> of the stored fibers ``half``
-        on all N frequencies, shape (..., N), NaN off the critical ones;
-        entry 0 is the translation content of the field."""
-        H = self.n_half
+        """Critical amplitudes <adj_xi, fiber> of the stored fibers ``half``,
+        shape (..., N//2+1), NaN off the critical frequencies; entry 0 is
+        the translation content of the field."""
         inner = (np.conj(self.crit_adj)[:, None, :] @ half[..., None])[..., 0, 0]
-        out = np.full((*half.shape[:-2], self.n_period), np.nan + 0j)
-        out[..., :H] = np.where(self.critical[:H], inner, np.nan)
-        out[..., self.n_period - self._mirror] = np.conj(out[..., self._mirror])
+        return np.where(self.critical, inner, np.nan)
+
+    def phase_part(self, amp):
+        """The phase fibers of stored fibers with critical amplitudes ``amp``
+        (for a fiber propagated over t, e^{lambda_c t} times the datum's
+        amplitudes): the mean phase rho amp crit_phi[0] at xi = 0 and the
+        phase field rho amp phi' elsewhere, 0 off the critical frequencies.
+        The fibers less it are the remainder S~."""
+        factors = np.where(self.critical, self.rho * amp, 0.0)
+        out = factors[..., None] * self.phi_slots
+        out[..., 0, :] = factors[..., 0, None] * self.crit_phi[0]
         return out
-
-    def phase_factors(self, amp):
-        """rho times the critical amplitudes ``amp`` on the stored slots, 0
-        off the critical ones: slot 0's factor multiplies crit_phi[0] in the
-        mean-phase fiber, every other one phi' in the phase-field fiber."""
-        H = self.n_half
-        return np.where(self.critical[:H], self.rho[:H] * amp[..., :H], 0.0)
-
-    def split(self, full, amp):
-        """The mean-phase, phase-field and remainder S~ fibers of the stored
-        fibers ``full``, given their critical amplitudes ``amp`` (for a fiber
-        propagated over t, e^{lambda_c t} times the datum's amplitudes).
-        The three sum to ``full``."""
-        factors = self.phase_factors(amp)
-        mean_f = np.zeros_like(full)
-        mean_f[..., 0, :] = factors[..., 0, None] * self.crit_phi[0]
-        sp_f = factors[..., None] * self.phi_slots
-        sp_f[..., 0, :] = 0.0
-        return mean_f, sp_f, full - mean_f - sp_f
 
     def synthesize_phase(self, inner):
         """Plane-wave synthesis of the scalar phase field, shape (..., P, 1),
-        from critical amplitudes ``inner`` (..., N):
-        (1/N) sum_{xi != 0} rho inner_xi e^{i xi x}. Non-finite entries of
-        ``inner`` and non-critical frequencies are skipped."""
+        from critical amplitudes ``inner`` (..., N//2+1), conjugated onto
+        xi < 0: (1/N) sum_{xi != 0} rho inner_xi e^{i xi x}. Non-finite
+        entries of ``inner`` and non-critical frequencies are skipped."""
         inner = np.asarray(inner)
         keep = self.critical & np.isfinite(inner.real)
         keep[..., 0] = False
-        sel = np.nonzero(keep)
-        fibers = np.zeros((*inner.shape, self.m_x, 1), dtype=complex)
-        fibers[(*sel, 0, 0)] = self.rho[sel[-1]] * inner[sel]
-        return grids.bloch_inverse(fibers).real
+        coeffs = np.zeros((*inner.shape, self.m_x, 1), dtype=complex)
+        coeffs[..., 0, 0] = np.where(keep, self.rho * inner, 0.0)
+        return self._synthesize(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +279,9 @@ def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     as one stack of fibers, and every norm is read off fibers by Parseval,
     so no part is synthesized on the grid: "total" and "stilde" by
     ``engine.norm_l2``, S~ formed in place on the propagated stack by
-    ``split``'s subtractions; "mean" from the xi = 0 fiber; "sp" from the
-    plane-wave coefficients rho (i xi)^l lambda^m e^{lambda t} <adj, v>.
+    subtracting ``engine.phase_part``; "mean" from the xi = 0 fiber; "sp"
+    from the plane-wave coefficients rho (i xi)^l lambda^m e^{lambda t}
+    <adj, v> on the stored slots, weighted as in ``engine.norm_l2``.
     The attained constant is sup_t norm(t) (1+t)^{-claimed}
     / ``size``; the caller gives the size it drew v at, so the constant of
     one band-limited datum is the same on every grid.
@@ -315,9 +308,8 @@ def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     full = engine.apply(half, times[:, None, None])
     total = engine.norm_l2(full)
     # the mean phase lives on the xi = 0 fiber alone
-    factors = engine.phase_factors(amp)
-    mean = (np.abs(factors[:, 0]) * np.linalg.norm(engine.crit_phi[0])
-            / np.sqrt(N))
+    mean = (np.abs(engine.rho[0] * amp[:, 0])
+            * np.linalg.norm(engine.crit_phi[0]) / np.sqrt(N))
     # s_p's plane waves are orthogonal: Parseval on their coefficients, on
     # the nonzero critical frequencies (the amplitudes are NaN off them)
     keep = np.isfinite(inner)
@@ -325,12 +317,11 @@ def measure_decay(engine, v, size, times, l=0, m=0, fit_window=None):
     lam = engine.crit_lam[keep]
     coeffs = (engine.rho[keep] * (1j * engine.frequencies[keep]) ** l
               * lam ** m * amp[:, keep])
-    sp = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=-1) / N)
-    # S~ in place, by split's subtractions, one time at a time so that no
-    # second stack is made
-    for row, f in zip(full, factors):
-        row[0] -= f[0] * engine.crit_phi[0]
-        row[1:] -= f[1:, None] * engine.phi_slots
+    sp = np.sqrt(np.sum(engine._weights[keep] * np.abs(coeffs) ** 2, axis=-1)
+                 / N)
+    # S~ in place, one time at a time so that no second stack is made
+    for row, a in zip(full, amp):
+        row -= engine.phase_part(a)
     norms = np.stack([total, mean, sp, engine.norm_l2(full)])
 
     claimed = {"total": 0.0, "mean": 0.0, "sp": -0.25 - 0.5 * (l + m),

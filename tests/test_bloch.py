@@ -14,7 +14,7 @@ from wavetrain.bloch import (
     verify_diffusive_stability,
 )
 from wavetrain.errors import AdmissibilityError, ResolutionError
-from wavetrain.grids import frequency_lattice
+from wavetrain.grids import cell_modes, frequency_lattice
 from wavetrain.models import ReactionModel, nagumo, real_ginzburg_landau
 from wavetrain.profiles import (
     WaveProfile,
@@ -170,6 +170,22 @@ def test_critical_branch_is_tracked_across_the_lattice(rgl_profile):
     for x, lam in zip(spec.frequencies, spec.critical):
         if 0 < abs(x) <= 0.8:
             assert lam.real == pytest.approx(-D_Q03 * x ** 2, rel=0.15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+def test_subharmonic_spectrum_walks_the_half_lattice(rgl_profile, n):
+    # the N//2+1 slots xi >= 0 give the gap, its attaining frequency and the
+    # zero defect of all N, the -xi spectra being the conjugate mirrors
+    spec = subharmonic_spectrum(rgl_profile, n)
+    half = n // 2 + 1
+    assert len(spec.eigenvalues) == spec.critical.size == half
+    np.testing.assert_array_equal(spec.frequencies,
+                                  frequency_lattice(n)[:half])
+    store = fiber_store(rgl_profile)
+    full = [store.fiber(j, n).lam for j in cell_modes(n)]
+    delta, where, zero_defect = bloch.lattice_gap(full)
+    assert (spec.delta, spec.zero_defect) == (delta, zero_defect)
+    assert spec.attaining_xi == frequency_lattice(n)[where]
 
 
 def test_eigenvalues_are_sorted_by_descending_real_part(rgl_profile):

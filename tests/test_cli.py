@@ -1,5 +1,6 @@
 """Command-line interface: files, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wavetrain import fourier, profiles
 from wavetrain.cli import main
 
 GAP_1 = 1.515684575117475
@@ -667,7 +669,10 @@ def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
     (["simulate", "--config", "CONFIG", "--profile", "PROFILE"], "--profile"),
     (["profile", "--model", "nagumo", "--param", "alpha=0.25",
       "--param", "detune=0.95", "--out", "OUT/n.json"], "detune"),
-], ids=["spectrum_xi_max", "simulate_profile", "nagumo_detune"])
+    (["profile", "--model", "rgl", "--param", "q=0.3", "--solve-for", "k",
+      "--out", "OUT/n.json"], "--solve-for"),
+], ids=["spectrum_xi_max", "simulate_profile", "nagumo_detune",
+        "profile_solve_for"])
 def test_removed_flags_are_usage_errors(profile_file, tmp_path, capsys, argv,
                                         name):
     # the critical curve's range, simulate's profile and the nagumo guess's
@@ -680,6 +685,46 @@ def test_removed_flags_are_usage_errors(profile_file, tmp_path, capsys, argv,
     assert main([fill.get(a, a) for a in argv]) == 64
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("modes", [16, 48])
+def test_profile_resolves_from_a_resized_guess_file(profile_file, tmp_path,
+                                                    modes):
+    out = tmp_path / "resized.json"
+    assert main(["profile", "--model", "rgl", "--guess",
+                 f"file:{profile_file}", "--modes", str(modes),
+                 "--out", str(out)]) == 0
+    src, got = profiles.load_profile(profile_file), profiles.load_profile(out)
+    assert fourier.trunc_order(got.coeffs) == modes
+    # the coefficients |l| <= 16 both truncations hold are the source's
+    m_src = fourier.trunc_order(src.coeffs)
+    np.testing.assert_allclose(got.coeffs[modes - 16:modes + 17],
+                               src.coeffs[m_src - 16:m_src + 17],
+                               rtol=0, atol=1e-12)
+    inputs = read_json(tmp_path / "manifest.json")["inputs"]
+    digest = hashlib.sha256(profile_file.read_bytes()).hexdigest()
+    assert inputs == {str(profile_file): digest}
+
+
+def test_profile_refuses_a_guess_of_another_component_count(
+        profile_file, tmp_path, capsys):
+    # an rgl profile (two components) cannot start a scalar nagumo solve
+    out = tmp_path / "out" / "n.json"
+    assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                 "--guess", f"file:{profile_file}", "--modes", "16",
+                 "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert "2-component" in err and "1 components" in err, err
+    assert not out.parent.exists()
+
+
+def test_profile_refuses_an_unknown_guess(tmp_path, capsys):
+    out = tmp_path / "out" / "x.json"
+    assert main(["profile", "--model", "rgl", "--param", "q=0.3", "--guess",
+                 "bogus", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "--guess must be 'analytic' or 'file:PATH'" in err
+    assert not out.parent.exists()
 
 
 def test_profile_refuses_a_param_its_model_does_not_read(tmp_path, capsys):

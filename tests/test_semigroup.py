@@ -42,7 +42,10 @@ def parts_on_grid(engine, v, t):
     half = engine.fibers(v)
     full = engine.apply(half, t)
     amp = np.exp(engine.crit_lam * t) * engine.amplitudes(half)
-    return [engine.field(f) for f in (full, *engine.split(full, amp))]
+    phase = engine.phase_part(amp)
+    mean, sp = np.zeros_like(phase), phase.copy()
+    mean[..., 0, :], sp[..., 0, :] = phase[..., 0, :], 0.0
+    return [engine.field(f) for f in (full, mean, sp, full - phase)]
 
 
 def phase_on_grid(engine, v, t, l=0, m=0):
@@ -93,18 +96,23 @@ def test_all_fibers_diagonalize_cleanly(engine8):
     assert np.all(engine8.eigvec_cond <= semigroup.COND_LIMIT)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, n, rng):
     engine = SemigroupEngine(rgl_profile, n, cutoff)
     half = n // 2 + 1
-    for name in ("eigvals", "right", "right_inv", "crit_phi", "crit_adj",
-                 "eigvec_cond"):
+    for name in ("frequencies", "rho", "crit_lam", "critical", "eigvals",
+                 "right", "right_inv", "crit_phi", "crit_adj", "eigvec_cond"):
         assert getattr(engine, name).shape[0] == half, name
     assert not hasattr(engine, "matrices")
-    assert engine.frequencies.shape == engine.rho.shape == (n,)
+    np.testing.assert_array_equal(engine.frequencies,
+                                  grids.frequency_lattice(n)[:half])
     v = random_field(engine, rng)
     with pytest.raises(ValueError, match="real"):
         engine.fibers(v + 0j)
+    stack = engine.fibers(np.stack([v, v]))
+    assert stack.shape == (2, half, engine.dim)
+    assert engine.amplitudes(stack).shape == (2, half)
+    assert engine.phase_part(engine.amplitudes(stack)).shape == stack.shape
 
     # reference: expm of the Bloch matrix at every one of the N frequencies,
     # the xi < 0 ones included, which the engine never assembles
@@ -113,7 +121,7 @@ def test_engine_stores_the_half_lattice_only(rgl_profile, cutoff, n, rng):
         ref_fibers = np.stack([
             sla.expm(t * bloch.assemble_bloch(
                 rgl_profile, xi, ells=engine.ells, that=engine.that))
-            @ coeffs[j] for j, xi in enumerate(engine.frequencies)])
+            @ coeffs[j] for j, xi in enumerate(grids.frequency_lattice(n))])
         ref = grids.bloch_inverse(
             ref_fibers.reshape(n, engine.m_x, engine.n)).real
         scale = np.max(np.abs(ref))
@@ -195,7 +203,7 @@ def test_engine_takes_stacks_bit_for_bit(engine8, rng):
     half = engine8.fibers(stack)
     full = engine8.apply(half, 0.7)
     amps = engine8.amplitudes(full)
-    parts = engine8.split(full, amps)
+    phase = engine8.phase_part(amps)
     fields = engine8.field(full)
     lam = engine8.crit_lam
     weighted = 1j * engine8.frequencies * lam * np.exp(lam * 0.3) * amps
@@ -205,8 +213,7 @@ def test_engine_takes_stacks_bit_for_bit(engine8, rng):
         assert np.array_equal(engine8.apply(half[i], 0.7), full[i])
         assert np.array_equal(engine8.amplitudes(full[i]), amps[i],
                               equal_nan=True)
-        for got, want in zip(engine8.split(full[i], amps[i]), parts):
-            assert np.array_equal(got, want[i])
+        assert np.array_equal(engine8.phase_part(amps[i]), phase[i])
         assert np.array_equal(engine8.field(full[i]), fields[i])
         assert np.array_equal(engine8.synthesize_phase(weighted[i]),
                               phases[i])
@@ -244,6 +251,28 @@ def test_high_frequency_data_has_no_phase_part(engine8):
     _, mean, sp_field, _ = parts_on_grid(engine8, v, 1.0)
     assert grids.norm_l2(sp_field, 8) <= 1e-13
     assert grids.norm_l2(mean, 8) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_phase_synthesis_is_the_plane_wave_sum(rgl_profile, cutoff, engine8,
+                                               n, rng):
+    # the stored amplitudes' phase field equals (1/N) sum_{xi != 0} rho a
+    # e^{i xi x} over all N lattice frequencies, the -xi amplitudes being
+    # the conjugate mirrors of the stored ones
+    engine = engine8 if n == 8 else SemigroupEngine(rgl_profile, n, cutoff)
+    amp = engine.amplitudes(engine.fibers(random_field(engine, rng)))
+    xi = grids.frequency_lattice(n)
+    full = np.concatenate([amp, np.conj(amp[1:(n + 1) // 2][::-1])])
+    crit = np.concatenate([engine.critical,
+                           engine.critical[1:(n + 1) // 2][::-1]])
+    keep = crit & (xi != 0.0)
+    x = grids.grid_points(n, engine.m_x)
+    waves = (cutoff.weight(xi[keep]) * full[keep]
+             * np.exp(1j * np.outer(x, xi[keep])))
+    direct = np.sum(waves, axis=1).real / n
+    assert keep.sum() >= 2
+    np.testing.assert_allclose(engine.synthesize_phase(amp)[:, 0], direct,
+                               rtol=0, atol=1e-14 * np.max(np.abs(direct)))
 
 
 def test_phase_scalar_derivative_multipliers(engine8, rng):

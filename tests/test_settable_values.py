@@ -16,7 +16,7 @@ from pathlib import Path
 from wavetrain import cli
 
 CEILING = 53
-OPTION_CEILING = 28
+OPTION_CEILING = 27
 CONFIG_KEY_CEILING = 16
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavetrain"
