@@ -28,8 +28,9 @@ TWO_PI = 2.0 * np.pi
 
 # Hill truncation: the smallest M whose Df(phi) coefficients beyond |l| = M
 # are at most HILL_TAIL_TOL of the largest, raised to HILL_MIN_MODES and
-# capped at the profile's m_f; the rightmost eigenvalues at M and 2M must
-# then agree to HILL_CHECK_TOL relative.
+# capped at the profile's m_f, which must leave no larger tail; the
+# rightmost eigenvalues at M and 2M must then agree to HILL_CHECK_TOL
+# relative.
 HILL_TAIL_TOL = 1e-13
 HILL_MIN_MODES = 4
 HILL_CHECK_TOL = 1e-9
@@ -339,6 +340,16 @@ def _two_truncation_deviation(store):
     return dev / scale if scale > 0.0 else dev
 
 
+def _require_tail(tail, what, remedy):
+    """The one tail test of the Hill truncation and the grids: ResolutionError
+    unless ``tail``, relative to the largest coefficient, is at most
+    HILL_TAIL_TOL."""
+    if not tail <= HILL_TAIL_TOL:
+        raise ResolutionError(
+            f"{what} up to {tail:.2e} of the largest (limit "
+            f"{HILL_TAIL_TOL:g}); {remedy}")
+
+
 def fiber_store(profile):
     """The fiber store of ``profile`` at its Hill truncation, cached on it.
 
@@ -346,14 +357,20 @@ def fiber_store(profile):
     coefficients beyond |l| = M are at most HILL_TAIL_TOL of the largest,
     raised to HILL_MIN_MODES and capped at ``profile.m_f``. The store's
     ``hill`` holds the evidence. Raises ResolutionError, and caches nothing,
-    when the rightmost eigenvalues of L_0 and L_pi at M and 2M differ by
-    more than HILL_CHECK_TOL relative.
+    when the cap leaves a larger tail, or when the rightmost eigenvalues of
+    L_0 and L_pi at M and 2M differ by more than HILL_CHECK_TOL relative.
     """
     store = profile._fiber_store
     if store is None:
         tails = _coefficient_tails(profile)
         m = min(max(int(np.argmax(tails <= HILL_TAIL_TOL)), HILL_MIN_MODES),
                 profile.m_f)
+        # below the cap the tail at m passes by the choice of m
+        _require_tail(tails[m],
+                      f"the Hill truncation, capped at the profile's m_f = "
+                      f"{profile.m_f}, leaves Df(phi) coefficients",
+                      "the profile is under-resolved, solve it again with "
+                      "more modes")
         store = _BranchWalker(profile, m)
         check = _two_truncation_deviation(store)
         if not check <= HILL_CHECK_TOL:
@@ -394,12 +411,9 @@ def grid_modes(profile, m_x=None):
     if keep < m_f:
         mags = np.abs(coeffs).max(axis=1)
         kept = np.s_[m_f - keep:m_f + keep + 1]
-        tail = np.delete(mags, kept).max() / mags.max()
-        if not tail <= HILL_TAIL_TOL:
-            raise ResolutionError(
-                f"m_x = {m_x} drops profile coefficients up to {tail:.2e} of "
-                f"the largest (limit {HILL_TAIL_TOL:g}); the grid is "
-                "under-resolved, use a larger m_x")
+        _require_tail(np.delete(mags, kept).max() / mags.max(),
+                      f"m_x = {m_x} drops profile coefficients",
+                      "the grid is under-resolved, use a larger m_x")
         coeffs = coeffs[kept]
     return int(m_x), coeffs
 

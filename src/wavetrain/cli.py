@@ -1,11 +1,13 @@
 """Command-line entry point: profiles, spectra, decay studies, experiments.
 
-Every command writes its artifacts into an output directory together with a
-single ``manifest.json`` recording the resolved configuration, tool version,
-input digests, output paths, step counts, wall-clock time and per-stage
-timings and fiber counts (``stages``).  Reruns with the same inputs and seeds
-reproduce all CSV/JSON payloads bit-for-bit (manifest timing fields
-excepted).
+Every command's files go through one ``_Manifest``: it reads and digests
+every input file, writes, times and lists every artifact, and makes the
+output directory at the first write, so a run refused before its first
+artifact leaves no directory.  Its ``manifest.json`` records the resolved
+configuration, tool version, input digests, artifact paths, step counts,
+wall-clock time and per-stage timings and fiber counts (``stages``).  Reruns
+with the same inputs and seeds reproduce all CSV/JSON payloads bit-for-bit
+(manifest timing fields excepted).
 
 Exit codes: 0 success, 2 solver failure, 64 usage error, 65 validation
 error (and any other package error, such as a lost critical branch), 66
@@ -118,12 +120,15 @@ def _write_json(path, payload):
 
 
 class _Manifest:
-    """Collects run metadata; written once per output directory."""
+    """The one owner of a command's files: it digests each input it reads,
+    and writes, times and lists each artifact under ``out_dir``, which is
+    made at the first write."""
 
-    def __init__(self, command, argv, config):
+    def __init__(self, command, argv, config, out_dir):
         self.command = command
         self.argv = list(argv)
         self.config = config
+        self.out_dir = None if out_dir is None else Path(out_dir)
         self.inputs = {}
         self.outputs = []
         self.counts = {}
@@ -153,10 +158,32 @@ class _Manifest:
     def add_input(self, path):
         self.inputs[str(path)] = _sha256(path)
 
-    def add_output(self, out_dir, path):
-        self.outputs.append(str(Path(path).relative_to(out_dir)))
+    def read_profile(self, path):
+        """The profile stored at ``path``, its digest recorded; an
+        unreadable or malformed file exits 66."""
+        try:
+            prof = profiles.load_profile(path)
+        except OSError as exc:
+            raise _CliError(EXIT_IO, f"cannot read profile file {path}: {exc}")
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise _CliError(EXIT_IO, f"not a valid profile file {path}: {exc}")
+        self.add_input(path)
+        return prof
 
-    def write(self, out_dir):
+    def _path(self, name):
+        path = self.out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def artifact(self, name, write, *args):
+        """Write artifact ``name`` as ``write(path, *args)``, timed as the
+        ``outputs`` stage, and list it."""
+        with self.stage("outputs"):
+            write(self._path(name), *args)
+        self.outputs.append(name)
+
+    def write(self):
+        """Add ``manifest.json``."""
         payload = {
             "schema_version": _SCHEMA_VERSIONS["manifest"],
             "schema_versions": _SCHEMA_VERSIONS,
@@ -175,22 +202,7 @@ class _Manifest:
                 1e6 * self.seconds["evolution"] / self.counts["time_steps"])
         if self.health:
             payload["health"] = self.health
-        _write_json(Path(out_dir) / "manifest.json", payload)
-
-
-def _ensure_dir(path):
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _load_profile_checked(path):
-    try:
-        return profiles.load_profile(path)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read profile file {path}: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _CliError(EXIT_IO, f"not a valid profile file {path}: {exc}")
+        _write_json(self._path("manifest.json"), payload)
 
 
 # the --param keys each model's analytic guess reads, beside the model's own
@@ -264,7 +276,8 @@ def cmd_profile(args, argv):
     out_path = Path(args.out)
     manifest = _Manifest("profile", argv, {
         "model": model_id, "params": params, "modes": args.modes,
-        "guess": args.guess, "tol": args.tol, "out": str(out_path)})
+        "guess": args.guess, "tol": args.tol, "out": str(out_path)},
+        out_path.parent)
 
     if args.guess == "analytic":
         try:
@@ -286,13 +299,12 @@ def cmd_profile(args, argv):
             raise _CliError(EXIT_VALIDATION, str(exc))
     elif args.guess.startswith("file:"):
         guess_path = args.guess[5:]
-        guess_prof = _load_profile_checked(guess_path)
+        guess_prof = manifest.read_profile(guess_path)
         if guess_prof.n != model.n:
             raise _CliError(EXIT_VALIDATION,
                             f"guess file {guess_path} holds a "
                             f"{guess_prof.n}-component profile; model "
                             f"{model_id} has {model.n} components")
-        manifest.add_input(guess_path)
         coeffs = _resize_coeffs(guess_prof.coeffs, args.modes)
         k0, c0 = guess_prof.k, guess_prof.c
     else:
@@ -300,9 +312,6 @@ def cmd_profile(args, argv):
                         f"--guess must be 'analytic' or 'file:PATH', "
                         f"got {args.guess!r}")
 
-    # refused inputs leave no output directory behind
-    out_dir = _ensure_dir(out_path.parent if out_path.parent != Path("")
-                          else Path("."))
     try:
         with manifest.stage("solve"):
             prof = profiles.solve_profile(model, coeffs, k0, c0, tol=args.tol)
@@ -312,13 +321,12 @@ def cmd_profile(args, argv):
               file=sys.stderr)
         return EXIT_SOLVER
 
-    with manifest.stage("outputs"):
-        profiles.save_profile(prof, out_path)
+    manifest.artifact(out_path.name,
+                      lambda path: profiles.save_profile(prof, path))
     manifest.counts["newton_iterations"] = len(prof.info["newton_residuals"])
     manifest.health = {key: prof.info[key]
                        for key in ("newton_residuals", "newton_rcond")}
-    manifest.add_output(out_dir, out_path)
-    manifest.write(out_dir)
+    manifest.write()
     print(f"converged: residual {prof.residual_norm:.3e}, "
           f"k = {prof.k:.12g}, c = {prof.c:.12g}, "
           f"amplitude {prof.amplitude():.12g} -> {out_path}")
@@ -370,37 +378,31 @@ def cmd_spectrum(args, argv):
 
     if args.scan < 8:
         raise _CliError(EXIT_USAGE, f"--scan must be >= 8, got {args.scan}")
-    prof = _load_profile_checked(args.profile)
-    out_dir = _ensure_dir(args.out_dir)
     manifest = _Manifest("spectrum", argv, {
         "profile": str(args.profile), "scan": args.scan,
-        "out_dir": str(out_dir)})
-    manifest.add_input(args.profile)
+        "out_dir": str(Path(args.out_dir))}, args.out_dir)
+    prof = manifest.read_profile(args.profile)
 
     with manifest.stage("stability_scan"):
         report = bloch.verify_diffusive_stability(prof, scan=args.scan)
     manifest.count_fibers(prof)
 
     # the CSV lists the scan lattice in ascending xi; -xi mirrors xi
-    with manifest.stage("outputs"):
-        store = bloch.fiber_store(prof)
-        js = grids.cell_modes(args.scan)
-        xis = grids.frequency_lattice(args.scan)
-        rows = []
-        for k in np.argsort(xis):
-            fib = store.fiber(js[k], args.scan)
-            for idx, l in enumerate(fib.lam):
-                tag = "critical" if idx == fib.index else "bulk"
-                rows.append((_fmt(xis[k]), _fmt(l.real), _fmt(l.imag), tag))
-        csv_path = out_dir / "spectrum.csv"
-        _write_csv(csv_path, ("xi", "re_lambda", "im_lambda", "branch_tag"),
-                   rows)
-        report_path = out_dir / "stability_report.json"
-        _write_json(report_path, _stability_payload(report))
+    store = bloch.fiber_store(prof)
+    js = grids.cell_modes(args.scan)
+    xis = grids.frequency_lattice(args.scan)
+    rows = []
+    for k in np.argsort(xis):
+        fib = store.fiber(js[k], args.scan)
+        for idx, l in enumerate(fib.lam):
+            tag = "critical" if idx == fib.index else "bulk"
+            rows.append((_fmt(xis[k]), _fmt(l.real), _fmt(l.imag), tag))
+    manifest.artifact("spectrum.csv", _write_csv,
+                      ("xi", "re_lambda", "im_lambda", "branch_tag"), rows)
+    manifest.artifact("stability_report.json", _write_json,
+                      _stability_payload(report))
     manifest.counts["scan_points"] = int(xis.size)
-    manifest.add_output(out_dir, csv_path)
-    manifest.add_output(out_dir, report_path)
-    manifest.write(out_dir)
+    manifest.write()
     print(f"verdict={'true' if report.verdict else 'false'} "
           f"theta={report.theta:.6g} a={report.curve.a:.3e} "
           f"d={report.curve.d:.6g} xi_1={report.xi_1:.6g} "
@@ -418,9 +420,9 @@ def cmd_gap(args, argv):
     from . import bloch
 
     n_values = _parse_int_list(args.N, "--N")
-    prof = _load_profile_checked(args.profile)
     manifest = _Manifest("gap", argv, {"profile": str(args.profile),
-                                       "N": n_values})
+                                       "N": n_values}, args.out_dir)
+    prof = manifest.read_profile(args.profile)
     records = []
     with manifest.stage("spectra"):
         for n in n_values:
@@ -433,33 +435,21 @@ def cmd_gap(args, argv):
     for rec in records:
         print(f"{rec['N']},{_fmt(rec['delta_N'])},{_fmt(rec['attaining_xi'])}")
 
-    if args.out_dir is not None:
-        out_dir = _ensure_dir(args.out_dir)
-        manifest.config["out_dir"] = str(out_dir)
-        manifest.add_input(args.profile)
-        csv_path = out_dir / "gaps.csv"
-        json_path = out_dir / "gap_report.json"
-        with manifest.stage("outputs"):
-            _write_csv(csv_path, ("N", "delta_N", "attaining_xi"),
-                       [(str(r["N"]), _fmt(r["delta_N"]),
-                         _fmt(r["attaining_xi"])) for r in records])
-            _write_json(json_path, {
-                "schema_version": _SCHEMA_VERSIONS["gap_report"],
-                "records": records})
-        manifest.add_output(out_dir, csv_path)
-        manifest.add_output(out_dir, json_path)
-        manifest.write(out_dir)
+    if manifest.out_dir is not None:
+        manifest.config["out_dir"] = str(manifest.out_dir)
+        manifest.artifact("gaps.csv", _write_csv,
+                          ("N", "delta_N", "attaining_xi"),
+                          ((str(r["N"]), _fmt(r["delta_N"]),
+                            _fmt(r["attaining_xi"])) for r in records))
+        manifest.artifact("gap_report.json", _write_json, {
+            "schema_version": _SCHEMA_VERSIONS["gap_report"],
+            "records": records})
+        manifest.write()
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # linear decay
-
-def _grid_health(engine, stability):
-    """The manifest's grid resolution: the engine's cell modes and the Hill
-    truncation they derive from."""
-    return {"m_x": engine.m_x, "hill_modes": stability.hill.modes}
-
 
 def _engine_health(engine):
     """The engine's worst eigenvector condition bound."""
@@ -484,13 +474,11 @@ def cmd_linear_decay(args, argv):
             f"horizon --tmax {args.tmax} is shorter than the fit window, "
             "which starts at t = 10; increase --tmax (the window is "
             "[10, N^2/10])")
-    prof = _load_profile_checked(args.profile)
-    out_dir = _ensure_dir(args.out_dir)
     manifest = _Manifest("linear-decay", argv, {
         "profile": str(args.profile), "N": n_values, "tmax": args.tmax,
         "samples": args.samples, "l": args.l, "m": args.m, "seed": args.seed,
-        "out_dir": str(out_dir)})
-    manifest.add_input(args.profile)
+        "out_dir": str(Path(args.out_dir))}, args.out_dir)
+    prof = manifest.read_profile(args.profile)
 
     times = np.geomspace(0.1, args.tmax, args.samples)
     with manifest.stage("stability_scan"):
@@ -526,31 +514,27 @@ def cmd_linear_decay(args, argv):
             } for part, meas in measures.items()}})
 
     manifest.count_fibers(prof, engines)
-    manifest.health = _grid_health(engines[0], stability)
+    # the grid the engines ran on and the Hill truncation it derives from
+    manifest.health = {"m_x": engines[0].m_x, **_hill_evidence(stability)}
 
-    csv_path = out_dir / "decay.csv"
-    with manifest.stage("outputs"):
-        _write_csv(csv_path, ("N", "t", "norm_total", "norm_mean_phase",
-                              "norm_sp", "norm_stilde", "l", "m"), rows)
+    manifest.artifact("decay.csv", _write_csv,
+                      ("N", "t", "norm_total", "norm_mean_phase", "norm_sp",
+                       "norm_stilde", "l", "m"), rows)
 
     uniformity = {}
     for part in ("sp", "stilde"):
         consts = [f["parts"][part]["attained_constant"] for f in fits]
         finite = [c for c in consts if np.isfinite(c) and c > 0]
         uniformity[part] = (max(finite) / min(finite)) if finite else None
-    fit_path = out_dir / "decay_fit.json"
-    with manifest.stage("outputs"):
-        _write_json(fit_path, {
-            "schema_version": _SCHEMA_VERSIONS["decay_fit"],
-            "l": args.l, "m": args.m, "seed": args.seed,
-            "fit_window": "[10, N^2/10] (whole series when underpopulated)",
-            "fits": fits,
-            "constant_spread": uniformity,
-        })
+    manifest.artifact("decay_fit.json", _write_json, {
+        "schema_version": _SCHEMA_VERSIONS["decay_fit"],
+        "l": args.l, "m": args.m, "seed": args.seed,
+        "fit_window": "[10, N^2/10] (whole series when underpopulated)",
+        "fits": fits,
+        "constant_spread": uniformity,
+    })
     manifest.counts["time_samples"] = int(times.size)
-    manifest.add_output(out_dir, csv_path)
-    manifest.add_output(out_dir, fit_path)
-    manifest.write(out_dir)
+    manifest.write()
     for f in fits:
         sp = f["parts"]["sp"]
         st = f["parts"]["stilde"]
@@ -580,10 +564,9 @@ def cmd_sum_bounds(args, argv):
     if not r_values or not all(np.isfinite(r) and r >= 0 for r in r_values):
         raise _CliError(EXIT_USAGE, "--r entries must be finite and >= 0")
     n_values = _parse_int_list(args.N, "--N")
-    out_dir = _ensure_dir(args.out_dir)
     manifest = _Manifest("sum-bounds", argv, {
         "d": args.d, "r": r_values, "N": n_values, "tmax": args.tmax,
-        "out_dir": str(out_dir)})
+        "out_dir": str(Path(args.out_dir))}, args.out_dir)
 
     times = np.unique(np.concatenate(
         [[0.0], np.geomspace(1e-2, args.tmax, 240)]))
@@ -600,23 +583,19 @@ def cmd_sum_bounds(args, argv):
             probes[str(n)] = {"t_star": probe.t_star,
                               "late_rate": probe.late_rate,
                               "predicted_rate": probe.predicted_rate}
-    csv_path = out_dir / "sums.csv"
-    summary_path = out_dir / "sum_summary.json"
-    with manifest.stage("outputs"):
-        _write_csv(csv_path, ("N", "r", "t", "sum", "envelope_ratio"), rows)
-        _write_json(summary_path, {
-            "schema_version": _SCHEMA_VERSIONS["sum_summary"],
-            "d": args.d,
-            "per_pair": [{"N": row.n_period, "r": row.r,
-                          "C_min": row.attained_constant,
-                          "sup_time": row.sup_time} for row in report_rows],
-            "C_global": global_c,
-            "crossover": probes,
-        })
+    manifest.artifact("sums.csv", _write_csv,
+                      ("N", "r", "t", "sum", "envelope_ratio"), rows)
+    manifest.artifact("sum_summary.json", _write_json, {
+        "schema_version": _SCHEMA_VERSIONS["sum_summary"],
+        "d": args.d,
+        "per_pair": [{"N": row.n_period, "r": row.r,
+                      "C_min": row.attained_constant,
+                      "sup_time": row.sup_time} for row in report_rows],
+        "C_global": global_c,
+        "crossover": probes,
+    })
     manifest.counts["time_samples"] = int(times.size)
-    manifest.add_output(out_dir, csv_path)
-    manifest.add_output(out_dir, summary_path)
-    manifest.write(out_dir)
+    manifest.write()
     print(f"global C = {global_c:.6g} over N in {n_values}, r in {r_values}")
     return EXIT_OK
 
@@ -748,9 +727,11 @@ def _validated_simulation_config(cfg, extract_flag):
 def cmd_simulate(args, argv):
     from . import bloch, evolve, grids, semigroup
 
-    raw_cfg = _load_config(args.config)
-    cfg = _validated_simulation_config(raw_cfg, args.extract)
-    prof = _load_profile_checked(cfg["profile"])
+    cfg = _validated_simulation_config(_load_config(args.config),
+                                       args.extract)
+    manifest = _Manifest("simulate", argv, cfg, cfg["output_dir"])
+    manifest.add_input(args.config)
+    prof = manifest.read_profile(cfg["profile"])
     if cfg["model"] is not None and cfg["model"].lower() != prof.model.id:
         raise _CliError(EXIT_VALIDATION,
                         f"config model {cfg['model']!r} does not match the "
@@ -771,11 +752,6 @@ def cmd_simulate(args, argv):
                         f"dt = {cfg['dt']} exceeds the explicit-term stability "
                         f"estimate 0.5/rho(Df/k) = {dt_limit:.4g}")
 
-    out_dir = _ensure_dir(cfg["output_dir"])
-    manifest = _Manifest("simulate", argv, cfg)
-    manifest.add_input(cfg["profile"])
-    manifest.add_input(args.config)
-
     n_period = cfg["N"]
     with manifest.stage("stability_scan"):
         stability = bloch.verify_diffusive_stability(prof)
@@ -790,7 +766,7 @@ def cmd_simulate(args, argv):
     with manifest.stage("engine_build"):
         engine = semigroup.SemigroupEngine(prof, n_period, cutoff, m_x=m_x)
     manifest.count_fibers(prof, [engine])
-    manifest.health = _grid_health(engine, stability)
+    manifest.health = {"m_x": engine.m_x, **_hill_evidence(stability)}
 
     try:
         with manifest.stage("evolution"):
@@ -800,7 +776,7 @@ def cmd_simulate(args, argv):
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         manifest.counts["blow_up_time"] = exc.t
-        manifest.write(out_dir)
+        manifest.write()
         return EXIT_BLOWUP
 
     times = result.times
@@ -810,26 +786,18 @@ def cmd_simulate(args, argv):
     with manifest.stage("extraction"):
         trace = evolve.modulation_trace(result, k_sob=cfg["K"])
 
-    trace_path = out_dir / "trace.csv"
-    with manifest.stage("outputs"):
-        _write_csv(
-            trace_path,
-            ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h",
-             "norm_psi_t_h", "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2",
-             "warp_ok"),
-            [(_fmt(times[i]), _fmt(trace.gamma[i]), _fmt(trace.gamma_t[i]),
-              _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]),
-              _fmt(trace.psi_t_h[i]), _fmt(trace.v_l2[i]),
-              _fmt(trace.psi_x_l2[i]), _fmt(trace.psi_t_l2[i]),
-              str(int(trace.warp_ok[i]))) for i in range(T)])
-        manifest.add_output(out_dir, trace_path)
-
-        snap_dir = _ensure_dir(out_dir / "snapshots")
-        for i in range(T):
-            path = snap_dir / f"snap_{i:04d}.bin"
-            evolve.write_snapshot(path, result.snapshots[i], n_period,
-                                  times[i])
-            manifest.add_output(out_dir, path)
+    manifest.artifact(
+        "trace.csv", _write_csv,
+        ("t", "gamma", "gamma_t", "norm_v_h", "norm_psi_x_h", "norm_psi_t_h",
+         "norm_v_l2", "norm_psi_x_l2", "norm_psi_t_l2", "warp_ok"),
+        ((_fmt(times[i]), _fmt(trace.gamma[i]), _fmt(trace.gamma_t[i]),
+          _fmt(trace.v_h[i]), _fmt(trace.psi_x_h[i]), _fmt(trace.psi_t_h[i]),
+          _fmt(trace.v_l2[i]), _fmt(trace.psi_x_l2[i]),
+          _fmt(trace.psi_t_l2[i]), str(int(trace.warp_ok[i])))
+         for i in range(T)))
+    for i in range(T):
+        manifest.artifact(f"snapshots/snap_{i:04d}.bin", evolve.write_snapshot,
+                          result.snapshots[i], n_period, times[i])
 
     du = duhamel_exit = None
     if cfg["extraction"]["mode"] in ("duhamel", "both"):
@@ -842,14 +810,13 @@ def cmd_simulate(args, argv):
             manifest.counts["duhamel_sweeps"] = getattr(exc, "iterations", None)
             duhamel_exit = EXIT_DIVERGENCE
         if du is not None:
-            du_path = out_dir / "trace_duhamel.csv"
             psi_l2 = grids.norm_l2(du.psi_vals[..., None], n_period)
             v_l2 = grids.norm_l2(du.v_vals, n_period)
-            with manifest.stage("outputs"):
-                _write_csv(du_path, ("t", "gamma", "norm_psi_l2", "norm_v_l2"),
-                           [(_fmt(times[i]), _fmt(du.gamma[i]),
-                             _fmt(psi_l2[i]), _fmt(v_l2[i])) for i in range(T)])
-            manifest.add_output(out_dir, du_path)
+            manifest.artifact(
+                "trace_duhamel.csv", _write_csv,
+                ("t", "gamma", "norm_psi_l2", "norm_v_l2"),
+                ((_fmt(times[i]), _fmt(du.gamma[i]), _fmt(psi_l2[i]),
+                  _fmt(v_l2[i])) for i in range(T)))
             manifest.counts["duhamel_sweeps"] = du.iterations
 
     with manifest.stage("checks"):
@@ -882,16 +849,13 @@ def cmd_simulate(args, argv):
             "v2_defect": du.v2_defect,
         }
 
-    report_path = out_dir / "report.json"
-    with manifest.stage("outputs"):
-        _write_json(report_path, report)
-    manifest.add_output(out_dir, report_path)
+    manifest.artifact("report.json", _write_json, report)
     manifest.counts["time_steps"] = result.n_steps
     manifest.counts["snapshots"] = T
-    manifest.write(out_dir)
+    manifest.write()
 
     print(f"simulated {times[-1]:g} time units ({result.n_steps} steps), "
-          f"{T} snapshots -> {out_dir}")
+          f"{T} snapshots -> {manifest.out_dir}")
     print("checks: " + ", ".join(
         f"{name}={'n/a' if check['pass'] is None else check['pass']}"
         for name, check in sorted(checks.items())))

@@ -36,10 +36,12 @@ def brusselator_profile():
     mu, vec = np.linalg.eig(np.array([[b - 1.0, a * a], [-b, -a * a]]))
     i = int(np.argmax(mu.imag))
     k = 0.9 * np.sqrt(mu[i].real) / TWO_PI
-    coeffs = np.zeros((33, 2), dtype=complex)
-    coeffs[16] = [a, b / a]
-    coeffs[17] = vec[:, i] / 2.0
-    coeffs[15] = np.conj(coeffs[17])
+    # m_f = 24: at 16 the Df(phi) tail beyond the cap is 6.4e-13, above
+    # bloch.HILL_TAIL_TOL
+    coeffs = np.zeros((49, 2), dtype=complex)
+    coeffs[24] = [a, b / a]
+    coeffs[25] = vec[:, i] / 2.0
+    coeffs[23] = np.conj(coeffs[25])
     return profiles.solve_profile(models.brusselator(a, b), coeffs, k,
                                   -mu[i].imag / (TWO_PI * k), solve_for="c")
 

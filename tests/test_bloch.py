@@ -326,6 +326,16 @@ def test_under_resolved_profile_raises(tmp_path, capsys):
     assert len(err) == 1 and "under-resolved" in err[0]
 
 
+def test_the_hill_cap_refuses_an_unresolved_tail():
+    # nagumo(0.25) at m_f = 8: the cap M = 8 leaves a Df(phi) tail of
+    # 1.5e-10, although the two truncations agree to 4e-15
+    with pytest.raises(ResolutionError,
+                       match=r"m_f = 8, .* up to 1\.5\de-10 .*under-resolved"):
+        fiber_store(_nagumo_profile(8))
+    hill = fiber_store(_nagumo_profile(12)).hill
+    assert hill.modes == 11 and hill.tail <= bloch.HILL_TAIL_TOL
+
+
 def _engine(prof):
     from wavetrain.semigroup import CutoffSpec, SemigroupEngine
     return SemigroupEngine(prof, 8, CutoffSpec(1.0))
@@ -347,20 +357,23 @@ def test_no_reader_of_the_store_skips_the_hill_check(read):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum", "--scan", "16"],
     ["gap", "--N", "2,4"],
     ["linear-decay", "--N", "8", "--tmax", "20", "--samples", "6"],
-], ids=["gap", "linear-decay"])
+], ids=["spectrum", "gap", "linear-decay"])
 def test_commands_refuse_an_under_resolved_profile(argv, tmp_path, capsys):
     from wavetrain.cli import main
     from wavetrain.profiles import save_profile
 
     path = tmp_path / "nagumo4.json"
     save_profile(_nagumo_profile(4), path)
-    code = main([*argv, "--profile", str(path), "--out-dir",
-                 str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([*argv, "--profile", str(path), "--out-dir", str(out)])
     assert code == 65
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "under-resolved" in err[0]
+    # refused before its first artifact: no output directory
+    assert not out.exists()
 
 
 def test_grid_modes_follow_the_hill_truncation(nagumo_profile):

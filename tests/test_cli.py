@@ -844,7 +844,62 @@ def test_manifests_carry_stages(profile_file, tmp_path):
     report = read_json(tmp_path / "spectrum" / "stability_report.json")
     assert sorted(report["tolerances"]) == ["scan", "tol_zero", "xi_fit"]
     assert report["schema_version"] == 2
-    # the grid the engines ran on, derived from the Hill truncation
+    # the grid the engines ran on, derived from the Hill truncation, with
+    # the truncation's evidence, which depends on the profile alone
+    report = read_json(tmp_path / "simulate" / "report.json")
+    evidence = {key: report[key]
+                for key in ("hill_modes", "hill_tail", "hill_check")}
     for name in ("linear-decay", "simulate"):
         health = read_json(tmp_path / name / "manifest.json")["health"]
-        assert health == {"m_x": 17, "hill_modes": 4}, name
+        assert health == {"m_x": 17, **evidence}, name
+
+
+def test_a_manifest_lists_what_its_directory_holds(profile_file, tmp_path):
+    prof = str(profile_file)
+    runs = {
+        "spectrum": ["--profile", prof, "--scan", "16"],
+        "gap": ["--profile", prof, "--N", "2,4"],
+        "linear-decay": ["--profile", prof, "--N", "4", "--tmax", "20",
+                         "--samples", "6"],
+        "sum-bounds": ["--d", "1", "--N", "4,8", "--tmax", "100"],
+    }
+    for name, argv in runs.items():
+        assert main([name, *argv, "--out-dir", str(tmp_path / name)]) == 0
+    cfg = write_config(tmp_path / "cfg.json", profile_file,
+                       tmp_path / "simulate")
+    assert main(["simulate", "--config", str(cfg), "--extract", "both"]) == 0
+    digest = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+              for path in (prof, str(cfg))}
+    reads = {"sum-bounds": [], "simulate": [prof, str(cfg)]}
+    for name in (*runs, "simulate"):
+        out = tmp_path / name
+        held = sorted(str(path.relative_to(out)) for path in out.rglob("*")
+                      if path.is_file())
+        manifest = read_json(out / "manifest.json")
+        assert held == sorted(["manifest.json", *manifest["outputs"]]), name
+        # every input file the command read, digested
+        assert manifest["inputs"] == {
+            path: digest[path] for path in reads.get(name, [prof])}, name
+    outputs = read_json(tmp_path / "simulate" / "manifest.json")["outputs"]
+    assert "trace_duhamel.csv" in outputs
+    assert "snapshots/snap_0000.bin" in outputs
+
+
+def test_simulate_refuses_an_unstable_wave(tmp_path, capsys):
+    from wavetrain import bloch
+
+    # rgl q = 0.7 lies past the Eckhaus boundary q^2 = 1/3
+    wave = tmp_path / "q07.json"
+    assert main(["profile", "--model", "rgl", "--param", "q=0.7",
+                 "--out", str(wave)]) == 0
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path / "cfg.json", wave, out)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 65
+    err = capsys.readouterr().err
+    assert "fails the spectral stability check" in err
+    report = bloch.verify_diffusive_stability(profiles.load_profile(wave))
+    assert report.failures
+    assert all(line in err for line in report.failures), err
+    # refused before its first artifact: no output directory
+    assert not out.exists()

@@ -318,7 +318,7 @@ def _bump_state(profile, n_period, m_x):
     # odd P: the other forward FFT kernel
     pytest.param("imex", "rgl", 3, 33, id="imex-odd_P"),
     # |c| > 1: a complex symbol
-    pytest.param("imex", "brusselator", 2, 33, id="imex-brusselator"),
+    pytest.param("imex", "brusselator", 2, 49, id="imex-brusselator"),
 ])
 def test_steppers_reproduce_the_point_major_formulas_bitwise(
         request, scheme, wave, n_period, m_x):
