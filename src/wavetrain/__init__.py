@@ -30,10 +30,9 @@ _EXPORTS = {
     "evolve": (
         "DuhamelTrace", "ExperimentResult", "ModulationTraceData",
         "crossover_fit", "damping_check", "default_snapshot_times",
-        "envelope_slope", "extract_modulation_duhamel", "modulation_frame",
-        "modulation_trace", "nonlinear_residual", "phase_convergence",
-        "random_perturbation", "read_snapshot", "run_checks",
-        "run_experiment", "write_snapshot",
+        "envelope_slope", "extract_modulation_duhamel", "modulation_trace",
+        "nonlinear_residual", "phase_convergence", "random_perturbation",
+        "read_snapshot", "run_checks", "run_experiment", "write_snapshot",
     ),
     "fourier": (),
     "grids": (

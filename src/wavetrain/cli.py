@@ -3,7 +3,8 @@
 Every command's files go through one ``_Manifest``: it reads and digests
 every input file, writes, times and lists every artifact, and makes the
 output directory at the first write, so a run refused before its first
-artifact leaves no directory.  Its ``manifest.json`` records the resolved
+artifact leaves no directory.  Its ``manifest.json`` (``<name>.manifest.json``
+beside a profile ``<name>.json``) records the resolved
 configuration, tool version, input digests, artifact paths, step counts,
 wall-clock time and per-stage timings and fiber counts (``stages``).  Reruns
 with the same inputs and seeds reproduce all CSV/JSON payloads bit-for-bit
@@ -129,6 +130,7 @@ class _Manifest:
         self.argv = list(argv)
         self.config = config
         self.out_dir = None if out_dir is None else Path(out_dir)
+        self.name = "manifest.json"
         self.inputs = {}
         self.outputs = []
         self.counts = {}
@@ -183,7 +185,7 @@ class _Manifest:
         self.outputs.append(name)
 
     def write(self):
-        """Add ``manifest.json``."""
+        """Add the manifest, ``name`` in ``out_dir``."""
         payload = {
             "schema_version": _SCHEMA_VERSIONS["manifest"],
             "schema_versions": _SCHEMA_VERSIONS,
@@ -202,7 +204,7 @@ class _Manifest:
                 1e6 * self.seconds["evolution"] / self.counts["time_steps"])
         if self.health:
             payload["health"] = self.health
-        _write_json(self._path("manifest.json"), payload)
+        _write_json(self._path(self.name), payload)
 
 
 # the --param keys each model's analytic guess reads, beside the model's own
@@ -278,6 +280,8 @@ def cmd_profile(args, argv):
         "model": model_id, "params": params, "modes": args.modes,
         "guess": args.guess, "tol": args.tol, "out": str(out_path)},
         out_path.parent)
+    # one manifest per profile file, so that profiles can share a directory
+    manifest.name = f"{out_path.stem}.manifest.json"
 
     if args.guess == "analytic":
         try:
@@ -373,6 +377,20 @@ def _stability_payload(report):
     }
 
 
+def _stable_wave(manifest, prof, scan):
+    """The stability report of ``prof`` on a scan of ``scan`` points, timed
+    as the ``stability_scan`` stage; a wave that fails the check exits 65."""
+    from . import bloch
+
+    with manifest.stage("stability_scan"):
+        report = bloch.verify_diffusive_stability(prof, scan=scan)
+    if not report.verdict:
+        raise _CliError(EXIT_VALIDATION,
+                        "profile fails the spectral stability check; "
+                        f"failures: {report.failures}")
+    return report
+
+
 def cmd_spectrum(args, argv):
     from . import bloch, grids
 
@@ -457,7 +475,7 @@ def _engine_health(engine):
 
 
 def cmd_linear_decay(args, argv):
-    from . import bloch, evolve, semigroup
+    from . import evolve, semigroup
 
     n_values = _parse_int_list(args.N, "--N")
     if args.l < 0 or args.m < 0:
@@ -481,8 +499,7 @@ def cmd_linear_decay(args, argv):
     prof = manifest.read_profile(args.profile)
 
     times = np.geomspace(0.1, args.tmax, args.samples)
-    with manifest.stage("stability_scan"):
-        stability = bloch.verify_diffusive_stability(prof, scan=128)
+    stability = _stable_wave(manifest, prof, 128)
     cutoff = semigroup.default_cutoff(stability)
     rows = []
     fits = []
@@ -753,12 +770,7 @@ def cmd_simulate(args, argv):
                         f"estimate 0.5/rho(Df/k) = {dt_limit:.4g}")
 
     n_period = cfg["N"]
-    with manifest.stage("stability_scan"):
-        stability = bloch.verify_diffusive_stability(prof)
-    if not stability.verdict:
-        raise _CliError(EXIT_VALIDATION,
-                        "profile fails the spectral stability check; "
-                        f"failures: {stability.failures}")
+    stability = _stable_wave(manifest, prof, 256)
     if cfg["extraction"]["cutoff"] is not None:
         cutoff = semigroup.CutoffSpec(float(cfg["extraction"]["cutoff"]))
     else:

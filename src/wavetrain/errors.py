@@ -64,7 +64,9 @@ class ShiftFitError(WavetrainError):
 class PhaseWarpError(WavetrainError):
     """The extracted phase field is too steep for the coordinate warp.
 
-    Raised when max |psi_x| reaches 1/2 during extraction (the warp
-    x -> x - gamma/N - psi(x) stops being invertible) or 1 in the residual
-    terms (the 1/(1 - psi_x) factors become singular).
+    The projection route records a snapshot whose max |psi_x| reaches 1/2
+    (the warp x -> x - gamma/N - psi(x) stops being invertible) as a failed
+    row.  Raised when the Duhamel route starts from a trace with such a row,
+    and when psi_x reaches 1 in the residual terms (the 1/(1 - psi_x)
+    factors become singular).
     """

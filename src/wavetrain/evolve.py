@@ -5,17 +5,19 @@ space discretization: the linear part is applied exactly through its Fourier
 symbol, the reaction term pointwise on the grid.
 
 Modulation data (gamma, psi) is read off a trajectory in two independent
-ways: by direct spectral projection of u - phi at each time, and through the
-Duhamel representation, iterating the nonlinear integral equations for the
-phase variables and the residual to a joint fixed point.  In both routes the
-perturbation is
+ways: by direct spectral projection of u - phi (:func:`modulation_trace`),
+and through the Duhamel representation, iterating the nonlinear integral
+equations for the phase variables and the residual to a joint fixed point
+(:func:`extract_modulation_duhamel`).  In both routes the perturbation is
 
     v(x) = u_mod(x) - phi(x),   u_mod(x) = u(x - gamma/N - psi(x)),
 
 so the wave is undone by a mean translation gamma/N plus a local phase psi.
 The modulation variables move between functions as arrays stacked over the
 T snapshots: gamma (T,), psi (T, P) and v (T, P, n), with phi sampled once
-per run (``ExperimentResult.base``).
+per run (``ExperimentResult.base``); each route synthesizes psi for all T
+snapshots in one engine call.  A phase too steep for the warp is a recorded
+NaN row in the projection route and a PhaseWarpError in the Duhamel route.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ class ExperimentResult:
     gamma = chi * gamma_raw so the phase variables vanish at t = 0.
     ``snapshot_tail`` is the fraction of sum |u_hat_m|^2 in the global modes
     |m| > P/3 at each snapshot: the resolution the warp interpolation of
-    :func:`modulation_frame` relies on.  ``base`` is phi on the run's grid,
+    :func:`modulation_trace` relies on.  ``base`` is phi on the run's grid,
     shape (P, n), sampled once for every reader of the run.  The profile,
     N and m_x are the engine's.
     """
@@ -450,30 +452,6 @@ def time_derivative(times, values):
 
 
 # ---------------------------------------------------------------------------
-# modulation extraction: direct projection route
-
-def modulation_frame(result, i):
-    """The local phase psi, shape (P,), and the modulated perturbation v,
-    shape (P, n), at snapshot i, from the projections of u - phi.
-
-    v undoes the extracted phases through the composition
-    v(x) = u(x - gamma/N - psi(x)) - phi(x), evaluated by trigonometric
-    interpolation of the snapshot.  Raises PhaseWarpError when the phase
-    gradient reaches 1/2 and the warp stops being invertible.
-    """
-    N = result.engine.n_period
-    psi = result.engine.synthesize_phase(result.chi[i] * result.inner[i])
-    steep = float(np.max(np.abs(grids.derivative_values(psi, N))))
-    if not np.isfinite(steep) or steep >= 0.5:
-        raise PhaseWarpError(
-            f"max |psi_x| = {steep:.3f} >= 1/2 at t = {result.times[i]:.3f}; "
-            "the coordinate warp is not invertible")
-    u = grids.GridFunction(N, result.snapshots[i])
-    x = grids.grid_points(N, result.engine.m_x)
-    return psi[:, 0], u.interp(x - result.gamma[i] / N - psi[:, 0]) - result.base
-
-
-# ---------------------------------------------------------------------------
 # nonlinear residual terms
 
 def nonlinear_residual(result, gamma, psi_vals, v_vals):
@@ -555,8 +533,9 @@ def extract_modulation_duhamel(result, trace, tol=DUHAMEL_TOL):
     """Fixed-point solve of the integral equations for gamma, psi, and v.
 
     The iteration starts from the projection extraction in ``trace``, the
-    :func:`modulation_trace` of ``result``; a snapshot whose phase warp
-    failed there raises PhaseWarpError.  Each sweep evaluates the quadratic
+    :func:`modulation_trace` of ``result``, which records a snapshot whose
+    phase warp failed; such a snapshot leaves no starting point and raises
+    PhaseWarpError here.  Each sweep evaluates the quadratic
     source (Q + k R_x)/k from the current variables, updates gamma and psi through their Duhamel formulas, and
     updates v through the split residual equation: the unmodulated linear
     evolution on the ramp-in interval plus the cutoff remainder afterwards.
@@ -680,24 +659,30 @@ class ModulationTraceData:
 
 
 def modulation_trace(result, k_sob=3):
-    """Extract phases along the trajectory and collect the diagnostic norms.
+    """Extract phases along the trajectory by direct projection and collect
+    the diagnostic norms.
 
-    A snapshot whose phase warp fails (PhaseWarpError from
-    :func:`modulation_frame`) is recorded, not fatal: its rows are NaN and
-    its ``warp_ok`` entry False; psi_t takes its phase as zero.
+    psi comes from one synthesis of the stacked amplitudes chi * inner, and
+    psi_x from one derivative of it.  A snapshot whose phase gradient
+    reaches 1/2, where the warp x -> x - gamma/N - psi(x) stops being
+    invertible, is recorded, not fatal: its rows are NaN and its ``warp_ok``
+    entry False; psi_t takes its phase as zero.  Every other snapshot is
+    warped alone, v(x) = u(x - gamma/N - psi(x)) - phi(x), by trigonometric
+    interpolation of u.
     """
     times = result.times
-    T = times.size
     N = result.engine.n_period
-    psi_vals = np.full(result.snapshots.shape[:2], np.nan)
+    gamma = result.gamma
+    psi = result.engine.synthesize_phase(result.chi[:, None] * result.inner)
+    psi_x = grids.derivative_values(psi, N)
+    steep = np.max(np.abs(psi_x), axis=(1, 2))
+    warp_ok = np.isfinite(steep) & (steep < 0.5)
+    psi_vals = np.where(warp_ok[:, None], psi[..., 0], np.nan)
     v_vals = np.full(result.snapshots.shape, np.nan)
-    warp_ok = np.ones(T, dtype=bool)
-    for i in range(T):
-        try:
-            psi_vals[i], v_vals[i] = modulation_frame(result, i)
-        except PhaseWarpError:
-            warp_ok[i] = False
-    psi_x = grids.derivative_values(psi_vals[..., None], N)
+    x = grids.grid_points(N, result.engine.m_x)
+    for i in np.flatnonzero(warp_ok):
+        u = grids.GridFunction(N, result.snapshots[i])
+        v_vals[i] = u.interp(x - gamma[i] / N - psi_vals[i]) - result.base
     psi_t = time_derivative(times, np.nan_to_num(psi_vals))[..., None]
     norms = {"v_h": grids.norm_h(v_vals, N, k_sob),
              "psi_x_h": grids.norm_h(psi_x, N, k_sob + 1),
@@ -709,8 +694,8 @@ def modulation_trace(result, k_sob=3):
         series[~warp_ok] = np.nan
     return ModulationTraceData(
         times=times,
-        gamma=result.gamma.copy(),
-        gamma_t=time_derivative(times, result.gamma),
+        gamma=gamma,
+        gamma_t=time_derivative(times, gamma),
         psi_vals=psi_vals,
         v_vals=v_vals,
         warp_ok=warp_ok,

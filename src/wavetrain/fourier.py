@@ -32,15 +32,13 @@ def synth(coeffs, x, deriv=0):
     return np.real(vals)
 
 
-def synth_grid(coeffs, grid_size, deriv=0):
+def synth_grid(coeffs, grid_size):
     """Evaluate on the uniform grid x_j = j/grid_size via zero-padded inverse FFT."""
     m = trunc_order(coeffs)
     if grid_size < 2 * m + 1:
         raise ValueError(f"grid_size {grid_size} cannot hold modes up to {m}")
-    ell = modes(m)
-    fac = (TWO_PI * 1j * ell) ** deriv if deriv else np.ones_like(ell, dtype=complex)
     spec = np.zeros((grid_size, coeffs.shape[1]), dtype=complex)
-    spec[ell % grid_size, :] = fac[:, None] * coeffs
+    spec[modes(m) % grid_size, :] = coeffs
     return np.real(np.fft.ifft(spec, axis=0) * grid_size)
 
 

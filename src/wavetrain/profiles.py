@@ -62,8 +62,8 @@ class WaveProfile:
     def __call__(self, x, deriv=0):
         return fourier.synth(self.coeffs, x, deriv=deriv)
 
-    def on_grid(self, grid_size, deriv=0):
-        return fourier.synth_grid(self.coeffs, grid_size, deriv=deriv)
+    def on_grid(self, grid_size):
+        return fourier.synth_grid(self.coeffs, grid_size)
 
     def derivative_l2(self):
         """L2(0,1) norm of phi'."""

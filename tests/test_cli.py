@@ -33,7 +33,7 @@ def read_json(path):
 
 
 def test_profile_writes_a_manifest(profile_file):
-    manifest = profile_file.parent / "manifest.json"
+    manifest = profile_file.parent / "q03.manifest.json"
     assert manifest.exists()
     data = read_json(manifest)
     assert data["command"] == "profile"
@@ -45,7 +45,7 @@ def test_profile_manifest_records_newton_health(tmp_path):
     out = tmp_path / "nagumo.json"
     assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
                  "--tol", "1e-10", "--out", str(out)]) == 0
-    manifest = read_json(tmp_path / "manifest.json")
+    manifest = read_json(tmp_path / "nagumo.manifest.json")
     residuals = manifest["health"]["newton_residuals"]
     rconds = manifest["health"]["newton_rcond"]
     assert len(residuals) == manifest["step_counts"]["newton_iterations"]
@@ -54,6 +54,22 @@ def test_profile_manifest_records_newton_health(tmp_path):
     assert len(rconds) == len(residuals) - 1
     assert min(rconds) >= np.finfo(float).eps
     assert "health" not in read_json(out)
+
+
+def test_profiles_in_one_directory_keep_their_manifests(tmp_path):
+    # each profile's manifest is named after its file, so a second profile
+    # saved beside the first leaves the first one's manifest as it was
+    assert main(["profile", "--model", "rgl", "--param", "q=0.3",
+                 "--out", str(tmp_path / "rgl.json")]) == 0
+    first = (tmp_path / "rgl.manifest.json").read_bytes()
+    assert main(["profile", "--model", "nagumo", "--param", "alpha=0.25",
+                 "--out", str(tmp_path / "nagumo.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "nagumo.json", "nagumo.manifest.json", "rgl.json", "rgl.manifest.json"]
+    assert (tmp_path / "rgl.manifest.json").read_bytes() == first
+    for name in ("rgl", "nagumo"):
+        manifest = read_json(tmp_path / f"{name}.manifest.json")
+        assert manifest["outputs"] == [f"{name}.json"], name
 
 
 def test_profile_output_is_deterministic(tmp_path):
@@ -701,7 +717,7 @@ def test_profile_resolves_from_a_resized_guess_file(profile_file, tmp_path,
     np.testing.assert_allclose(got.coeffs[modes - 16:modes + 17],
                                src.coeffs[m_src - 16:m_src + 17],
                                rtol=0, atol=1e-12)
-    inputs = read_json(tmp_path / "manifest.json")["inputs"]
+    inputs = read_json(tmp_path / "resized.manifest.json")["inputs"]
     digest = hashlib.sha256(profile_file.read_bytes()).hexdigest()
     assert inputs == {str(profile_file): digest}
 
@@ -899,6 +915,28 @@ def test_simulate_refuses_an_unstable_wave(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fails the spectral stability check" in err
     report = bloch.verify_diffusive_stability(profiles.load_profile(wave))
+    assert report.failures
+    assert all(line in err for line in report.failures), err
+    # refused before its first artifact: no output directory
+    assert not out.exists()
+
+
+def test_linear_decay_refuses_an_unstable_wave(tmp_path, capsys):
+    from wavetrain import bloch
+
+    # rgl q = 0.58 lies just past the Eckhaus boundary q^2 = 1/3; the
+    # command's own scan of 128 points sees its spectrum reach Re > 0
+    wave = tmp_path / "q058.json"
+    assert main(["profile", "--model", "rgl", "--param", "q=0.58",
+                 "--modes", "16", "--out", str(wave)]) == 0
+    out = tmp_path / "decay"
+    capsys.readouterr()
+    assert main(["linear-decay", "--profile", str(wave), "--N", "8",
+                 "--tmax", "50", "--out-dir", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert "fails the spectral stability check" in err
+    report = bloch.verify_diffusive_stability(profiles.load_profile(wave),
+                                              scan=128)
     assert report.failures
     assert all(line in err for line in report.failures), err
     # refused before its first artifact: no output directory

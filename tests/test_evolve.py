@@ -21,7 +21,6 @@ from wavetrain.evolve import (
     envelope_slope,
     extract_modulation_duhamel,
     fd_weights,
-    modulation_frame,
     modulation_trace,
     nonlinear_residual,
     quintic_smoothstep,
@@ -483,9 +482,9 @@ def test_translation_is_pure_phase(rgl_profile, engine4):
     init = shifted - base
     res = run_experiment(engine4, init, [0.0, 2.0, 3.0])
     assert res.gamma_raw[-1] == pytest.approx(4 * s, rel=1e-2)
-    psi, v = modulation_frame(res, len(res.times) - 1)
-    assert grids.norm_l2(psi[:, None], 4) <= 1e-4
-    assert grids.norm_linf(v, 4) <= 1e-4
+    tr = modulation_trace(res)
+    assert grids.norm_l2(tr.psi_vals[-1][:, None], 4) <= 1e-4
+    assert grids.norm_linf(tr.v_vals[-1], 4) <= 1e-4
 
 
 def test_rgl_conserves_the_phase_mass(rgl_profile, engine8):
@@ -542,7 +541,7 @@ def test_derivative_direction_is_pure_phase(rgl_profile, engine4):
     init = eps * rgl_profile(x, deriv=1)
     res = run_experiment(engine4, init, [0.0, 2.0])
     assert res.gamma_raw[0] == pytest.approx(4 * eps, rel=1e-6)
-    psi0, _ = modulation_frame(res, 0)
+    psi0 = modulation_trace(res).psi_vals[0]
     assert grids.norm_l2(psi0[:, None], 4) <= 1e-10
 
 
@@ -551,9 +550,10 @@ def test_recomposition_inverts_the_warp(rgl_profile, engine4):
     # x = y + gamma/N + psi(x); then phi(x) + v(x) must return u(y), up to
     # the interpolation error of the composed fields
     res = _run(engine4, _datum(engine4, 9, 1e-4), 5.0)
+    tr = modulation_trace(res)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
         psi, v = (grids.GridFunction(4, f.reshape(f.shape[0], -1))
-                  for f in modulation_frame(res, i))
+                  for f in (tr.psi_vals[i], tr.v_vals[i]))
         u = res.snapshots[i]
         y = grids.grid_points(4, engine4.m_x)
         g = res.gamma[i] / 4
@@ -568,21 +568,38 @@ def test_recomposition_inverts_the_warp(rgl_profile, engine4):
         assert err <= 1e-6 * np.max(np.abs(u))
 
 
-def test_modulation_frame_rejects_steep_phases(small_run):
-    # an absurd phase amplitude at snapshot 10, on the stored slots (its
-    # -xi mirror is the conjugate)
+def _steep_at(run, i):
+    """``run`` with an absurd phase amplitude at snapshot i, on the stored
+    slots (its -xi mirror is the conjugate)."""
     inner = np.zeros(3, dtype=complex)
     inner[1] = 40.0
-    steep = small_run.inner.copy()
-    steep[10] = inner / small_run.chi[10]
-    run = dataclasses.replace(small_run, inner=steep)
-    with pytest.raises(PhaseWarpError, match="psi_x"):
-        modulation_frame(run, 10)
-    # the trace records such a snapshot as a NaN row instead of raising
+    steep = run.inner.copy()
+    steep[i] = inner / run.chi[i]
+    return dataclasses.replace(run, inner=steep)
+
+
+def test_modulation_trace_records_steep_phases_as_nan_rows(small_run):
+    # the trace records a snapshot too steep to warp as a NaN row
+    run = _steep_at(small_run, 10)
     tr = modulation_trace(run)
     assert np.flatnonzero(~tr.warp_ok).tolist() == [10]
     assert np.isnan(tr.v_h[10]) and np.isnan(tr.psi_vals[10]).all()
     assert np.isfinite(np.delete(tr.v_h, 10)).all()
+
+
+def test_trace_rows_hold_each_snapshot_warped_alone(small_run):
+    # one synthesis of the stack gives each row the bits of that snapshot's
+    # own phase synthesis and interpolated warp
+    tr = modulation_trace(small_run)
+    eng = small_run.engine
+    x = grids.grid_points(4, eng.m_x)
+    assert tr.warp_ok.all()
+    for i in range(len(small_run.times)):
+        psi = eng.synthesize_phase(small_run.chi[i] * small_run.inner[i])
+        u = grids.GridFunction(4, small_run.snapshots[i])
+        v = u.interp(x - small_run.gamma[i] / 4 - psi[:, 0]) - small_run.base
+        assert np.array_equal(tr.psi_vals[i], psi[:, 0])
+        assert np.array_equal(tr.v_vals[i], v)
 
 
 def test_nonlinear_residual_scales_quadratically(engine4):
@@ -836,6 +853,32 @@ def test_duhamel_calls_each_engine_operation_once_per_sweep(
     passes = tr.iterations + 1
     assert calls == {"fibers": passes + 1, "amplitudes": passes,
                      "field": passes, "synthesize_phase": tr.iterations}
+
+
+def test_projection_synthesizes_the_phase_once_per_trace(small_run,
+                                                        monkeypatch):
+    # the trace synthesizes psi for the whole stack in one engine call and
+    # interpolates only the snapshots that pass the warp test, one each
+    run = _steep_at(small_run, 10)
+    eng = run.engine
+    calls = {"synthesize_phase": 0, "interp": 0}
+    synthesize = eng.synthesize_phase
+    interp = grids.GridFunction.interp
+
+    def counted_synthesize(inner):
+        calls["synthesize_phase"] += 1
+        return synthesize(inner)
+
+    def counted_interp(self, points):
+        calls["interp"] += 1
+        return interp(self, points)
+
+    monkeypatch.setattr(eng, "synthesize_phase", counted_synthesize)
+    monkeypatch.setattr(grids.GridFunction, "interp", counted_interp)
+    tr = modulation_trace(run)
+    assert calls == {"synthesize_phase": 1,
+                     "interp": len(run.times) - 1}
+    assert np.flatnonzero(~tr.warp_ok).tolist() == [10]
 
 
 def test_trapezoid_prefixes_match_the_explicit_sum():

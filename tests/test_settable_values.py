@@ -15,7 +15,7 @@ from pathlib import Path
 
 from wavetrain import cli
 
-CEILING = 53
+CEILING = 51
 OPTION_CEILING = 27
 CONFIG_KEY_CEILING = 16
 
