@@ -519,25 +519,20 @@ def verify_diffusive_stability(profile, scan=256):
     if align < 1.0 - STABILITY_ANGLE_TOL:
         failures.append(f"zero eigenfunction misaligned with phi' (|cos| = {align:.2e})")
 
-    # scan: top of each spectrum and the critical branch against the rest
-    rest0 = float(np.delete(lam0, absorder[0]).real.max())
-    max_nonzero_real = rest0
-    theta = np.inf
-    sep_records = [(0.0, 0.0, rest0)]       # (|xi|, Re lambda_c, max Re of the rest)
-    branch_lost = []
+    # per scan frequency: the top of the spectrum, Re lambda_c (nan where
+    # lost) and the top of the rest; at xi = 0 lambda_c is the zero, the
+    # eigenvalue nearest 0
+    top, crit, rest = np.empty((3, half))
+    for j, fib in enumerate(fibers):
+        re = fib.lam.real
+        out = absorder[0] if j == 0 else fib.index
+        top[j] = re.max()
+        crit[j] = 0.0 if j == 0 else fib.lam_c.real
+        rest[j] = re.max() if out is None else np.delete(re, out).max()
     margins = [fib.margin for fib in fibers if fib.index is not None]
-    for x, fib in zip(xis[1:], fibers[1:]):
-        x = float(x)
-        top = float(fib.lam.real.max())
-        if fib.index is None:
-            branch_lost.append(x)
-            sep_records.append((x, np.nan, top))
-        else:
-            sep_records.append((x, float(fib.lam[fib.index].real),
-                                float(np.delete(fib.lam.real, fib.index).max())))
-        max_nonzero_real = max(max_nonzero_real, top)
-        theta = min(theta, -top / (x * x))
 
+    max_nonzero_real = -lattice_gap([fib.lam for fib in fibers])[0]
+    theta = np.min(-top[1:] / xis[1:] ** 2)
     cond_negative = bool(max_nonzero_real < 0.0)
     if max_nonzero_real >= 0.0:
         failures.append(f"spectrum reaches Re = {max_nonzero_real:.3e} >= 0 away from the origin")
@@ -545,34 +540,18 @@ def verify_diffusive_stability(profile, scan=256):
     if not cond_quadratic:
         failures.append(f"no parabolic bound: theta = {theta:.3e} <= 0")
 
-    # separation radius xi_1 and gap delta_1 for the critical branch
-    xi_1 = 0.0
-    delta_1 = 0.0
-    worst_rest = -np.inf
-    worst_crit = 0.0
-    for absxi, crit_re, rest_max in sep_records:
-        if not np.isfinite(crit_re):
-            break
-        worst_rest = max(worst_rest, rest_max)
-        worst_crit = min(worst_crit, crit_re)
-        if worst_rest >= worst_crit:
-            break
-        xi_1 = absxi
-        delta_1 = -(worst_rest + worst_crit) / 2.0
-    xi_cap = np.pi * (1.0 - 2.0 / scan)
-    xi_1 = min(xi_1, xi_cap)
+    # separation radius xi_1 and gap delta_1: the critical branch stays above
+    # the rest on the first k scan points, up to where they meet or the
+    # branch is lost (the nan runs on through the accumulate)
+    worst_rest = np.maximum.accumulate(rest)
+    worst_crit = np.minimum.accumulate(crit)
+    k = int(np.count_nonzero(worst_rest < worst_crit))
+    xi_1 = min(xis[k - 1], np.pi * (1.0 - 2.0 / scan)) if k else 0.0
+    delta_1 = -(worst_rest[k - 1] + worst_crit[k - 1]) / 2.0 if k else 0.0
 
     # exponential rates outside cutoff radii
-    scan_abs = np.array([r[0] for r in sep_records])
-    scan_top = np.array([r[2] if not np.isfinite(r[1]) else max(r[1], r[2])
-                         for r in sep_records])
-    delta_0 = {}
-    for xi0 in (xi_1 / 2.0, xi_1):
-        if xi0 <= 0:
-            continue
-        mask = scan_abs >= xi0 - 1e-12
-        if mask.any():
-            delta_0[float(xi0)] = float(-scan_top[mask].max())
+    delta_0 = {float(xi0): float(-top[xis >= xi0 - 1e-12].max())
+               for xi0 in (xi_1 / 2.0, xi_1) if xi0 > 0}
 
     curve = critical_curve(profile)
 
@@ -593,7 +572,7 @@ def verify_diffusive_stability(profile, scan=256):
         scan=scan,
         hill=store.hill,
         tol_zero=STABILITY_TOL_ZERO,
-        branch_lost=branch_lost,
+        branch_lost=xis[np.isnan(crit)].tolist(),
         min_overlap_margin=float(min(margins)) if margins else np.nan,
     )
 

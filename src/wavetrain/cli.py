@@ -377,10 +377,12 @@ def _stability_payload(report):
     }
 
 
-def _stable_wave(manifest, prof, scan):
-    """The stability report of ``prof`` on a scan of ``scan`` points, timed
-    as the ``stability_scan`` stage; a wave that fails the check exits 65."""
-    from . import bloch
+def _engines(manifest, prof, scan, n_values, m_x):
+    """The gate of the engine commands: the stability report of ``prof``
+    on ``scan`` points, exit 65 if it fails, then the engines of periods
+    ``n_values`` on ``m_x`` cell modes at the report's cutoff. Records the
+    stages, fibers and health; returns (report, engines)."""
+    from . import bloch, semigroup
 
     with manifest.stage("stability_scan"):
         report = bloch.verify_diffusive_stability(prof, scan=scan)
@@ -388,7 +390,14 @@ def _stable_wave(manifest, prof, scan):
         raise _CliError(EXIT_VALIDATION,
                         "profile fails the spectral stability check; "
                         f"failures: {report.failures}")
-    return report
+    cutoff = semigroup.default_cutoff(report)
+    with manifest.stage("engine_build"):
+        engines = [semigroup.SemigroupEngine(prof, n, cutoff, m_x=m_x)
+                   for n in n_values]
+    manifest.count_fibers(prof, engines)
+    # the grid the engines run on and the Hill truncation it derives from
+    manifest.health = {"m_x": engines[0].m_x, **_hill_evidence(report)}
+    return report, engines
 
 
 def cmd_spectrum(args, argv):
@@ -499,15 +508,10 @@ def cmd_linear_decay(args, argv):
     prof = manifest.read_profile(args.profile)
 
     times = np.geomspace(0.1, args.tmax, args.samples)
-    stability = _stable_wave(manifest, prof, 128)
-    cutoff = semigroup.default_cutoff(stability)
+    _, engines = _engines(manifest, prof, 128, n_values, None)
     rows = []
     fits = []
-    engines = []
-    for n in n_values:
-        with manifest.stage("engine_build"):
-            engine = semigroup.SemigroupEngine(prof, n, cutoff)
-        engines.append(engine)
+    for n, engine in zip(n_values, engines):
         # a datum of L1 size 1, the size the constants are measured against
         v = evolve.random_perturbation(n, engine.m_x, prof.n, args.seed, 1.0,
                                        normalize="l1")
@@ -529,10 +533,6 @@ def cmd_linear_decay(args, argv):
                 "reference_norm": meas.reference_norm,
                 "super_polynomial": meas.super_polynomial,
             } for part, meas in measures.items()}})
-
-    manifest.count_fibers(prof, engines)
-    # the grid the engines ran on and the Hill truncation it derives from
-    manifest.health = {"m_x": engines[0].m_x, **_hill_evidence(stability)}
 
     manifest.artifact("decay.csv", _write_csv,
                       ("N", "t", "norm_total", "norm_mean_phase", "norm_sp",
@@ -636,7 +636,7 @@ _CONFIG_KEYS = {
     "model": None, "profile": None, "N": None, "m_x": None, "dt": None,
     "t_max": None, "scheme": None, "K": None, "output_dir": None,
     "perturbation": ("shape", "amplitude", "seed", "band", "normalize"),
-    "extraction": ("mode", "cutoff"),
+    "extraction": ("mode",),
 }
 
 
@@ -696,8 +696,7 @@ def _validated_simulation_config(cfg, extract_flag):
                          "seed": pert.get("seed", 0),
                          "band": pert.get("band"),
                          "normalize": pert.get("normalize", "l1_sobolev")},
-        "extraction": {"mode": extract_flag or extr.get("mode", "projection"),
-                       "cutoff": extr.get("cutoff")},
+        "extraction": {"mode": extract_flag or extr.get("mode", "projection")},
         "output_dir": cfg["output_dir"],
     }
 
@@ -736,13 +735,11 @@ def _validated_simulation_config(cfg, extract_flag):
     e = resolved["extraction"]
     if e["mode"] not in ("projection", "duhamel", "both"):
         bad(f"extraction mode must be projection/duhamel/both, got {e['mode']!r}")
-    if e["cutoff"] is not None and not is_number(e["cutoff"]):
-        bad("extraction cutoff must be a number")
     return resolved
 
 
 def cmd_simulate(args, argv):
-    from . import bloch, evolve, grids, semigroup
+    from . import bloch, evolve, grids
 
     cfg = _validated_simulation_config(_load_config(args.config),
                                        args.extract)
@@ -770,15 +767,7 @@ def cmd_simulate(args, argv):
                         f"estimate 0.5/rho(Df/k) = {dt_limit:.4g}")
 
     n_period = cfg["N"]
-    stability = _stable_wave(manifest, prof, 256)
-    if cfg["extraction"]["cutoff"] is not None:
-        cutoff = semigroup.CutoffSpec(float(cfg["extraction"]["cutoff"]))
-    else:
-        cutoff = semigroup.default_cutoff(stability)
-    with manifest.stage("engine_build"):
-        engine = semigroup.SemigroupEngine(prof, n_period, cutoff, m_x=m_x)
-    manifest.count_fibers(prof, [engine])
-    manifest.health = {"m_x": engine.m_x, **_hill_evidence(stability)}
+    stability, (engine,) = _engines(manifest, prof, 256, [n_period], m_x)
 
     try:
         with manifest.stage("evolution"):

@@ -66,7 +66,7 @@ def default_cutoff(stability):
         raise AdmissibilityError(
             "critical branch is not separated from the rest of the spectrum; "
             "no cutoff radius exists")
-    return CutoffSpec(min(xi_1, np.pi * (1.0 - 1e-9)))
+    return CutoffSpec(xi_1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Bloch-operator spectra, the critical branch, and stability verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,18 +128,24 @@ def test_gap_sequence_matches_reference_values(rgl_profile):
             expected, rel=1e-6), f"N = {n}"
 
 
+def rgl_closed_form_spectrum(q, xis):
+    """The closed-form spectrum of the rgl wave of wavenumber q, in the
+    code's units (k = q / 2 pi, time scaled by k): lambda_+-(nu) =
+    [-nu^2 - r^2 +- sqrt(r^4 + 4 q^2 nu^2)] / k with nu = k (xi + 2 pi l)
+    and r^2 = 1 - q^2, at the frequencies ``xis`` and the cell modes
+    |l| <= 8. Returns lam[branch (+, -), xi, l + 8]."""
+    k, r2 = q / (2.0 * np.pi), 1.0 - q * q
+    nu = k * (np.asarray(xis)[:, None] + 2.0 * np.pi * np.arange(-8, 9))
+    root = np.sqrt(r2 ** 2 + 4.0 * q * q * nu ** 2)
+    return np.stack([-nu ** 2 - r2 + root, -nu ** 2 - r2 - root]) / k
+
+
 def rgl_closed_form_gap(q, n_period):
     """delta_N of the rgl wave of wavenumber q from its closed-form
-    spectrum, in the code's units (k = q / 2 pi, time scaled by k):
-    lambda_+-(nu) = [-nu^2 - r^2 +- sqrt(r^4 + 4 q^2 nu^2)] / k with
-    nu = k (xi + 2 pi l) and r^2 = 1 - q^2, over the lattice xi and the
-    cell modes |l| <= 8, less the translation zero (xi = 0, l = 0, +)."""
-    k, r2 = q / (2.0 * np.pi), 1.0 - q * q
-    ells = np.arange(-8, 9)
-    nu = k * (frequency_lattice(n_period)[:, None] + 2.0 * np.pi * ells)
-    root = np.sqrt(r2 ** 2 + 4.0 * q * q * nu ** 2)
-    lam = np.stack([-nu ** 2 - r2 + root, -nu ** 2 - r2 - root]) / k
-    lam[0, 0, ells == 0] = -np.inf
+    spectrum over the lattice xi, less the translation zero (xi = 0,
+    l = 0, +)."""
+    lam = rgl_closed_form_spectrum(q, frequency_lattice(n_period))
+    lam[0, 0, 8] = -np.inf
     return -float(lam.max())
 
 
@@ -147,6 +155,69 @@ def test_gaps_match_the_closed_form_spectrum(rgl_profile):
     for n in (1, 2, 3, 4, 8, 16, 64, 256, 1024):
         got = subharmonic_spectrum(rgl_profile, n).delta
         assert abs(got - rgl_closed_form_gap(0.3, n)) <= 1e-12, f"N = {n}"
+
+
+@pytest.mark.parametrize("scan", [16, 17, 128])
+def test_verdict_matches_the_closed_form_spectrum(rgl_profile, scan):
+    report = verify_diffusive_stability(rgl_profile, scan=scan)
+    xis = frequency_lattice(scan)[:(scan + 1) // 2]
+    lam = rgl_closed_form_spectrum(0.3, xis)
+    top = lam.max(axis=(0, 2))
+    # lambda_c is the (l = 0, +) branch, the translation zero at xi = 0
+    crit = lam[0, :, 8].copy()
+    lam[0, :, 8] = -np.inf
+    rest = lam.max(axis=(0, 2))
+    # xi_1: the last scan point up to which every lambda_c lies above all
+    # of the rest, capped at pi (1 - 2 / scan)
+    last = max(j for j in range(xis.size) if rest[:j + 1].max()
+               < crit[:j + 1].min())
+    xi_1 = min(xis[last], np.pi * (1.0 - 2.0 / scan))
+    want = {
+        "max_nonzero_real": -rgl_closed_form_gap(0.3, scan),
+        "theta": np.min(-top[1:] / xis[1:] ** 2),
+        "xi_1": xi_1,
+        "delta_1": -(rest[:last + 1].max() + crit[:last + 1].min()) / 2.0,
+    }
+    for name, value in want.items():
+        assert abs(getattr(report, name) - value) <= 1e-12, name
+    assert report.verdict
+    assert len(report.delta_0) == 2
+    for (xi0, rate), frac in zip(report.delta_0.items(), (0.5, 1.0)):
+        assert abs(xi0 - frac * xi_1) <= 1e-12
+        assert abs(rate + top[xis >= xi0 - 1e-12].max()) <= 1e-12
+
+
+def test_a_lost_fiber_ends_the_separation_but_not_the_bounds():
+    prof = _fresh_profile()
+    store = fiber_store(prof)
+    plain = store.fiber
+    j_lost, scan = 10, 128
+    xi_lost = float(frequency_lattice(scan)[j_lost])
+    assert xi_lost > bloch.CURVE_XI_MAX
+
+    # the lost fiber's spectrum is raised to a top of -1e-5, above every
+    # other fiber's, so the bounds read it
+    def fiber(j, n=1, base=bloch.TWO_PI):
+        fib = plain(j, n, base)
+        if base == bloch.TWO_PI and j * scan == j_lost * n:
+            lam = fib.lam - fib.lam.real.max() - 1e-5
+            return dataclasses.replace(fib, lam=lam, index=None, adj=None,
+                                       margin=np.nan)
+        return fib
+
+    store.fiber = fiber
+    report = verify_diffusive_stability(prof, scan=scan)
+    assert report.branch_lost == [xi_lost]
+    # the separation stops at the point before the lost one
+    before = [plain(j, scan) for j in range(j_lost)]
+    rest = max(np.delete(f.lam.real, f.index).max() for f in before)
+    crit = min([0.0] + [f.lam_c.real for f in before[1:]])
+    assert report.xi_1 == float(frequency_lattice(scan)[j_lost - 1])
+    assert report.delta_1 == pytest.approx(-(rest + crit) / 2.0, abs=1e-15)
+    # the lost fiber's top still bounds the spectrum
+    top = fiber(j_lost, scan).lam.real.max()
+    assert report.max_nonzero_real == top
+    assert report.theta == -top / xi_lost ** 2
 
 
 def test_gap_sequence_is_nonincreasing(rgl_profile):

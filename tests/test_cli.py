@@ -501,7 +501,6 @@ def test_simulate_rejects_short_horizon(profile_file, tmp_path):
     (None, "t_max", float("inf")),
     (None, "dt", float("inf")),
     ("perturbation", "amplitude", float("inf")),
-    ("extraction", "cutoff", float("inf")),
 ])
 def test_simulate_rejects_non_finite_numbers(profile_file, tmp_path, capsys,
                                              monkeypatch, section, key, value):
@@ -636,8 +635,6 @@ def test_simulate_takes_a_band_for_fourier_data_only(profile_file, tmp_path,
      65, "exceeds the highest mode 33"),
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
                        "normalize": "l2"}}, 65, "got 'l2'"),
-    ({"extraction": {"mode": "projection", "cutoff": "1.0"}}, 65,
-     "cutoff must be a number"),
     ({"N": True}, 65, "'N' must be a positive integer"),
     ({"scheme": "etdrk4"}, 65, "unknown scheme 'etdrk4'"),
     # the snapshot schedule, the chi ramp and the Duhamel tolerance are
@@ -651,6 +648,9 @@ def test_simulate_takes_a_band_for_fourier_data_only(profile_file, tmp_path,
      "unknown key 'tol' in 'extraction'"),
     ({"extraction": {"mode": "projection", "chi": ["a", "b"]}}, 65,
      "unknown key 'chi' in 'extraction'"),
+    # the cutoff radius comes from the stability report alone
+    ({"extraction": {"mode": "projection", "cutoff": 1.0}}, 65,
+     "unknown key 'cutoff' in 'extraction'"),
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4, "seed": -1}},
      65, "seed must be an integer"),
     ({"perturbation": {"shape": "fourier", "amplitude": 1e-4,
@@ -661,22 +661,30 @@ def test_simulate_takes_a_band_for_fourier_data_only(profile_file, tmp_path,
     (["--tol", "-1"], 64, "--tol must be finite and > 0"),
     (["--tol", "nan"], 64, "--tol must be finite and > 0"),
 ], ids=["even_m_x", "short_m_x", "negative_band", "wide_band",
-        "unknown_normalize", "text_cutoff", "bool_N", "unknown_scheme",
-        "text_stride", "zero_dense_until", "short_dense_until", "text_tol",
-        "zero_tol", "text_chi", "negative_seed", "huge_seed", "zero_modes",
-        "negative_modes",
+        "unknown_normalize", "bool_N", "unknown_scheme", "text_stride",
+        "zero_dense_until", "short_dense_until", "text_tol", "zero_tol",
+        "text_chi", "number_cutoff", "negative_seed", "huge_seed",
+        "zero_modes", "negative_modes",
         "zero_newton_tol", "negative_newton_tol", "nan_newton_tol"])
 def test_malformed_input_exits_with_its_code(profile_file, tmp_path, capsys,
-                                            case, code, reason):
+                                            monkeypatch, case, code, reason):
+    from wavetrain import bloch
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the stability scan ran")
+
+    # a config is refused before the stability scan and before any output
+    monkeypatch.setattr(bloch, "verify_diffusive_stability", no_scan)
+    out = tmp_path / "o"
     if isinstance(case, dict):
-        cfg = write_config(tmp_path / "cfg.json", profile_file, tmp_path / "o",
-                           **case)
+        cfg = write_config(tmp_path / "cfg.json", profile_file, out, **case)
         argv = ["simulate", "--config", str(cfg)]
     else:
         argv = ["profile", "--model", "rgl", "--param", "q=0.3", *case,
-                "--out", str(tmp_path / "x.json")]
+                "--out", str(out / "x.json")]
     assert main(argv) == code
     assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -17,7 +17,7 @@ from wavetrain import cli
 
 CEILING = 51
 OPTION_CEILING = 27
-CONFIG_KEY_CEILING = 16
+CONFIG_KEY_CEILING = 15
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavetrain"
 
